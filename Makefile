@@ -45,8 +45,10 @@ check-race:
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, which ./... does not reach.
 test:
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -race ./...
@@ -65,8 +67,9 @@ bench-telemetry:
 # incremental path and the reference-scan path (min-of-5, interleaved),
 # sweeps the sharded scenarios' fast arm over GOMAXPROCS 1/2/4/8, writes
 # BENCH_core.json (ns/cycle, B/cycle, speedup per scenario plus the
-# per-GOMAXPROCS point matrix), and fails if the low-load gated speedup
-# regresses below 3x, if sharded stepping allocates beyond sequential
+# per-GOMAXPROCS point matrix, widths above the CPU count skipped), and
+# fails if the low-load gated speedup regresses below 3x, if the
+# saturation gated speedup regresses below 2x, if sharded stepping allocates beyond sequential
 # parity, if (on >=8-core machines) 8-shard stepping misses 3x at
 # GOMAXPROCS=8, or if the sweep-reuse pool misses 2x points/sec over
 # fresh construction — the O(active)-stepping, multicore-scaling, and

@@ -163,8 +163,14 @@ func diff(w io.Writer, oldR, newR benchReport, failOver float64) bool {
 				op.FastBytesPerCycle, np.FastBytesPerCycle, op.Speedup, np.Speedup)
 		}
 		// A GOMAXPROCS point the baseline measured but the new report
-		// doesn't is lost multicore coverage, not an improvement.
+		// doesn't is lost multicore coverage, not an improvement — unless
+		// the new host has too few CPUs to measure it at all.
 		for _, op := range o.GOMAXPROCSPoints {
+			if !covered[op.GOMAXPROCS] && newR.NumCPU > 0 && op.GOMAXPROCS > newR.NumCPU {
+				fmt.Fprintf(w, "  GOMAXPROCS=%-13d not measurable on the new host (NumCPU=%d)\n",
+					op.GOMAXPROCS, newR.NumCPU)
+				continue
+			}
 			if !covered[op.GOMAXPROCS] {
 				fmt.Fprintf(w, "  GOMAXPROCS=%-13d dropped from new report (was %.1f ns/cycle)\n",
 					op.GOMAXPROCS, op.FastNsPerCycle)

@@ -100,6 +100,24 @@ func TestDiffCatchesDroppedGMPPoint(t *testing.T) {
 	}
 }
 
+// TestDiffPointAboveNewNumCPUNotDropped: a smaller host records no
+// GOMAXPROCS point above its CPU count, which is not lost coverage.
+func TestDiffPointAboveNewNumCPUNotDropped(t *testing.T) {
+	newR := baselineReport()
+	newR.NumCPU = 4
+	row := newR.Scenarios["sharded"]
+	row.GOMAXPROCSPoints = row.GOMAXPROCSPoints[:2] // GOMAXPROCS=8 not measurable
+	newR.Scenarios["sharded"] = row
+
+	var buf bytes.Buffer
+	if diff(&buf, baselineReport(), newR, 35) {
+		t.Fatalf("point above the new host's NumCPU flagged as dropped:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "not measurable on the new host") {
+		t.Errorf("output does not explain the missing point:\n%s", buf.String())
+	}
+}
+
 // TestDiffThroughputScenario covers the points/sec rows (sweep-reuse):
 // a DROP in sweep throughput is the regression, a rise never is, and
 // dropping the scenario outright still trips the coverage gate.

@@ -133,6 +133,17 @@ func (p *diffProbe) AfterCycle(now int64) {
 		mix(uint64(a)<<32 | uint64(w)<<16 | uint64(z))
 		mix(uint64(sub.BufferedFlits()))
 		mix(uint64(sub.MaxBFM()))
+		// Arbitration outcomes: switch allocation's visit order decides
+		// which eligible flits count as blocked, so the summed counters
+		// pin it cycle by cycle, not only through the Delay metric.
+		var blocked, granted int64
+		for n := 0; n < p.net.Config().Nodes(); n++ {
+			b, g := sub.Router(n).BlockingCounters()
+			blocked += b
+			granted += g
+		}
+		mix(uint64(blocked))
+		mix(uint64(granted))
 	}
 	mix(uint64(p.net.NIQueueFlits()))
 	mix(uint64(p.net.InFlight()))
@@ -439,6 +450,49 @@ func TestIncrementalMatchesReferenceScanParallel(t *testing.T) {
 		ref := diffRun(t, gating, true, true, traffic.Fig12Bursts(), cycles)
 		fast := diffRun(t, gating, true, false, traffic.Fig12Bursts(), cycles)
 		compareFingerprints(t, gating+"/parallel", ref, fast, false)
+	}
+}
+
+// diffShapeArms runs the reference-scan differential on networks built
+// from cfg: a saturated arm (dense occupancy, every output contended) and
+// a bursty arm (sleep/wake churn), both under full Catnap gating.
+func diffShapeArms(t *testing.T, name string, cfg noc.Config, cycles int) {
+	t.Helper()
+	for _, arm := range []struct {
+		name  string
+		sched traffic.Schedule
+	}{{"saturation", traffic.Constant(0.45)}, {"bursty", traffic.Fig12Bursts()}} {
+		run := func(ref bool) diffFingerprint {
+			net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return diffRunWith(t, diffOpts{net: net, gating: "catnap", ref: ref, sched: arm.sched, cycles: cycles})
+		}
+		compareFingerprints(t, name+"/"+arm.name, run(true), run(false), true)
+	}
+}
+
+// TestIncrementalScanFallbackMatchesReference covers the shapes the
+// request masks do not: more than 64 port×VC slots, and more than 16
+// ports. Both take the scan fallback and must still match the reference.
+func TestIncrementalScanFallbackMatchesReference(t *testing.T) {
+	wide := fbflyConfig(8, 8, 2, 256)
+	wide.VCs = 5 // radix 15 x 5 VCs = 75 slots
+	highRadix := fbflyConfig(9, 9, 2, 256)
+	highRadix.VCs = 2 // radix 17, 34 slots
+	for _, c := range []struct {
+		name string
+		cfg  noc.Config
+	}{{"fbfly-75-slots", wide}, {"fbfly-radix-17", highRadix}} {
+		net, err := noc.New(c.cfg, core.NewRRSelector(c.cfg.Nodes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Subnet(0).Router(0).UsesRequestMasks() {
+			t.Fatalf("%s: router takes the request-mask path, want the scan fallback", c.name)
+		}
+		diffShapeArms(t, c.name, c.cfg, 1500)
 	}
 }
 

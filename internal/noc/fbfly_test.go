@@ -128,6 +128,21 @@ func TestFBflyCatnap(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesReferenceScanFBfly: the 8x8 flattened butterfly
+// (radix 15 x 4 VCs = 60 of 64 slot bits) is the widest shape the switch
+// request masks handle; it must match the reference scan bit for bit.
+func TestIncrementalMatchesReferenceScanFBfly(t *testing.T) {
+	cfg := fbflyConfig(8, 8, 4, 128)
+	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.Subnet(0).Router(0).UsesRequestMasks() {
+		t.Fatal("8x8 fbfly router takes the scan fallback, want the request-mask path")
+	}
+	diffShapeArms(t, "fbfly", cfg, 2500)
+}
+
 // TestFBflyBeatsTorusLatency: 2-hop routing should give the lowest
 // zero-load latency of the three topologies.
 func TestFBflyBeatsTorusLatency(t *testing.T) {

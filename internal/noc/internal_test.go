@@ -135,6 +135,78 @@ func TestWormholeStatePersistsAcrossEmptyBuffer(t *testing.T) {
 	}
 }
 
+// TestVCAllocateFillsRequestMasks: the incremental VA pass must set bit
+// p*VCs+v of req[o] for exactly the occupied slots whose front packet
+// holds output o and a downstream VC, latch the route of an unrouted head,
+// and never read the flit ring of a VC whose packet is already routed.
+func TestVCAllocateFillsRequestMasks(t *testing.T) {
+	cfg := internalConfig()
+	cfg.Rows, cfg.Cols, cfg.RegionDim = 3, 3, 3
+	cfg.VCs = 4
+	net, err := New(cfg, firstReady{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &net.subnets[0].routers[4] // the centre router links all five outputs
+	if !r.slotMask {
+		t.Fatal("mesh router takes the scan fallback")
+	}
+	nports := len(r.in)
+	outOf := func(p, v int) int { return (p + v) % nports } // four slots per output
+	// Output 0's downstream VCs are all held elsewhere: heads bound there
+	// latch a route but win no downstream VC, so they must not request.
+	const blocked = 0
+	for v := range r.out[blocked].busy {
+		r.out[blocked].busy[v] = true
+	}
+	pkts := make([]*Packet, nports*cfg.VCs)
+	for p := 0; p < nports; p++ {
+		for v := 0; v < cfg.VCs; v++ {
+			pkts[p*cfg.VCs+v] = &Packet{NumFlits: 3}
+			r.deliver(0, p, v, flit{pkt: pkts[p*cfg.VCs+v], nextPort: uint8(outOf(p, v))})
+		}
+	}
+	// Slot (2, 1) instead holds a body flit of a packet routed to its
+	// output in an earlier cycle, owning downstream VC 0. Its ring is
+	// detached so any front-flit read panics.
+	const bp, bv = 2, 1
+	body := &r.in[bp].vcs[bv]
+	body.pop()
+	body.push(flit{pkt: pkts[bp*cfg.VCs+bv], seq: 1})
+	body.curPkt, body.outPort, body.outVC, body.routeSet = pkts[bp*cfg.VCs+bv], outOf(bp, bv), 0, true
+	r.out[outOf(bp, bv)].busy[0] = true
+	ring := body.q
+	body.q = nil
+
+	var req reqMasks
+	for o := range req {
+		req[o] = ^uint64(0) // stale bits from a previous router must be cleared
+	}
+	r.vcAllocate(&req)
+	body.q = ring
+
+	var want reqMasks
+	for p := 0; p < nports; p++ {
+		for v := 0; v < cfg.VCs; v++ {
+			if o := outOf(p, v); o != blocked {
+				want[o] |= 1 << uint(p*cfg.VCs+v)
+			}
+			if p == bp && v == bv {
+				continue
+			}
+			vc := &r.in[p].vcs[v]
+			if !vc.routeSet || vc.outPort != outOf(p, v) || vc.curPkt != pkts[p*cfg.VCs+v] {
+				t.Errorf("slot (%d,%d): head route not latched (routeSet=%v outPort=%d)", p, v, vc.routeSet, vc.outPort)
+			}
+		}
+	}
+	for o := 0; o < nports; o++ {
+		if req[o] != want[o] {
+			t.Errorf("req[%d] = %#x, want %#x", o, req[o], want[o])
+		}
+	}
+}
+
 // TestPowerStateTimings: wake() must honour the delay and keep the
 // earliest completion when signals race.
 func TestPowerStateTimings(t *testing.T) {

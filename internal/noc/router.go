@@ -163,9 +163,10 @@ type Router struct {
 	// (push) and traverse (pop); the allocation stages consult it on the
 	// incremental path so empty slots cost one shift instead of a
 	// VC-state load. Usable only when every slot fits in the word
-	// (slotMask); larger radices fall back to the full scan. Writing
-	// through the router's own pointer keeps the sharded router phase's
-	// staging discipline visible to the linter.
+	// (slotMask) and every output has a request mask (radix <= 16);
+	// other shapes fall back to the full scan. Writing through the
+	// router's own pointer keeps the sharded router phase's staging
+	// discipline visible to the linter.
 	occ      *uint64
 	slotMask bool
 
@@ -205,7 +206,7 @@ func (r *Router) wire(sub *Subnet, node int) {
 	r.out = sub.outPool[pb : pb+radix : pb+radix]
 	r.grantedInput = sub.grantPool[pb : pb+radix : pb+radix]
 	r.occ = &sub.occSlots[node]
-	r.slotMask = radix*cfg.VCs <= 64
+	r.slotMask = radix*cfg.VCs <= 64 && radix <= len(reqMasks{})
 	local := radix - 1
 	for p := 0; p < radix; p++ {
 		ip := &r.in[p]
@@ -432,21 +433,33 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 	}
 }
 
+// reqMasks holds one router's per-output switch request masks for one
+// cycle: bit p*VCs+v of [o] is set when input slot (p, v) is non-empty and
+// its front packet holds a route to output o and a downstream VC. The
+// router phase keeps it on its stack; routers with more than len(reqMasks)
+// ports take the scan path instead.
+type reqMasks [16]uint64
+
 // vcAllocate performs virtual-channel allocation: every input VC whose
 // front packet has a route but no downstream VC tries to acquire a free
 // downstream VC from the class's eligible set. It also latches the
-// look-ahead route of packets newly at the front of a FIFO.
+// look-ahead route of packets newly at the front of a FIFO. On the
+// incremental path it fills req for switchAllocate; the scan path
+// ignores req (nil is allowed there).
 //
 //catnap:hotpath
 //catnap:shard-phase touches only this router's input VCs and output-VC ownership
-func (r *Router) vcAllocate() {
+func (r *Router) vcAllocate(req *reqMasks) {
 	nports := len(r.in)
 	if r.slotMask && !r.sub.refScan {
 		// Incremental path: iterate only the non-empty VCs, in the same
 		// rotated-port, ascending-VC order as the scan below. vcAllocate
-		// never changes slot occupancy, so the snapshot is exact.
+		// never changes slot occupancy, so the snapshot is exact. A VC
+		// with a latched route is mid-packet or at an already routed
+		// head, so the flit ring is read only to latch a new head.
 		vcs := r.sub.net.cfg.VCs
 		occ := *r.occ
+		clear(req[:nports])
 		for pi := 0; pi < nports; pi++ {
 			p := (pi + r.vaRR) % nports
 			ip := &r.in[p]
@@ -455,18 +468,24 @@ func (r *Router) vcAllocate() {
 				v := bits.TrailingZeros64(pm)
 				pm &= pm - 1
 				vc := &ip.vcs[v]
-				f := vc.front()
-				if f.head() && !vc.routeSet {
+				if !vc.routeSet {
+					f := vc.front()
+					if !f.head() {
+						continue
+					}
 					vc.curPkt = f.pkt
 					vc.outPort = int(f.nextPort)
 					vc.outVC = -1
 					vc.routeSet = true
 					vc.crossed = f.crossed
 				}
-				if !vc.routeSet || vc.outVC >= 0 {
-					continue
+				if vc.outVC < 0 {
+					r.allocateOutVC(vc)
+					if vc.outVC < 0 {
+						continue
+					}
 				}
-				r.allocateOutVC(vc)
+				req[vc.outPort] |= 1 << uint(p*vcs+v)
 			}
 		}
 		r.vaRR++
@@ -557,16 +576,18 @@ func dimBit(p int) uint8 {
 // output port, one flit is granted per cycle (round-robin over input VCs),
 // subject to one read per input port, downstream credit availability, and
 // the downstream router being awake. It returns the number of flits moved.
+// req is the request-mask set vcAllocate filled this cycle (unused, and
+// may be nil, on the scan path).
 //
 //catnap:hotpath
 //catnap:shard-phase cross-router effects route through r.cq while the subnet stages
-func (r *Router) switchAllocate(now int64) int {
+func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 	moved := 0
 	for p := range r.grantedInput {
 		r.grantedInput[p] = false
 	}
 	if r.slotMask && !r.sub.refScan {
-		return r.switchAllocateFast(now)
+		return r.switchAllocateFast(now, req)
 	}
 	var cq *commitQueue
 	if r.sub.staging {
@@ -638,19 +659,20 @@ func (r *Router) switchAllocate(now int64) int {
 
 // switchAllocateFast is the incremental-path switch allocation: identical
 // decisions and counters to the scan in switchAllocate — same circular
-// visit order over non-empty slots, same round-robin pointer updates,
-// including the reference loop's re-read of op.rr after a grant shifts
-// every later slot index — but empty slots are skipped through the
-// occupancy bitmask in word-sized jumps instead of being loaded and
-// tested one by one. Slots that empty mid-allocation (the granted slot,
-// or a slot drained by an earlier output port's grant) keep a stale set
-// bit in the snapshot and are filtered by the same live vc.empty() check
-// the scan performs; bits are never set during allocation, so no
-// non-empty slot can be missed. grantedInput was reset by the caller.
+// visit order, same round-robin pointer updates, including the reference
+// loop's re-read of op.rr after a grant shifts every later slot index —
+// but each output walks only its request mask req[o] in word-sized jumps
+// instead of loading and testing every slot. A slot outside req[o] is one
+// the scan would skip with no side effect, and it cannot start requesting
+// o mid-allocation: routes and downstream VCs are latched only in VA,
+// while a traverse can only pop a flit or, on a tail, clear the route.
+// Slots that stop requesting mid-allocation (emptied, or a tail popped)
+// keep a stale bit and are filtered by the same live check the scan
+// performs. grantedInput was reset by the caller.
 //
 //catnap:hotpath
 //catnap:shard-phase
-func (r *Router) switchAllocateFast(now int64) int {
+func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 	moved := 0
 	var cq *commitQueue
 	if r.sub.staging {
@@ -663,11 +685,13 @@ func (r *Router) switchAllocateFast(now int64) int {
 	slots := nports * vcs
 
 	for o := 0; o < nports; o++ {
-		op := &r.out[o]
-		if o != local && op.downstream < 0 {
+		// Unlinked ports never hold requests: allocateOutVC rejects
+		// routes off the topology edge.
+		rq := req[o]
+		if rq == 0 {
 			continue
 		}
-		occ := *r.occ
+		op := &r.out[o]
 		granted := false
 		base := op.rr
 		for k := 0; k < slots; {
@@ -681,7 +705,7 @@ func (r *Router) switchAllocateFast(now int64) int {
 			if l := slots - cur; l < span {
 				span = l
 			}
-			w := occ >> uint(cur)
+			w := rq >> uint(cur)
 			if span < 64 {
 				w &= 1<<uint(span) - 1
 			}

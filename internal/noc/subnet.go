@@ -241,7 +241,9 @@ func (s *Subnet) routerPhase(now int64) {
 	// Iterate the occupied-router work list in ascending node order (the
 	// same order the scan visits). Word snapshots are safe: traversal can
 	// only clear a router's own bit, never set one, so no occupied router
-	// is skipped and none is visited twice.
+	// is skipped and none is visited twice. req carries each router's
+	// switch requests from VA to SA; it is rebuilt per router.
+	var req reqMasks
 	for i, w := range s.occBits {
 		for w != 0 {
 			n := i<<6 + bits.TrailingZeros64(w)
@@ -250,8 +252,8 @@ func (s *Subnet) routerPhase(now int64) {
 				continue
 			}
 			r := &s.routers[n]
-			r.vcAllocate()
-			r.switchAllocate(now)
+			r.vcAllocate(&req)
+			r.switchAllocate(now, &req)
 		}
 	}
 }
@@ -268,6 +270,7 @@ func (s *Subnet) routerPhase(now int64) {
 func (s *Subnet) routerPhaseShard(now int64, shard int) {
 	mask := s.net.plan.masks[shard]
 	busy := int32(0)
+	var req reqMasks // per-task stack scratch, as in routerPhase
 	for i, w := range s.occBits {
 		w &= mask[i]
 		for w != 0 {
@@ -278,8 +281,8 @@ func (s *Subnet) routerPhaseShard(now int64, shard int) {
 			}
 			r := &s.routers[n]
 			busy++
-			r.vcAllocate()
-			r.switchAllocate(now)
+			r.vcAllocate(&req)
+			r.switchAllocate(now, &req)
 		}
 	}
 	s.shardBusy[shard] = busy
@@ -371,8 +374,8 @@ func (s *Subnet) routerPhaseScan(now int64) {
 		if r.TotalOccupancyScan() == 0 {
 			continue
 		}
-		r.vcAllocate()
-		r.switchAllocate(now)
+		r.vcAllocate(nil)
+		r.switchAllocate(now, nil)
 	}
 }
 

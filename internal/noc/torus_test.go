@@ -153,6 +153,13 @@ func TestTorusGatedConservation(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesReferenceScanTorus: the dateline VC classes make
+// the downstream VC a packet may take depend on its ring crossings; the
+// incremental path must match the reference scan bit for bit.
+func TestIncrementalMatchesReferenceScanTorus(t *testing.T) {
+	diffShapeArms(t, "torus", torusConfig(8, 8, 4, 128), 2500)
+}
+
 // TestTorusThroughputBeatsMesh: the torus's doubled bisection should
 // saturate at a higher uniform-random load than the mesh.
 func TestTorusThroughputBeatsMesh(t *testing.T) {
