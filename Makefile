@@ -16,10 +16,10 @@ all: check
 check: build lint test check-race race bench-telemetry bench-core
 
 # lint is the single static-analysis entry point: go vet plus the
-# in-tree catnap-lint suite (nodeterminism, hotpathalloc,
-# stagingdiscipline, tracercontract, contractflow, resetcoverage,
-# missingdoc — see DESIGN.md "Static analysis"). -time prints the
-# per-analyzer wall-time breakdown so a slow check is attributable.
+# in-tree catnap-lint suite (nodeterminism, hotpathalloc, contractflow,
+# resetcoverage, missingdoc — see DESIGN.md "Static analysis"). -time
+# prints the per-analyzer wall-time breakdown so a slow check is
+# attributable.
 # catnap-lint also fails on malformed or unused //lint:ignore
 # directives, so stale suppressions cannot linger.
 lint:
@@ -27,19 +27,14 @@ lint:
 	$(GO) run ./cmd/catnap-lint -time ./...
 
 # check-race runs the noc + congestion + root differential suites under
-# the race detector: the sharded router phase, parallel subnets, mid-run
-# flips, drain, the incremental-vs-reference differentials, and the
-# reset/reuse differentials (Network.Reset vs fresh construction, SimPool
-# recycling across heterogeneous shapes) all exercise the concurrency
-# contract documented on SetExecMode (built-in policies, selector,
-# detector, and tracers must tolerate calls from worker goroutines).
-# TestShardedBuiltinPoliciesRace is the dedicated assertion; the
-# TestShardedMulticore* suite raises GOMAXPROCS to 8 so the StepPool
-# genuinely fans out; the rest catch staging/commit races against real
-# traffic.
+# the race detector: mid-run flips, drain, the incremental-vs-reference
+# differentials, idle skip, and the reset/reuse differentials
+# (Network.Reset vs fresh construction, SimPool recycling across
+# heterogeneous shapes, which the sweep engine drives from several
+# workers at once).
 check-race:
 	$(GO) test -race -count=1 -timeout 60m \
-		-run 'Sharded|Parallel|Incremental|Flip|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
+		-run 'Incremental|Flip|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
 		./internal/noc ./internal/congestion .
 
 build:
@@ -65,28 +60,25 @@ bench-telemetry:
 
 # bench-core times Network.Step across load/gating scenarios on both the
 # incremental path and the reference-scan path (min-of-5, interleaved),
-# sweeps the sharded scenarios' fast arm over GOMAXPROCS 1/2/4/8, writes
-# BENCH_core.json (ns/cycle, B/cycle, speedup per scenario plus the
-# per-GOMAXPROCS point matrix, widths above the CPU count skipped), and
+# writes BENCH_core.json (ns/cycle, B/cycle, speedup per scenario), and
 # fails if the low-load gated speedup regresses below 3x, if the
-# saturation gated speedup regresses below 2x, if sharded stepping allocates beyond sequential
-# parity, if (on >=8-core machines) 8-shard stepping misses 3x at
-# GOMAXPROCS=8, or if the sweep-reuse pool misses 2x points/sec over
-# fresh construction — the O(active)-stepping, multicore-scaling, and
+# saturation gated speedup regresses below 2x, if the idle-gated steady
+# state allocates, if idle skip misses 100x, if the warm explore cache
+# misses 20x, or if the sweep-reuse pool misses 2x points/sec over fresh
+# construction — the O(active)-stepping, idle fast-forward, and
 # zero-rebuild-sweep guards. See DESIGN.md "Hot path" and §4i.
 bench-core:
 	CORE_BENCH=1 $(GO) test -run TestCoreBenchGuard -count=1 -timeout 30m .
 
 # bench-compare snapshots the bench-core report and diffs it against the
 # previous snapshot with cmd/catnap-benchdiff, which understands the
-# BENCH_core.json schema including the per-GOMAXPROCS point matrix (and
-# tolerates baselines from before the matrix existed). First run saves
-# the baseline; later runs print per-scenario and per-GOMAXPROCS deltas
-# and FAIL (exit 1) if any fast arm — scenario headline or individual
-# GOMAXPROCS point — slowed down by more than BENCH_FAIL_OVER percent,
-# or if baseline coverage was dropped. Override the threshold per run:
-# `make bench-compare BENCH_FAIL_OVER=50` (generous default because
-# min-of-5 wall-clock numbers on shared machines are noisy).
+# BENCH_core.json schema (and ignores fields of older schemas). First
+# run saves the baseline; later runs print per-scenario deltas and FAIL
+# (exit 1) if any scenario's fast arm slowed down by more than
+# BENCH_FAIL_OVER percent, or if baseline coverage was dropped. Override
+# the threshold per run: `make bench-compare BENCH_FAIL_OVER=50`
+# (generous default because min-of-5 wall-clock numbers on shared
+# machines are noisy).
 BENCH_FAIL_OVER ?= 35
 bench-compare:
 	CORE_BENCH=1 BENCH_CORE_OUT=bench_core_new.json $(GO) test -run TestCoreBenchGuard -count=1 -timeout 30m .

@@ -122,24 +122,6 @@ type Config struct {
 	// AppTraffic and more than one subnet.
 	OrderedForward bool
 
-	// ParallelSubnets runs each subnet's router pipeline on its own
-	// goroutine. Results are bit-identical to sequential execution (the
-	// subnets share no mutable state mid-cycle); it simply trades cores
-	// for wall-clock on multi-subnet configurations.
-	ParallelSubnets bool
-
-	// ShardedRouters partitions every subnet's router phase into
-	// contiguous row-band shards stepped concurrently, with cross-shard
-	// effects staged in commit queues and applied in a fixed order after
-	// the barrier — bit-identical to sequential stepping at any shard
-	// count (see noc.ExecMode.Shards). Where ParallelSubnets helps only
-	// when load spreads across subnets, sharding parallelizes inside the
-	// one subnet Catnap's strict-priority selection concentrates traffic
-	// on; the two compose.
-	ShardedRouters bool
-	// ShardCount is the row-band count per subnet when ShardedRouters is
-	// set; 0 means GOMAXPROCS.
-	ShardCount int
 	// NoIdleSkip disables event-driven idle fast-forward (on by default):
 	// when the network is fully quiescent, Simulator.Run jumps simulated
 	// time directly to the next staged event or traffic arrival instead

@@ -15,15 +15,8 @@ func report(scenarios map[string]benchRow) benchReport {
 
 func baselineReport() benchReport {
 	return report(map[string]benchRow{
-		"lowload-gated": {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
-		"sharded": {
-			FastNsPerCycle: 50, RefNsPerCycle: 200, Speedup: 4, Shards: 8,
-			GOMAXPROCSPoints: []gmpPoint{
-				{GOMAXPROCS: 1, FastNsPerCycle: 180, Speedup: 1.1},
-				{GOMAXPROCS: 4, FastNsPerCycle: 70, Speedup: 2.9},
-				{GOMAXPROCS: 8, FastNsPerCycle: 50, Speedup: 4},
-			},
-		},
+		"lowload-gated":    {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
+		"saturation-gated": {FastNsPerCycle: 50, RefNsPerCycle: 200, Speedup: 4},
 	})
 }
 
@@ -33,7 +26,7 @@ func TestDiffNoRegression(t *testing.T) {
 		t.Fatalf("identical reports flagged as regression:\n%s", buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"lowload-gated", "GOMAXPROCS=1", "GOMAXPROCS=4", "GOMAXPROCS=8"} {
+	for _, want := range []string{"lowload-gated", "saturation-gated", "GOMAXPROCS=8 NumCPU=8"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -55,66 +48,6 @@ func TestDiffCatchesScenarioSlowdown(t *testing.T) {
 	}
 	if diff(&buf, baselineReport(), newR, 0) {
 		t.Fatal("report-only mode (fail-over 0) flagged a regression")
-	}
-}
-
-func TestDiffCatchesGMPPointSlowdown(t *testing.T) {
-	// The scenario headline improves while one GOMAXPROCS point craters:
-	// exactly the multicore regression the per-point diff exists to catch.
-	newR := baselineReport()
-	row := newR.Scenarios["sharded"]
-	row.FastNsPerCycle = 45
-	row.GOMAXPROCSPoints = []gmpPoint{
-		{GOMAXPROCS: 1, FastNsPerCycle: 170, Speedup: 1.2},
-		{GOMAXPROCS: 4, FastNsPerCycle: 160, Speedup: 1.3}, // was 70
-		{GOMAXPROCS: 8, FastNsPerCycle: 45, Speedup: 4.4},
-	}
-	newR.Scenarios["sharded"] = row
-
-	var buf bytes.Buffer
-	if !diff(&buf, baselineReport(), newR, 35) {
-		t.Fatalf("GOMAXPROCS=4 slowdown hidden by improved headline:\n%s", buf.String())
-	}
-}
-
-func TestDiffCatchesDroppedGMPPoint(t *testing.T) {
-	newR := baselineReport()
-	row := newR.Scenarios["sharded"]
-	row.GOMAXPROCSPoints = row.GOMAXPROCSPoints[:2] // GOMAXPROCS=8 gone
-	newR.Scenarios["sharded"] = row
-
-	var buf bytes.Buffer
-	if !diff(&buf, baselineReport(), newR, 35) {
-		t.Fatal("dropped GOMAXPROCS point not flagged")
-	}
-	if !strings.Contains(buf.String(), "dropped from new report") {
-		t.Errorf("output does not name the dropped point:\n%s", buf.String())
-	}
-	// Report-only mode still prints the drop but does not fail.
-	buf.Reset()
-	if diff(&buf, baselineReport(), newR, 0) {
-		t.Fatal("report-only mode failed on dropped point")
-	}
-	if !strings.Contains(buf.String(), "dropped from new report") {
-		t.Error("report-only mode hid the dropped point")
-	}
-}
-
-// TestDiffPointAboveNewNumCPUNotDropped: a smaller host records no
-// GOMAXPROCS point above its CPU count, which is not lost coverage.
-func TestDiffPointAboveNewNumCPUNotDropped(t *testing.T) {
-	newR := baselineReport()
-	newR.NumCPU = 4
-	row := newR.Scenarios["sharded"]
-	row.GOMAXPROCSPoints = row.GOMAXPROCSPoints[:2] // GOMAXPROCS=8 not measurable
-	newR.Scenarios["sharded"] = row
-
-	var buf bytes.Buffer
-	if diff(&buf, baselineReport(), newR, 35) {
-		t.Fatalf("point above the new host's NumCPU flagged as dropped:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "not measurable on the new host") {
-		t.Errorf("output does not explain the missing point:\n%s", buf.String())
 	}
 }
 
@@ -170,28 +103,57 @@ func TestDiffThroughputScenario(t *testing.T) {
 
 func TestDiffCatchesDroppedScenario(t *testing.T) {
 	newR := baselineReport()
-	delete(newR.Scenarios, "sharded")
+	delete(newR.Scenarios, "saturation-gated")
 	var buf bytes.Buffer
 	if !diff(&buf, baselineReport(), newR, 35) {
 		t.Fatal("dropped scenario not flagged")
 	}
-	if !strings.Contains(buf.String(), "sharded") {
+	if !strings.Contains(buf.String(), "saturation-gated") {
 		t.Errorf("output does not name the dropped scenario:\n%s", buf.String())
 	}
 }
 
+// TestDiffNewScenarioAndPointNeverRegress: a scenario the baseline lacks,
+// and a points/sec column a baseline row lacks, are fresh coverage that
+// must never trip the gate.
 func TestDiffNewScenarioAndPointNeverRegress(t *testing.T) {
-	// Old baselines predate both the explore-cached scenario and the
-	// GOMAXPROCS matrix; fresh coverage must never trip the gate.
 	oldR := report(map[string]benchRow{
 		"lowload-gated": {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
+		"sweep-reuse":   {FastNsPerCycle: 4400, RefNsPerCycle: 10700, Speedup: 2.4},
 	})
+	newR := baselineReport()
+	newR.Scenarios["sweep-reuse"] = benchRow{
+		FastNsPerCycle: 4400, RefNsPerCycle: 10700, Speedup: 2.4,
+		FastPointsPerSec: 5600, RefPointsPerSec: 2300,
+	}
 	var buf bytes.Buffer
-	if diff(&buf, oldR, baselineReport(), 10) {
+	if diff(&buf, oldR, newR, 10) {
 		t.Fatalf("new coverage flagged as regression:\n%s", buf.String())
 	}
-	if !strings.Contains(buf.String(), "(new)") {
-		t.Errorf("new rows not marked:\n%s", buf.String())
+	for _, want := range []string{"saturation-gated", "(new)", "pts/s (new)"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("new rows not marked (%q missing):\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestLoadIgnoresRetiredFields: baselines written before the
+// GOMAXPROCS matrix and shard counts were retired still decode, the old
+// fields silently ignored.
+func TestLoadIgnoresRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"measure_cycles_per_run": 4500, "reps_min_of": 5, "scenarios": {
+		"saturation-gated-parallel": {"fast_ns_per_cycle": 303459, "speedup": 0.87, "shards": 8,
+			"gomaxprocs_points": [{"gomaxprocs": 2, "fast_ns_per_cycle": 317919, "speedup": 0.83}]}}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := load(path)
+	if err != nil {
+		t.Fatalf("old-schema report rejected: %v", err)
+	}
+	if got := r.Scenarios["saturation-gated-parallel"].FastNsPerCycle; got != 303459 {
+		t.Fatalf("old-schema row decoded as %v ns/cycle, want 303459", got)
 	}
 }
 
@@ -220,7 +182,7 @@ func TestLoadRejectsNonReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Scenarios) != 2 || r.Scenarios["sharded"].GOMAXPROCSPoints[2].GOMAXPROCS != 8 {
+	if len(r.Scenarios) != 2 || r.Scenarios["saturation-gated"].Speedup != 4 {
 		t.Fatalf("round-trip lost data: %+v", r)
 	}
 }

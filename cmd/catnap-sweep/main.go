@@ -8,11 +8,6 @@
 // so the result table is byte-identical at any worker count. Progress
 // and the end-of-run summary go to stderr (-v logs every point).
 //
-// -sim-workers shards each simulator's router phase across cores
-// instead (0 = off, -1 = GOMAXPROCS shards); use it when the sweep has
-// fewer points than cores. Sharding is deterministic, so rows are also
-// byte-identical at any -sim-workers value.
-//
 // Cycle-level telemetry is off by default; -metrics/-events attach one
 // labeled collector per load (see internal/telemetry for the schema)
 // and also record sweep-point lifecycle events.
@@ -55,7 +50,6 @@ var (
 	metricsFile = flag.String("metrics", "", "write telemetry metrics to this file (JSONL; CSV if it ends in .csv), one labeled collector per load")
 	eventsFile  = flag.String("events", "", "stream telemetry events (sleep/wake, congestion, point lifecycle) to this JSONL file")
 	jobs        = flag.Int("jobs", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	simWorkers  = flag.Int("sim-workers", 0, "router-phase shards inside each simulator (0 = off, -1 = GOMAXPROCS); results are bit-identical at any value")
 	noSkip      = flag.Bool("no-skip", false, "disable event-driven idle fast-forward (bit-identical, only slower on idle stretches)")
 	reuse       = flag.Bool("reuse", true, "recycle one simulator per worker across sweep points instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
 	verbose     = flag.Bool("v", false, "log every sweep point as it completes")
@@ -129,12 +123,6 @@ func sweep() error {
 				cfg.Seed = *seed
 				if *metricTh > 0 {
 					cfg.MetricThreshold = *metricTh
-				}
-				if *simWorkers != 0 {
-					cfg.ShardedRouters = true
-					if *simWorkers > 0 {
-						cfg.ShardCount = *simWorkers
-					}
 				}
 				cfg.NoIdleSkip = *noSkip
 				// With -reuse, the worker's pool resets one simulator in

@@ -29,7 +29,6 @@
 //	-csv         emit CSV instead of aligned text
 //	-pattern     traffic pattern for fig11 (uniform-random|transpose|bit-complement)
 //	-jobs        parallel sweep workers (0 = GOMAXPROCS)
-//	-sim-workers router-phase shards inside each simulator (0 = off, -1 = GOMAXPROCS)
 //	-timeout     per-point wall-clock limit (0 = none)
 //	-metrics     write telemetry metrics to this file (JSONL; CSV if it ends in .csv)
 //	-events      stream telemetry events to this JSONL file
@@ -60,7 +59,6 @@ var (
 	csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	pattern     = flag.String("pattern", "uniform-random", "traffic pattern for fig11")
 	jobs        = flag.Int("jobs", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	simWorkers  = flag.Int("sim-workers", 0, "router-phase shards inside each simulator (0 = off, -1 = GOMAXPROCS); results are bit-identical at any value")
 	noSkip      = flag.Bool("no-skip", false, "disable event-driven idle fast-forward (bit-identical, only slower on idle stretches)")
 	timeout     = flag.Duration("timeout", 0, "per-point wall-clock limit (0 = none)")
 	metricsFile = flag.String("metrics", "", "write telemetry metrics to this file (JSONL; CSV if it ends in .csv)")
@@ -159,7 +157,6 @@ func run(ctx context.Context, name string) error {
 		Pattern:    *pattern,
 		Window:     *window,
 		NoIdleSkip: *noSkip,
-		SimWorkers: *simWorkers,
 		Sweep:      catnap.SweepOptions{Jobs: *jobs, Timeout: *timeout, Progress: prog},
 		Telemetry:  rec,
 	})

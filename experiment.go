@@ -63,15 +63,6 @@ type ExperimentOpts struct {
 	// path or to debug the quiescence oracle. cmd/catnap and
 	// cmd/catnap-sweep expose it as -no-skip.
 	NoIdleSkip bool
-	// SimWorkers shards each simulation's router phase into this many
-	// row-band shards stepped concurrently (Config.ShardedRouters /
-	// ShardCount). 0 leaves sharding off; -1 selects GOMAXPROCS shards.
-	// Results are bit-identical at any value — it is purely a wall-clock
-	// knob for single large simulations, complementing Sweep.Jobs, which
-	// parallelizes across sweep points. The useful regimes differ: many
-	// points with Jobs, few big points (fig12-style time series, app
-	// workloads) with SimWorkers.
-	SimWorkers int
 	// Explore parameterizes the "explore" design-space search (space,
 	// budget, sampling mode, cache and checkpoint paths); other
 	// experiments ignore it.
@@ -92,11 +83,6 @@ type ExperimentOpts struct {
 	// attach a collector; sweeps record point lifecycle events).
 	Telemetry *telemetry.Recorder
 }
-
-// ExperimentOptions is the pre-consolidation name of ExperimentOpts.
-//
-// Deprecated: use ExperimentOpts.
-type ExperimentOptions = ExperimentOpts
 
 // Validate checks every field, naming the offending field and the valid
 // range in the error. RunExperiment calls it; direct users of the
@@ -140,9 +126,6 @@ func (o ExperimentOpts) Validate() error {
 	if err := o.Explore.validate("ExperimentOpts.Explore"); err != nil {
 		return err
 	}
-	if o.SimWorkers < -1 {
-		return fmt.Errorf("catnap: ExperimentOpts.SimWorkers = %d, want >= -1 (0 = off, -1 = GOMAXPROCS shards)", o.SimWorkers)
-	}
 	if o.Sweep.Jobs < 0 {
 		return fmt.Errorf("catnap: ExperimentOpts.Sweep.Jobs = %d, want >= 0 workers (0 = GOMAXPROCS)", o.Sweep.Jobs)
 	}
@@ -180,14 +163,14 @@ type ExperimentResult struct {
 // experiment pairs the registry metadata with its run function.
 type experiment struct {
 	info ExperimentInfo
-	run  func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error)
+	run  func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error)
 }
 
 // experimentList is ordered as the paper presents the evaluation,
 // beyond-paper studies last.
 var experimentList []experiment
 
-func registerExperiment(info ExperimentInfo, run func(context.Context, ExperimentOptions) (*ExperimentResult, error)) {
+func registerExperiment(info ExperimentInfo, run func(context.Context, ExperimentOpts) (*ExperimentResult, error)) {
 	experimentList = append(experimentList, experiment{info: info, run: run})
 }
 
@@ -238,7 +221,7 @@ func fcell(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 
 func init() {
 	registerExperiment(ExperimentInfo{"fig2", "performance of 128b vs 512b Single-NoC on Light/Heavy workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows, err := runFig2(opts)
 			if err != nil {
 				return nil, err
@@ -256,7 +239,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"table2", "router width -> frequency/voltage pairs", "table"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows := runTable2()
 			res := &ExperimentResult{
 				Name:   "table2",
@@ -271,7 +254,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig6", "throughput & latency of 1/2/4/8-subnet designs (uniform random)", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runFig6(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -289,7 +272,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig7", "analytic network power breakdown at near saturation", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows := runFig7()
 			res := &ExperimentResult{
 				Name:   "fig7",
@@ -308,7 +291,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig8", "network power and normalized performance, app workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows, err := runAppWorkloads(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -330,7 +313,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig9", "compensated sleep cycles, app workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows, err := runAppWorkloads(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -348,7 +331,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig10", "power/CSC/throughput/latency vs offered load, with/without PG", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runFig10(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -366,7 +349,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig11", "congestion-metric policy comparison (takes a traffic pattern)", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runFig11(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -384,7 +367,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig12", "bursty-traffic ramp-up and subnet utilization over time", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts := runFig12(opts)
 			res := &ExperimentResult{
 				Name:   "fig12",
@@ -403,7 +386,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig13", "injection-rate threshold sweep (uniform random + transpose)", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runFig13(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -421,7 +404,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"fig14", "64-core study: CSC and latency", "figure"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runFig14(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -439,7 +422,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"headline", "the paper's headline: 44% power saving at ~5% performance cost", "summary"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			h, err := runHeadline(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -459,7 +442,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"profiles", "per-benchmark characterization of all 35 application profiles", "study"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows, err := runProfiles(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -476,7 +459,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"hetero", "Heavy-west/Light-east split chip: regional vs local detection", "study"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			rows, err := runHetero(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -497,7 +480,7 @@ func init() {
 		})
 
 	registerExperiment(ExperimentInfo{"topology", "Catnap on mesh vs torus vs flattened butterfly (§8 future work)", "study"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			pts, err := runTopology(ctx, opts)
 			if err != nil {
 				return nil, err

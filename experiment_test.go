@@ -116,7 +116,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %q lacks metadata: %+v", e.Name, e)
 		}
 	}
-	_, err := RunExperiment(context.Background(), "fig99", ExperimentOptions{})
+	_, err := RunExperiment(context.Background(), "fig99", ExperimentOpts{})
 	if err == nil || !strings.Contains(err.Error(), "fig6") {
 		t.Fatalf("unknown-experiment error should list valid choices, got: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestExperimentRegistry(t *testing.T) {
 // TestRunExperimentTable2 runs the cheapest registry entry end to end
 // and checks the rendered table matches the typed data.
 func TestRunExperimentTable2(t *testing.T) {
-	res, err := RunExperiment(context.Background(), "table2", ExperimentOptions{})
+	res, err := RunExperiment(context.Background(), "table2", ExperimentOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunExperimentTable2(t *testing.T) {
 // TestRunExperimentFig6 runs a sweep-backed registry entry at tiny scale
 // and checks cancellation propagates through RunExperiment.
 func TestRunExperimentFig6(t *testing.T) {
-	res, err := RunExperiment(context.Background(), "fig6", ExperimentOptions{
+	res, err := RunExperiment(context.Background(), "fig6", ExperimentOpts{
 		Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: 2},
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestRunExperimentFig6(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunExperiment(ctx, "fig6", ExperimentOptions{Scale: testScale, Loads: testLoads}); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, "fig6", ExperimentOpts{Scale: testScale, Loads: testLoads}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunExperiment err = %v", err)
 	}
 }

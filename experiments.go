@@ -61,7 +61,7 @@ func sweep[T any](ctx context.Context, pts []runner.Point[T], opts SweepOptions)
 
 // newSim builds a simulator for a registered design, returning (not
 // panicking on) lookup errors so engine points degrade cleanly. The
-// opts carry simulator-level tuning (SimWorkers) into the config.
+// opts carry simulator-level tuning (NoIdleSkip) into the config.
 func newSim(design string, o ExperimentOpts) (*Simulator, error) {
 	cfg, err := Design(design)
 	if err != nil {
@@ -92,17 +92,10 @@ func newSimCtx(ctx context.Context, design string, o ExperimentOpts) (*Simulator
 }
 
 // tuneCfg applies the simulator-level options to one design config:
-// SimWorkers maps onto Config.ShardedRouters/ShardCount and NoIdleSkip
-// onto Config.NoIdleSkip. Every runner routes its configs through here
-// so a single -sim-workers or -no-skip flag reaches all simulators an
+// NoIdleSkip maps onto Config.NoIdleSkip. Every runner routes its configs
+// through here so a single -no-skip flag reaches all simulators an
 // experiment builds.
 func (o ExperimentOpts) tuneCfg(cfg Config) Config {
-	if o.SimWorkers != 0 {
-		cfg.ShardedRouters = true
-		if o.SimWorkers > 0 {
-			cfg.ShardCount = o.SimWorkers
-		}
-	}
 	if o.NoIdleSkip {
 		cfg.NoIdleSkip = true
 	}

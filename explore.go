@@ -250,7 +250,7 @@ func RunExplore(ctx context.Context, o ExperimentOpts) (*ExploreResult, error) {
 
 func init() {
 	registerExperiment(ExperimentInfo{"explore", "Pareto-front search over the Catnap design space (cached, adaptive)", "study"},
-		func(ctx context.Context, opts ExperimentOptions) (*ExperimentResult, error) {
+		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			start := time.Now()
 			r, err := RunExplore(ctx, opts)
 			if err != nil {

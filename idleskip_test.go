@@ -41,9 +41,7 @@ func skipSample(t *testing.T, reference bool, rec *telemetry.Recorder) Results {
 	if reference {
 		m := sim.ExecMode()
 		m.ReferenceScan = true
-		if err := sim.SetExecMode(m); err != nil {
-			t.Fatal(err)
-		}
+		sim.SetExecMode(m)
 	}
 	if rec != nil {
 		sim.EnableTelemetry(rec, "skip-sample")
@@ -106,9 +104,7 @@ func TestIdleSkipExecModeFlipsMidRun(t *testing.T) {
 	sim := mustSim(cfg)
 	sim.UseSynthetic(traffic.UniformRandom{}, skipGapSched(), 0)
 	segment := func(n int64, m noc.ExecMode) {
-		if err := sim.SetExecMode(m); err != nil {
-			t.Fatal(err)
-		}
+		sim.SetExecMode(m)
 		sim.Run(n)
 	}
 	base := sim.ExecMode() // default: incremental, recycling, IdleSkip on

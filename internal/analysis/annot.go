@@ -10,8 +10,7 @@ import (
 //
 //	//catnap:<name> [free-form note]
 //
-// e.g. //catnap:hotpath, //catnap:shard-phase, //catnap:commit-apply,
-// //catnap:worker-safe, //catnap:worker-pool, //catnap:quiescent-only.
+// e.g. //catnap:hotpath, //catnap:quiescent-only, //catnap:reset-covered.
 // The note is ignored by the analyzers but encouraged for humans.
 // Annotations compose: one function may carry several, one per line.
 const annotationPrefix = "//catnap:"

@@ -1,54 +1,41 @@
 // Package contractflow propagates catnap's annotation contracts along
-// the call graph. The per-function analyzers (hotpathalloc,
-// stagingdiscipline, tracercontract) check only annotated bodies, so a
-// helper extracted from Step silently escaped the 0 B/cycle, staging,
-// and worker-safety contracts the bench guards and differential suites
-// depend on. contractflow closes that hole: obligations flow along
-// calls, the way they flow at runtime.
+// the call graph. The per-function hotpathalloc analyzer checks only
+// annotated bodies, so a helper extracted from Step silently escaped the
+// 0 B/cycle contract the bench guards depend on. contractflow closes that
+// hole: obligations flow along calls, the way they flow at runtime.
 //
 // Over the callgraph package's graph (universe: internal/noc,
-// internal/congestion, internal/telemetry, internal/runner — the
-// packages on the per-cycle path) it enforces, per contract:
+// internal/congestion, internal/telemetry — the packages on the
+// per-cycle path) it enforces:
 //
 //   - hotpath: every function a //catnap:hotpath function calls must
 //     itself be //catnap:hotpath (and is then scanned by hotpathalloc),
 //     transitively;
-//   - shard-phase: every function called during the staged router phase
-//     must be //catnap:shard-phase (propagates) or //catnap:staging-safe
-//     (an audited boundary; propagation stops). Calls proven to be on
-//     the sequential path — inside `if cq == nil` regions, per the same
-//     branch analysis stagingdiscipline uses — carry no obligation;
-//   - worker-safe: every function reachable from a //catnap:worker-safe
-//     function must be //catnap:worker-safe (tracercontract then polices
-//     its callback sites and lock discipline);
 //   - quiescent-only: no //catnap:quiescent-only function may be
-//     reachable from any shard-phase root, on any path, including the
-//     sequential one — the idle fast-forward entry points assume the
-//     network sits between cycles.
+//     reachable from (*Network).Step, on any path — the idle
+//     fast-forward entry points assume the network sits between cycles,
+//     so they may be called around Step but never from inside it.
 //
 // Function literals are pass-through: a literal cannot carry a doc
 // comment, so the obligation lands on the declared functions it calls,
-// and the literal appears in the reported chain (`(*Network).Step →
-// func@shard.go:120 → stepBand`). Diagnostics carry the full call chain
-// from an entry root so violations are actionable, and are anchored at
-// the frontier call site, where a //lint:ignore contractflow <reason>
-// both suppresses the finding and stops propagation through that edge —
-// the sanctioned way to mark an intentionally-cold callee (error paths,
-// one-time growth).
+// and the literal appears in the reported chain (`Dispatch →
+// func@a.go:42 → target`). Diagnostics carry the full call
+// chain from an entry root so violations are actionable, and hotpath
+// findings are anchored at the frontier call site, where a
+// //lint:ignore contractflow <reason> both suppresses the finding and
+// stops propagation through that edge — the sanctioned way to mark an
+// intentionally-cold callee (error paths, one-time growth).
 //
 // The pass also flags stale annotations: an unexported, never
-// go-spawned function annotated hotpath / shard-phase / worker-safe
-// that no same-contract function still calls. Annotations assert
-// membership in a checked closure; when a refactor severs the call, the
-// annotation is a lie and must go (or the call restored).
+// go-spawned function annotated hotpath that no hotpath function still
+// calls. Annotations assert membership in a checked closure; when a
+// refactor severs the call, the annotation is a lie and must go (or the
+// call restored).
 package contractflow
 
 import (
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
-	"strings"
 
 	"github.com/catnap-noc/catnap/internal/analysis"
 	"github.com/catnap-noc/catnap/internal/analysis/callgraph"
@@ -65,47 +52,20 @@ var Analyzer = &analysis.Analyzer{
 
 // universe lists the package-path suffixes the call graph covers: the
 // packages that execute on the per-cycle path. Everything outside
-// (internal/stats, the root package, CLIs) is beyond the propagation
-// boundary by design.
+// (internal/stats, internal/runner, the root package, CLIs) is beyond
+// the propagation boundary by design.
 var universe = []string{
 	"internal/noc",
 	"internal/congestion",
 	"internal/telemetry",
-	"internal/runner",
 }
 
-// contract describes one propagated obligation.
-type contract struct {
-	// name is the annotation that marks membership and propagates.
-	name string
-	// boundaries are annotations that satisfy the obligation without
-	// propagating it (audited stopping points).
-	boundaries []string
-	// rootedByCallbacks marks contracts whose annotation can be
-	// self-justified: tracercontract *requires* //catnap:worker-safe on
-	// any function that invokes a Tracer/Policy callback, whether or not
-	// a worker-safe caller exists, so such roots are never stale.
-	rootedByCallbacks bool
-	// fix is appended to the frontier diagnostic.
-	fix string
-}
+// stepRoot names the per-cycle entry point the quiescent-only check
+// starts from: (*Network).Step in the internal/noc package.
+const stepRoot = "(*Network).Step"
 
-var contracts = []contract{
-	{
-		name: "hotpath",
-		fix:  "annotate it //catnap:hotpath (hotpathalloc will then scan it) or mark this call //lint:ignore contractflow <why the callee is cold>",
-	},
-	{
-		name:       "shard-phase",
-		boundaries: []string{"staging-safe"},
-		fix:        "annotate it //catnap:shard-phase or //catnap:staging-safe, or mark this call //lint:ignore contractflow <why it is safe>",
-	},
-	{
-		name:              "worker-safe",
-		rootedByCallbacks: true,
-		fix:               "annotate it //catnap:worker-safe (tracercontract then polices its callback sites) or mark this call //lint:ignore contractflow <why it never runs on workers>",
-	},
-}
+// hotpathFix is appended to every hotpath frontier diagnostic.
+const hotpathFix = "annotate it //catnap:hotpath (hotpathalloc will then scan it) or mark this call //lint:ignore contractflow <why the callee is cold>"
 
 func runModule(mp *analysis.ModulePass) error {
 	inUniverse := func(path string) bool {
@@ -115,22 +75,17 @@ func runModule(mp *analysis.ModulePass) error {
 	if len(g.Nodes) == 0 {
 		return nil
 	}
-	seq := sequentialCallPositions(mp.Pkgs)
-	entries := indirectEntries(g)
-	for _, c := range contracts {
-		propagate(mp, g, c, seq, entries)
-	}
-	checkQuiescentOnly(mp, g, seq)
+	propagateHotpath(mp, g, indirectEntries(g))
+	checkQuiescentOnly(mp, g)
 	return nil
 }
 
 // indirectEntries computes the nodes invocable without a static
 // in-universe caller: targets of func-value and go edges, plus — through
 // literal pass-through — the static callees of indirectly-dispatched
-// literals (the StepPool invokes the shard/phase/commit closures through
-// a func(int) field; the closures' callees run wherever the dispatch
-// context runs, which no caller annotation can witness). Staleness
-// cannot be decided statically for these, so they are exempt.
+// literals (their callees run wherever the dispatch context runs, which
+// no caller annotation can witness). Staleness cannot be decided
+// statically for these, so they are exempt.
 func indirectEntries(g *callgraph.Graph) map[*callgraph.Node]bool {
 	entry := make(map[*callgraph.Node]bool)
 	var queue []*callgraph.Node
@@ -165,24 +120,17 @@ func annotated(n *callgraph.Node, name string) bool {
 	return n.Decl != nil && analysis.HasAnnotation(n.Decl, name)
 }
 
-// skipEdge reports whether an edge carries no obligation for contract c:
-// shard-phase obligations do not flow through calls proven to be on the
-// sequential (cq == nil) path.
-func skipEdge(c contract, e *callgraph.Edge, seq map[token.Pos]bool) bool {
-	return c.name == "shard-phase" && seq[e.Pos]
-}
-
-// propagate walks contract c's closure and reports the frontier: edges
-// from covered code into functions that lack the annotation. Literals
-// are covered by pass-through; traversal stops at unannotated declared
-// functions (annotating them extends the closure on the next run, an
-// ignore at the call site prunes it permanently). It then reports stale
-// annotations: members no covered caller still reaches.
-func propagate(mp *analysis.ModulePass, g *callgraph.Graph, c contract, seq map[token.Pos]bool, entries map[*callgraph.Node]bool) {
+// propagateHotpath walks the hotpath closure and reports the frontier:
+// edges from covered code into functions that lack the annotation.
+// Literals are covered by pass-through; traversal stops at unannotated
+// declared functions (annotating them extends the closure on the next
+// run, an ignore at the call site prunes it permanently). It then
+// reports stale annotations: members no covered caller still reaches.
+func propagateHotpath(mp *analysis.ModulePass, g *callgraph.Graph, entries map[*callgraph.Node]bool) {
 	covered := make(map[*callgraph.Node]bool)
 	var queue []*callgraph.Node
 	for _, n := range g.Nodes {
-		if annotated(n, c.name) {
+		if annotated(n, "hotpath") {
 			covered[n] = true
 			queue = append(queue, n)
 		}
@@ -197,9 +145,6 @@ func propagate(mp *analysis.ModulePass, g *callgraph.Graph, c contract, seq map[
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.Out {
-			if skipEdge(c, e, seq) {
-				continue
-			}
 			m := e.To
 			if covered[m] {
 				continue
@@ -212,12 +157,9 @@ func propagate(mp *analysis.ModulePass, g *callgraph.Graph, c contract, seq map[
 			if m.Decl == nil {
 				continue // synthetic init node: runs once, cold
 			}
-			if annotated(m, c.name) {
+			if annotated(m, "hotpath") {
 				covered[m] = true
 				queue = append(queue, m)
-				continue
-			}
-			if boundary(m, c) {
 				continue
 			}
 			key := [2]*callgraph.Node{n, m}
@@ -230,31 +172,20 @@ func propagate(mp *analysis.ModulePass, g *callgraph.Graph, c contract, seq map[
 	}
 	sort.Slice(front, func(i, j int) bool { return front[i].pos < front[j].pos })
 	for _, f := range front {
-		chain := chainTo(f.from, c.name, covered)
+		chain := chainTo(f.from, covered)
 		chain = append(chain, f.to)
 		mp.Reportf(f.pos,
-			"%s is reachable from //catnap:%s code (%s) but is not annotated: %s",
-			f.to.Name(), c.name, callgraph.ChainString(chain), c.fix)
+			"%s is reachable from //catnap:hotpath code (%s) but is not annotated: %s",
+			f.to.Name(), callgraph.ChainString(chain), hotpathFix)
 	}
-	reportStale(mp, g, c, covered, entries)
-}
-
-// boundary reports whether node m satisfies contract c without joining
-// its closure.
-func boundary(m *callgraph.Node, c contract) bool {
-	for _, b := range c.boundaries {
-		if annotated(m, b) {
-			return true
-		}
-	}
-	return false
+	reportStale(mp, g, covered, entries)
 }
 
 // chainTo builds the call chain from an entry root down to n through
 // covered nodes, walking caller links upward deterministically (the
 // first covered in-edge in position order) with a depth bound. n's
 // chain always ends at n.
-func chainTo(n *callgraph.Node, name string, covered map[*callgraph.Node]bool) []*callgraph.Node {
+func chainTo(n *callgraph.Node, covered map[*callgraph.Node]bool) []*callgraph.Node {
 	chain := []*callgraph.Node{n}
 	onChain := map[*callgraph.Node]bool{n: true}
 	for len(chain) < 12 {
@@ -275,22 +206,18 @@ func chainTo(n *callgraph.Node, name string, covered map[*callgraph.Node]bool) [
 	return chain
 }
 
-// reportStale flags contract members no covered caller reaches:
+// reportStale flags hotpath members no covered caller reaches:
 // unexported functions whose annotation asserts a closure membership
 // nothing establishes anymore. Exempt are exported functions (callable
-// from outside the universe), go-spawned functions and indirect entry
-// points (the dynamic dispatch context, not a caller's annotation,
-// decides where they run), and — for callback-rooted contracts —
-// functions that invoke a Tracer/Policy callback themselves.
-func reportStale(mp *analysis.ModulePass, g *callgraph.Graph, c contract, covered map[*callgraph.Node]bool, entries map[*callgraph.Node]bool) {
+// from outside the universe), and go-spawned functions and indirect
+// entry points (the dynamic dispatch context, not a caller's
+// annotation, decides where they run).
+func reportStale(mp *analysis.ModulePass, g *callgraph.Graph, covered map[*callgraph.Node]bool, entries map[*callgraph.Node]bool) {
 	for _, n := range g.Nodes {
-		if !annotated(n, c.name) {
+		if !annotated(n, "hotpath") {
 			continue
 		}
 		if n.Decl.Name.IsExported() || n.GoSpawned || entries[n] {
-			continue
-		}
-		if c.rootedByCallbacks && invokesCallback(mp, n) {
 			continue
 		}
 		reached := false
@@ -302,68 +229,28 @@ func reportStale(mp *analysis.ModulePass, g *callgraph.Graph, c contract, covere
 		}
 		if !reached {
 			mp.Reportf(n.Decl.Name.Pos(),
-				"stale //catnap:%s on %s: unexported and no %s-annotated function still calls it — delete the annotation or restore the call",
-				c.name, n.Name(), c.name)
+				"stale //catnap:hotpath on %s: unexported and no hotpath-annotated function still calls it — delete the annotation or restore the call",
+				n.Name())
 		}
 	}
-}
-
-// invokesCallback reports whether the node's body calls a method on a
-// *Tracer- or *Policy-suffixed interface — the sites tracercontract
-// forces //catnap:worker-safe onto regardless of callers.
-func invokesCallback(mp *analysis.ModulePass, n *callgraph.Node) bool {
-	var pkg *analysis.Package
-	for _, p := range mp.Pkgs {
-		if p.Path == n.PkgPath {
-			pkg = p
-			break
-		}
-	}
-	if pkg == nil || n.Decl.Body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		s := pkg.Info.Selections[sel]
-		if s == nil || s.Kind() != types.MethodVal || !types.IsInterface(s.Recv()) {
-			return true
-		}
-		if named, ok := s.Recv().(*types.Named); ok {
-			name := named.Obj().Name()
-			if strings.HasSuffix(name, "Tracer") || strings.HasSuffix(name, "Policy") {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // checkQuiescentOnly verifies no quiescent-only function is reachable
-// from any shard-phase root, traversing every edge (annotated or not,
-// sequential-path included: a shard-phase function runs mid-cycle in
-// either mode, and quiescent-only functions assume the clock sits
-// between cycles).
-func checkQuiescentOnly(mp *analysis.ModulePass, g *callgraph.Graph, seq map[token.Pos]bool) {
+// from (*Network).Step, traversing every edge (annotated or not, through
+// interface and function-value over-approximations alike): Step runs
+// mid-cycle, and quiescent-only functions assume the clock sits between
+// cycles. Each finding is anchored at the first call on its path (the
+// edge leaving Step) and names the whole chain.
+func checkQuiescentOnly(mp *analysis.ModulePass, g *callgraph.Graph) {
 	type hit struct {
 		pos    token.Pos
-		root   *callgraph.Node
 		target *callgraph.Node
 		chain  []*callgraph.Node
 	}
 	var hits []hit
 	reported := make(map[[2]token.Pos]bool)
 	for _, root := range g.Nodes {
-		if !annotated(root, "shard-phase") {
+		if root.Name() != stepRoot || !analysis.PackageInScope(root.PkgPath, "internal/noc") {
 			continue
 		}
 		parent := map[*callgraph.Node]*callgraph.Edge{}
@@ -379,9 +266,7 @@ func checkQuiescentOnly(mp *analysis.ModulePass, g *callgraph.Graph, seq map[tok
 				visited[e.To] = true
 				parent[e.To] = e
 				if annotated(e.To, "quiescent-only") {
-					// Reconstruct root → ... → target and anchor the
-					// diagnostic at the first call on the path (the edge
-					// leaving the shard-phase root).
+					// Reconstruct root → ... → target.
 					var chain []*callgraph.Node
 					for m := e.To; m != nil; {
 						chain = append([]*callgraph.Node{m}, chain...)
@@ -395,7 +280,7 @@ func checkQuiescentOnly(mp *analysis.ModulePass, g *callgraph.Graph, seq map[tok
 					key := [2]token.Pos{first.Pos, e.To.Pos}
 					if !reported[key] {
 						reported[key] = true
-						hits = append(hits, hit{pos: first.Pos, root: root, target: e.To, chain: chain})
+						hits = append(hits, hit{pos: first.Pos, target: e.To, chain: chain})
 					}
 					continue // no need to traverse past the target
 				}
@@ -411,7 +296,7 @@ func checkQuiescentOnly(mp *analysis.ModulePass, g *callgraph.Graph, seq map[tok
 	})
 	for _, h := range hits {
 		mp.Reportf(h.pos,
-			"//catnap:quiescent-only %s is reachable from shard-phase root %s (%s): quiescent-only functions assume the network sits between cycles",
-			h.target.Name(), h.root.Name(), callgraph.ChainString(h.chain))
+			"//catnap:quiescent-only %s is reachable from %s (%s): quiescent-only functions assume the network sits between cycles",
+			h.target.Name(), stepRoot, callgraph.ChainString(h.chain))
 	}
 }

@@ -1,8 +1,8 @@
 // Package noc is contractflow's golden test package: one example per
 // propagation mechanism (direct call, method call, interface call,
-// function value), the shard-phase sequential-path exemption, the
-// quiescent-only reachability check, stale-annotation detection, and
-// call-site suppression.
+// function value), the quiescent-only reachability check rooted at
+// (*Network).Step, stale-annotation detection, and call-site
+// suppression.
 package noc
 
 // --- direct calls -----------------------------------------------------
@@ -70,56 +70,53 @@ func Grow() {
 
 func expand() {}
 
-// --- worker-safe propagation ------------------------------------------
+// --- quiescent-only: never reachable from (*Network).Step --------------
 
-//catnap:worker-safe
-func Scan() {
-	unsafeHelper() // want `unsafeHelper is reachable from //catnap:worker-safe code`
-}
+// Network mirrors the simulator's stepping surface: Step runs mid-cycle;
+// TrySkipIdle and NextEventCycle run only between cycles.
+type Network struct{ now int64 }
 
-func unsafeHelper() {}
-
-// --- shard-phase: boundary and sequential-path exemption --------------
-
-type commitQueue struct{ n int }
-
-type router struct{ cq *commitQueue }
-
-// Phase stages through the commit queue; calls on the proven-sequential
-// cq == nil path carry no shard-phase obligation.
-//
-//catnap:shard-phase
-func (r *router) Phase() {
-	if r.cq == nil {
-		seqOnly() // sequential path: exempt
-		return
+// Run interleaves idle skipping with stepping, as the simulator's run
+// loop does: quiescent-only calls outside Step are fine.
+func (n *Network) Run(end int64) {
+	for n.now < end {
+		if n.TrySkipIdle(end) == 0 {
+			n.Step()
+		}
 	}
-	stage()  // ok: staging-safe boundary stops propagation
-	staged() // want `staged is reachable from //catnap:shard-phase code`
 }
 
-func seqOnly() {}
-
-//catnap:staging-safe audited boundary
-func stage() {
-	beyondBoundary() // ok: boundaries do not propagate
+// Step is the root of the quiescent-only check; the finding is anchored
+// at the first call on the offending path.
+func (n *Network) Step() {
+	n.observe() // want `//catnap:quiescent-only \(\*Network\)\.drain is reachable from \(\*Network\)\.Step \(\(\*Network\)\.Step → \(\*Network\)\.observe → \(\*Network\)\.drain\)`
+	n.now++
 }
 
-func beyondBoundary() {}
-
-func staged() {}
-
-// --- quiescent-only must not be reachable from shard-phase ------------
+func (n *Network) observe() {
+	if n.now%2 == 0 {
+		n.drain()
+	}
+}
 
 //catnap:quiescent-only assumes the clock sits between cycles
-func drain() {}
+func (n *Network) drain() {}
 
-//catnap:shard-phase
-func (r *router) BadPhase() {
-	if r.cq != nil {
-		drain() // want `drain is reachable from //catnap:shard-phase code` `//catnap:quiescent-only drain is reachable from shard-phase root \(\*router\)\.BadPhase`
+// TrySkipIdle may call other quiescent-only functions: only what Step
+// reaches is checked.
+//
+//catnap:quiescent-only advances the clock between cycles
+func (n *Network) TrySkipIdle(target int64) int64 {
+	if at, ok := n.NextEventCycle(); ok && at < target {
+		target = at
 	}
+	k := target - n.now
+	n.now = target
+	return k
 }
+
+//catnap:quiescent-only wheel arithmetic assumes the clock sits between cycles
+func (n *Network) NextEventCycle() (int64, bool) { return n.now + 1, true }
 
 // --- stale annotations ------------------------------------------------
 

@@ -1,6 +1,6 @@
 // Package hotpathalloc statically backs the 0 B/cycle steady-state bench
 // guard: functions annotated //catnap:hotpath (Step, the VA/SA/ST
-// passes, NI enqueue/inject, commit-queue apply — see DESIGN.md "Hot
+// passes, NI enqueue/inject, the power phase — see DESIGN.md "Hot
 // path") are scanned for constructs that allocate, or that commonly
 // defeat escape analysis:
 //

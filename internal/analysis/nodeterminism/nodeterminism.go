@@ -13,9 +13,10 @@
 //     random, so such loops make cycle results order-dependent (the
 //     canonical fix — collect keys, sort, then act — still trips the
 //     check and documents itself with a //lint:ignore);
-//   - `go` statements outside functions annotated //catnap:worker-pool:
-//     every goroutine must belong to the audited worker pools whose
-//     barriers the differential suites exercise.
+//   - `go` statements: stepping is sequential, so a goroutine in these
+//     packages could only race the cycle loop or reorder its effects.
+//     Parallelism belongs in the sweep engine (internal/runner), which
+//     runs whole simulations side by side.
 package nodeterminism
 
 import (
@@ -30,7 +31,7 @@ import (
 // Analyzer is the nodeterminism pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nodeterminism",
-	Doc:  "forbid wall-clock, global rand, mutating map iteration, and un-pooled goroutines in deterministic simulator packages",
+	Doc:  "forbid wall-clock, global rand, mutating map iteration, and goroutines in deterministic simulator packages",
 	Run:  run,
 }
 
@@ -62,16 +63,13 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			pooled := analysis.HasAnnotation(fd, "worker-pool")
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
 					checkCall(pass, n)
 				case *ast.GoStmt:
-					if !pooled {
-						pass.Reportf(n.Pos(),
-							"go statement outside a //catnap:worker-pool function: goroutines in deterministic packages must come from an audited worker pool")
-					}
+					pass.Reportf(n.Pos(),
+						"go statement in a deterministic package: stepping is sequential; run whole simulations in parallel through the sweep engine instead")
 				case *ast.RangeStmt:
 					checkMapRange(pass, n)
 				}

@@ -40,14 +40,14 @@ func (s *sim) roll() int {
 }
 
 func (s *sim) spawn() {
-	go s.drain() // want `go statement outside a //catnap:worker-pool function`
+	go s.drain() // want `go statement in a deterministic package`
 }
 
-// spawnPooled is the audited worker pool of this golden package.
+// spawnAnnotated shows that no annotation licenses a goroutine.
 //
-//catnap:worker-pool
-func (s *sim) spawnPooled() {
-	go s.drain() // pooled: allowed
+//catnap:hotpath
+func (s *sim) spawnAnnotated() {
+	go func() { s.drain() }() // want `go statement in a deterministic package`
 }
 
 func (s *sim) drain() {}

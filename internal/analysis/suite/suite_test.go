@@ -34,8 +34,8 @@ func TestRepoLintClean(t *testing.T) {
 // as the suite's module analyzer.
 func TestSuiteComposition(t *testing.T) {
 	all := All()
-	if len(all) != 7 {
-		t.Fatalf("suite has %d analyzers, want 7: %v", len(all), Names())
+	if len(all) != 5 {
+		t.Fatalf("suite has %d analyzers, want 5: %v", len(all), Names())
 	}
 	var module int
 	for _, a := range all {

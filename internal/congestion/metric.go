@@ -512,7 +512,6 @@ func (d *Detector) SkipIdle(from, to int64) {
 // raw metric sample — the shared per-node body of both sampling paths.
 //
 //catnap:hotpath
-//catnap:worker-safe observer phase runs on Step's caller, but the Tracer contract admits worker delivery
 func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 	idx := s*d.nodes + n
 	if raw > d.cfg.Threshold {
@@ -632,7 +631,6 @@ func (d *Detector) closeWindow(now int64) {
 // node; the result is the same OR.
 //
 //catnap:hotpath once per RCSPeriod
-//catnap:worker-safe see updateLCS: RCSChanged follows the same Tracer delivery contract
 func (d *Detector) latchRCS(now int64) {
 	d.rcsE.Latches++
 	if d.orScratch == nil {

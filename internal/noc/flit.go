@@ -144,9 +144,7 @@ type flit struct {
 }
 
 //catnap:hotpath
-//catnap:shard-phase reads the flit only
 func (f *flit) head() bool { return f.seq == 0 }
 
 //catnap:hotpath
-//catnap:shard-phase reads the flit only
 func (f *flit) tail() bool { return int(f.seq) == f.pkt.NumFlits-1 }

@@ -58,15 +58,6 @@ func (n *Network) CheckQuiescent() error {
 		}
 	}
 	for si, s := range n.subnets {
-		for k := range s.shardQueues {
-			cq := &s.shardQueues[k]
-			if len(cq.arrivals)+len(cq.credits)+len(cq.niCredits)+len(cq.ejections)+
-				len(cq.wakes)+len(cq.idled)+len(cq.bfm) != 0 || cq.events != (PowerEvents{}) || cq.buffered != 0 {
-				return fmt.Errorf("noc: subnet %d shard %d commit queue not drained", si, k)
-			}
-		}
-	}
-	for si, s := range n.subnets {
 		if msg := s.checkAggregates(); msg != "" {
 			return fmt.Errorf("noc: subnet %d incremental aggregates: %s", si, msg)
 		}

@@ -168,7 +168,6 @@ func (ni *NI) Backlogged() bool {
 // subnet's local router must then stay awake).
 //
 //catnap:hotpath
-//catnap:worker-safe reads one NI channel's active counter inside the worker-dispatched power phase
 func (ni *NI) streaming(s int) bool { return ni.channels[s].active > 0 }
 
 // creditReturn gives back one buffer slot of the local router's input VC.

@@ -21,6 +21,9 @@ type SubnetSelector interface {
 //
 // A nil GatingPolicy on the Network disables power gating entirely: all
 // routers stay active forever (the non-PG baselines).
+//
+// Stepping is sequential, so AllowSleep and WantWake run on the goroutine
+// calling Network.Step; implementations need no locking of their own.
 type GatingPolicy interface {
 	// AllowSleep reports whether the router (subnet, node), whose buffers
 	// have been continuously empty for idleCycles cycles, may switch off
@@ -45,9 +48,7 @@ type GatingPolicy interface {
 // every router every cycle; the observable decision sequence is identical
 // because the skipped calls could only have repeated the previous answer.
 // Policies whose answers vary with time must not implement this; they are
-// polled every cycle as before. With ParallelSubnets, PolicyEpoch is read
-// concurrently from the subnet goroutines and must be safe for that
-// (Catnap's detector mutates only in the sequential observer phase).
+// polled every cycle as before.
 type EpochedPolicy interface {
 	PolicyEpoch() uint64
 }
@@ -84,7 +85,6 @@ const (
 // String returns the cause name used in telemetry events.
 //
 //catnap:hotpath
-//catnap:worker-safe returns static name strings
 func (c WakeCause) String() string {
 	switch c {
 	case WakeLookAhead:
@@ -102,9 +102,8 @@ func (c WakeCause) String() string {
 // The hooks fire only on actual transitions (Active→Asleep and
 // Asleep→Waking), never per cycle, and the network guards every call
 // behind a nil check — an unset tracer costs one pointer compare per
-// transition. With ParallelSubnets enabled the callbacks may arrive
-// concurrently from different subnets' goroutines; implementations must
-// be safe for that.
+// transition. Stepping is sequential, so the callbacks run on the
+// goroutine calling Network.Step, in a deterministic order.
 type PowerTracer interface {
 	// RouterSlept fires when (subnet, node) gates off at cycle now after
 	// idle continuously-empty cycles (the T-idle-detect trigger).

@@ -21,14 +21,10 @@ import (
 // differ between a fresh network and a reset one. Everything else must
 // compare equal.
 var resetAllowlist = map[string]string{
-	"Network.pool":     "step-worker pool retained deliberately; holds goroutine handles, no per-run state",
-	"Network.shardFn":  "pre-bound dispatch closure; reads all state through the receiver at call time",
-	"Network.phaseFn":  "pre-bound dispatch closure; reads all state through the receiver at call time",
-	"Network.commitFn": "pre-bound dispatch closure; reads all state through the receiver at call time",
-	"Subnet.net":       "back-pointer to the owning network",
-	"Router.sub":       "back-pointer to the owning subnet",
-	"NI.net":           "back-pointer to the owning network",
-	"NI.free":          "packet freelist retained deliberately; NewPacket overwrites every field of a recycled packet",
+	"Subnet.net": "back-pointer to the owning network",
+	"Router.sub": "back-pointer to the owning subnet",
+	"NI.net":     "back-pointer to the owning network",
+	"NI.free":    "packet freelist retained deliberately; NewPacket overwrites every field of a recycled packet",
 }
 
 // coverageConfig is a small mesh that still exercises multiple subnets,
@@ -76,8 +72,8 @@ func (covTracer) RouterSlept(now int64, subnet, node int, idle int64)           
 func (covTracer) RouterWoke(now int64, subnet, node int, c WakeCause, sl int64) {}
 
 // dirtyNetwork builds a network and drives it hard across the mutable
-// surface: packets in flight, sharded parallel stepping with recycling,
-// gating transitions, observers, sinks, and a tracer installed.
+// surface: packets in flight, packet recycling, gating transitions,
+// observers, sinks, and a tracer installed.
 func dirtyNetwork(t *testing.T) *Network {
 	t.Helper()
 	cfg := coverageConfig()
@@ -89,9 +85,7 @@ func dirtyNetwork(t *testing.T) *Network {
 	net.AddObserver(covObserver{})
 	net.SetPowerTracer(covTracer{})
 	net.AddSink(func(now int64, p *Packet) {})
-	if err := net.SetExecMode(ExecMode{Parallel: true, Shards: 2, ShardAffinity: true, PacketRecycling: true}); err != nil {
-		t.Fatal(err)
-	}
+	net.SetExecMode(ExecMode{PacketRecycling: true})
 	nodes := cfg.Nodes()
 	for c := 0; c < 400; c++ {
 		if c < 300 && c%2 == 0 {

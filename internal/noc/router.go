@@ -57,11 +57,9 @@ type vcState struct {
 }
 
 //catnap:hotpath
-//catnap:shard-phase reads own VC state
 func (v *vcState) empty() bool { return v.count == 0 }
 
 //catnap:hotpath
-//catnap:shard-phase reads own VC state
 func (v *vcState) front() *flit { return &v.q[v.head] }
 
 //catnap:hotpath
@@ -74,7 +72,6 @@ func (v *vcState) push(f flit) {
 }
 
 //catnap:hotpath
-//catnap:shard-phase mutates only the owning router's VC ring
 func (v *vcState) pop() flit {
 	f := v.q[v.head]
 	// Zero the whole slot, not just the packet pointer: dequeued packets
@@ -126,7 +123,7 @@ type Router struct {
 
 	// in/out/grantedInput are subslices of the subnet's contiguous
 	// backing pools (inPool/outPool/grantPool): one allocation per
-	// subnet per kind, and a shard's routers sit on adjacent cache
+	// subnet per kind, with neighbouring routers on adjacent cache
 	// lines. See the struct-of-arrays layout notes on Subnet.
 	in  []inputPort
 	out []outputPort
@@ -164,9 +161,7 @@ type Router struct {
 	// incremental path so empty slots cost one shift instead of a
 	// VC-state load. Usable only when every slot fits in the word
 	// (slotMask) and every output has a request mask (radix <= 16);
-	// other shapes fall back to the full scan. Writing through the
-	// router's own pointer keeps the sharded router phase's staging
-	// discipline visible to the linter.
+	// other shapes fall back to the full scan.
 	occ      *uint64
 	slotMask bool
 
@@ -178,11 +173,6 @@ type Router struct {
 	// cycle (one buffer read port per input port).
 	grantedInput []bool
 	vaRR         int
-
-	// cq is this router's shard commit queue when sharding is configured
-	// (nil otherwise). Switch allocation stages cross-router effects into
-	// it while the subnet is in its concurrent router phase (sub.staging).
-	cq *commitQueue
 }
 
 // wire builds the router's shape-pure state: the slice views carved out
@@ -261,7 +251,6 @@ func (r *Router) rearm(cfg *Config) {
 	r.blockedFlitCycles = 0
 	r.grantedFlits = 0
 	r.vaRR = 0
-	r.cq = nil
 	r.emptySince = 0
 	r.checkAt = -1
 }
@@ -294,7 +283,6 @@ func (r *Router) TotalOccupancy() int { return r.totalOcc }
 // the hot paths use the incremental counter.
 //
 //catnap:hotpath
-//catnap:shard-phase reads own ports only
 func (r *Router) MaxPortOccupancyScan() int {
 	m := 0
 	for p := range r.in {
@@ -309,7 +297,6 @@ func (r *Router) MaxPortOccupancyScan() int {
 // MaxPortOccupancyScan).
 //
 //catnap:hotpath
-//catnap:worker-safe reads own router state inside the worker-dispatched power phase
 func (r *Router) TotalOccupancyScan() int {
 	t := 0
 	for p := range r.in {
@@ -332,7 +319,6 @@ func (r *Router) BlockingCounters() (blockedCycles, granted int64) {
 // tracer, if one is installed, on the actual Asleep→Waking transition.
 //
 //catnap:hotpath
-//catnap:worker-safe reached from the parallel power/deliver phases; the tracer must accept worker-goroutine calls
 func (r *Router) wake(now int64, delay int, cause WakeCause) {
 	switch r.sub.pstate[r.node] {
 	case PowerActive:
@@ -358,7 +344,6 @@ func (r *Router) wake(now int64, delay int, cause WakeCause) {
 // no pinned arrivals, policy approval).
 //
 //catnap:hotpath
-//catnap:worker-safe reached from the parallel power phase; the tracer must accept worker-goroutine calls
 func (r *Router) sleep(now, idle int64) {
 	r.sub.pstate[r.node] = PowerAsleep
 	r.sub.onSleep(r.node)
@@ -376,7 +361,6 @@ func (r *Router) sleep(now, idle int64) {
 // and the next sleep-eligibility check is scheduled.
 //
 //catnap:hotpath
-//catnap:worker-safe runs inside the worker-dispatched power phase
 func (r *Router) completeWake(now int64) {
 	r.sub.pstate[r.node] = PowerActive
 	r.sub.onWakeDone(r.node)
@@ -448,7 +432,6 @@ type reqMasks [16]uint64
 // ignores req (nil is allowed there).
 //
 //catnap:hotpath
-//catnap:shard-phase touches only this router's input VCs and output-VC ownership
 func (r *Router) vcAllocate(req *reqMasks) {
 	nports := len(r.in)
 	if r.slotMask && !r.sub.refScan {
@@ -520,7 +503,6 @@ func (r *Router) vcAllocate(req *reqMasks) {
 // channel on its output port.
 //
 //catnap:hotpath
-//catnap:shard-phase
 func (r *Router) allocateOutVC(vc *vcState) {
 	op := &r.out[vc.outPort]
 	mask := r.sub.net.cfg.vcMask(vc.curPkt.Class)
@@ -564,7 +546,6 @@ func (r *Router) allocateOutVC(vc *vcState) {
 // the torus is always the radix-5 mesh port layout.
 //
 //catnap:hotpath
-//catnap:shard-phase pure arithmetic
 func dimBit(p int) uint8 {
 	if p == int(topology.East) || p == int(topology.West) {
 		return 1 << 0
@@ -580,7 +561,6 @@ func dimBit(p int) uint8 {
 // may be nil, on the scan path).
 //
 //catnap:hotpath
-//catnap:shard-phase cross-router effects route through r.cq while the subnet stages
 func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 	moved := 0
 	for p := range r.grantedInput {
@@ -588,10 +568,6 @@ func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 	}
 	if r.slotMask && !r.sub.refScan {
 		return r.switchAllocateFast(now, req)
-	}
-	var cq *commitQueue
-	if r.sub.staging {
-		cq = r.cq
 	}
 	nports := len(r.in)
 	local := r.sub.net.localPort
@@ -636,19 +612,15 @@ func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 					// behind a router that sleeps later is stranded
 					// forever in a quiet network.
 					if st == PowerAsleep {
-						if cq != nil {
-							cq.wakes = append(cq.wakes, int32(op.downstream))
-						} else {
-							cfg := r.sub.net.cfg
-							r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-							r.sub.events.WakeupSignals++
-						}
+						cfg := r.sub.net.cfg
+						r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
+						r.sub.events.WakeupSignals++
 					}
 					r.blockedFlitCycles++
 					continue
 				}
 			}
-			r.traverse(now, p, v, vc, o, op, cq)
+			r.traverse(now, p, v, vc, o, op)
 			op.rr = (idx + 1) % slots
 			granted = true
 			moved++
@@ -671,13 +643,8 @@ func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 // performs. grantedInput was reset by the caller.
 //
 //catnap:hotpath
-//catnap:shard-phase
 func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 	moved := 0
-	var cq *commitQueue
-	if r.sub.staging {
-		cq = r.cq
-	}
 	nports := len(r.in)
 	local := r.sub.net.localPort
 	cfg := r.sub.net.cfg
@@ -737,18 +704,14 @@ func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 				}
 				if st := r.sub.pstate[op.downstream]; st != PowerActive {
 					if st == PowerAsleep {
-						if cq != nil {
-							cq.wakes = append(cq.wakes, int32(op.downstream))
-						} else {
-							r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-							r.sub.events.WakeupSignals++
-						}
+						r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
+						r.sub.events.WakeupSignals++
 					}
 					r.blockedFlitCycles++
 					continue
 				}
 			}
-			r.traverse(now, p, v, vc, o, op, cq)
+			r.traverse(now, p, v, vc, o, op)
 			op.rr = (idx + 1) % slots
 			granted = true
 			moved++
@@ -760,15 +723,10 @@ func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 
 // traverse moves the front flit of input (p, v) through the crossbar onto
 // output port o, updating credits, wormhole state, look-ahead routing and
-// the staged arrival/credit wheels. During the sharded router phase cq is
-// non-nil and every write that leaves the router — wheel staging, the
-// downstream pin, subnet aggregates, activity counters — is buffered in
-// it instead, to be replayed in order by applyCommits; all router-local
-// state (buffers, credits, wormhole allocation) is still updated inline.
+// the staged arrival/credit wheels.
 //
 //catnap:hotpath
-//catnap:shard-phase the `if cq != nil` guards below are exactly the staging discipline the linter enforces
-func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort, cq *commitQueue) {
+func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort) {
 	cfg := r.sub.net.cfg
 	f := vc.pop()
 	if vc.empty() {
@@ -777,19 +735,11 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	occ := r.in[p].occupancy - 1
 	r.in[p].occupancy = occ
 	r.totalOcc--
-	if cq != nil {
-		cq.buffered--
-	} else {
-		r.sub.bufferedFlits--
-	}
+	r.sub.bufferedFlits--
 	if occ+1 == r.maxPortOcc {
 		// The decremented port may have been the sole argmax; recompute.
 		if m := r.MaxPortOccupancyScan(); m != r.maxPortOcc {
-			if cq != nil {
-				cq.bfm = append(cq.bfm, bfmOp{from: int32(r.maxPortOcc), to: int32(m)})
-			} else {
-				r.sub.noteBFM(r.maxPortOcc, m)
-			}
+			r.sub.noteBFM(r.maxPortOcc, m)
 			r.maxPortOcc = m
 		}
 	}
@@ -797,19 +747,12 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		// The router was occupied at powerPhase(now-1): RouterDelay >= 1
 		// means this flit was delivered no later than cycle now-1, so the
 		// buffers were non-empty when the previous power phase ran.
-		if cq != nil {
-			cq.idled = append(cq.idled, int32(r.node))
-		} else {
-			r.sub.clearOccupied(r.node)
-			r.noteBusyEnd(now, now-1)
-		}
+		r.sub.clearOccupied(r.node)
+		r.noteBusyEnd(now, now-1)
 	}
 	r.grantedInput[p] = true
 	r.grantedFlits++
 	ev := r.sub.events
-	if cq != nil {
-		ev = &cq.events
-	}
 	ev.BufferReads++
 	ev.XbarTraversals++
 	ev.ArbiterOps++
@@ -827,27 +770,15 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	// Return a credit to whoever feeds this input port (upstream router or
 	// the local NI).
 	if p == r.sub.net.localPort {
-		if cq != nil {
-			cq.niCredits = append(cq.niCredits, niCredit{node: r.node, vc: v})
-		} else {
-			r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
-		}
+		r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
 	} else {
 		up := r.sub.feeder[r.node][p]
-		if cq != nil {
-			cq.credits = append(cq.credits, credit{node: up.node, port: up.port, vc: v})
-		} else {
-			r.sub.stageCredit(now+int64(cfg.CreditDelay), up.node, up.port, v)
-		}
+		r.sub.stageCredit(now+int64(cfg.CreditDelay), up.node, up.port, v)
 	}
 
 	if o == r.sub.net.localPort {
 		ev.NIFlits++
-		if cq != nil {
-			cq.ejections = append(cq.ejections, ejection{node: r.node, f: f})
-		} else {
-			r.sub.stageEject(now+int64(cfg.LinkDelay), r.node, f)
-		}
+		r.sub.stageEject(now+int64(cfg.LinkDelay), r.node, f)
 		return
 	}
 
@@ -860,12 +791,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		if cfg.Torus && r.sub.net.topo.WrapsPort(r.node, o) {
 			f.crossed |= dimBit(o)
 		}
-	}
-	if cq != nil {
-		// The downstream pin travels with the arrival and is applied at
-		// commit time (the pinned router may live in another shard).
-		cq.arrivals = append(cq.arrivals, arrival{node: op.downstream, port: op.downInPort, vc: outVC, f: f})
-		return
 	}
 	arriveAt := now + int64(cfg.LinkDelay)
 	if arriveAt > r.sub.pinnedUntil[op.downstream] {
@@ -882,7 +807,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 // without visiting steady-state routers.
 //
 //catnap:hotpath
-//catnap:worker-safe the power phase runs on worker goroutines under ExecMode.Parallel; policy calls land there
 func (r *Router) powerUpdate(now int64) {
 	cfg := r.sub.net.cfg
 	pol := r.sub.net.gating
@@ -931,7 +855,6 @@ func (r *Router) powerUpdate(now int64) {
 // place.
 //
 //catnap:hotpath
-//catnap:worker-safe see powerUpdate: AllowSleep can be called from worker goroutines
 func (r *Router) powerCheck(now int64, blocked bool) {
 	if r.totalOcc > 0 || r.sub.pinnedUntil[r.node] > now || r.sub.net.niStreaming(r.sub.index, r.node) {
 		if blocked {

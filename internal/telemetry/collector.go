@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/stats"
 )
@@ -40,16 +38,6 @@ const (
 	// series and the leakage rate set with SetLeakRate, so it costs
 	// nothing per cycle. Absent when no rate was set.
 	MetricLeakageSavedPJ = "power.leakage_saved_pj"
-	// MetricShardBusyRouterCycles is the name prefix of the per-shard
-	// busy-router series: routers that ran VA/SA work in one row-band
-	// shard per window, per subnet, with the shard index appended to the
-	// metric name ("noc.shard_busy_router_cycles.3"). The series exist
-	// only when the network steps sharded (noc.ExecMode.Shards > 1) at the
-	// time the collector is built — configure sharding before attaching
-	// telemetry — and are the load-balance view of the sharded router
-	// phase (a shard stuck at 0 while others saturate means the row
-	// bands are uneven for this traffic).
-	MetricShardBusyRouterCycles = "noc.shard_busy_router_cycles"
 
 	// Counters (whole-run totals, Cycle -1 in exports).
 	MetricSleeps        = "power.sleeps"
@@ -96,10 +84,6 @@ type Collector struct {
 	bfm      []*stats.Series
 	injFlits []*stats.Series
 
-	// Per-subnet, per-shard busy-router series; nil unless the network
-	// was sharded when the collector was built.
-	shardBusy [][]*stats.Series
-
 	// Network-wide series.
 	injPkts *stats.Series
 	ejPkts  *stats.Series
@@ -110,8 +94,7 @@ type Collector struct {
 	prevInj   int64
 	prevEj    int64
 
-	// Transition counters (atomic; may be bumped from per-subnet
-	// goroutines in parallel mode).
+	// Transition counters (atomic: see Counter).
 	cSleeps     *Counter
 	cWakeLookA  *Counter
 	cWakeNI     *Counter
@@ -164,15 +147,6 @@ func NewCollector(net *noc.Network, window int64, log *Log, label string) *Colle
 	c.injPkts = c.reg.Series(MetricInjectedPackets, -1, window)
 	c.ejPkts = c.reg.Series(MetricEjectedPackets, -1, window)
 	c.niQueue = c.reg.Series(MetricNIQueueFlitCycles, -1, window)
-	if k := net.Shards(); k > 1 {
-		c.shardBusy = make([][]*stats.Series, subnets)
-		for s := 0; s < subnets; s++ {
-			c.shardBusy[s] = make([]*stats.Series, k)
-			for j := 0; j < k; j++ {
-				c.shardBusy[s][j] = c.reg.Series(fmt.Sprintf("%s.%d", MetricShardBusyRouterCycles, j), s, window)
-			}
-		}
-	}
 	return c
 }
 
@@ -202,18 +176,6 @@ func (c *Collector) AfterCycle(now int64) {
 		c.asleep[s].Add(now, float64(z))
 		c.buffered[s].Add(now, float64(sub.BufferedFlits()))
 		c.bfm[s].Add(now, float64(sub.MaxBFM()))
-		if c.shardBusy != nil {
-			// ShardBusy may be shorter than the series list (sharding
-			// turned off or re-counted mid-run); trailing shards read 0.
-			busy := sub.ShardBusy()
-			for j, ser := range c.shardBusy[s] {
-				v := 0.0
-				if j < len(busy) {
-					v = float64(busy[j])
-				}
-				ser.Add(now, v)
-			}
-		}
 	}
 
 	// Network-maintained aggregates: no per-NI walk.
@@ -259,7 +221,6 @@ func (c *Collector) SkipIdle(from, to int64) {
 // RouterSlept implements noc.PowerTracer.
 //
 //catnap:hotpath
-//catnap:worker-safe PowerTracer delivery may come from shard workers
 func (c *Collector) RouterSlept(now int64, subnet, node int, idle int64) {
 	c.cSleeps.Add(1)
 	c.log.Append(Event{
@@ -271,7 +232,6 @@ func (c *Collector) RouterSlept(now int64, subnet, node int, idle int64) {
 // RouterWoke implements noc.PowerTracer.
 //
 //catnap:hotpath
-//catnap:worker-safe PowerTracer delivery may come from shard workers
 func (c *Collector) RouterWoke(now int64, subnet, node int, cause noc.WakeCause, slept int64) {
 	switch cause {
 	case noc.WakeLookAhead:
@@ -290,7 +250,6 @@ func (c *Collector) RouterWoke(now int64, subnet, node int, cause noc.WakeCause,
 // LCSChanged implements congestion.Tracer.
 //
 //catnap:hotpath
-//catnap:worker-safe congestion.Tracer delivery may come from shard workers
 func (c *Collector) LCSChanged(now int64, subnet, node int, on bool) {
 	t := EventCongestionOn
 	if on {
@@ -306,7 +265,6 @@ func (c *Collector) LCSChanged(now int64, subnet, node int, on bool) {
 // index.
 //
 //catnap:hotpath
-//catnap:worker-safe congestion.Tracer delivery may come from shard workers
 func (c *Collector) RCSChanged(now int64, subnet, region int, on bool) {
 	c.cRCSToggle.Add(1)
 	t := EventRCSOn

@@ -82,8 +82,8 @@ type Event struct {
 // sink. The ring keeps the most recent Cap events (older ones are
 // dropped and counted); the sink, when set, receives every event in
 // order regardless of ring capacity. Log is safe for concurrent use —
-// power tracer callbacks arrive from per-subnet goroutines when the
-// network runs in parallel mode.
+// a Recorder shares one log across every simulation of a sweep, and
+// those run on different sweep workers.
 type Log struct {
 	mu      sync.Mutex
 	ring    []Event
@@ -120,7 +120,6 @@ func NewLog(capacity int, sink io.Writer) *Log {
 // Append records one event.
 //
 //catnap:hotpath fires only on power/congestion transitions, never per flit
-//catnap:worker-safe mutex-guarded ring append; deliverable from shard workers
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -31,9 +31,9 @@ type MetricPoint struct {
 	Value float64 `json:"value"`
 }
 
-// Counter is a monotonically increasing total. Add is atomic because
-// power and congestion callbacks may arrive from per-subnet goroutines
-// under noc.ExecMode.Parallel.
+// Counter is a monotonically increasing total. Add is atomic because a
+// Recorder is shared across sweep workers: it may read a counter while
+// the simulation that owns it is still running.
 type Counter struct {
 	name   string
 	subnet int
@@ -43,7 +43,6 @@ type Counter struct {
 // Add increments the counter by d.
 //
 //catnap:hotpath
-//catnap:worker-safe atomic increment; deliverable from shard workers
 func (c *Counter) Add(d int64) { atomic.AddInt64(&c.v, d) }
 
 // Value returns the current total.

@@ -193,73 +193,6 @@ func TestCollectorEventsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestShardBusySeries: a collector attached to a sharded network emits
-// one noc.shard_busy_router_cycles.<k> series per (subnet, shard), the
-// per-shard busy counts stay within each band's router budget, and at
-// least one shard saw work. An unsharded network must emit none — the
-// series are off by default and exist only when stepping is sharded at
-// attach time.
-func TestShardBusySeries(t *testing.T) {
-	const cycles, window = 1000, 50
-	cfg := testConfig()
-	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
-	if err != nil {
-		t.Fatalf("noc.New: %v", err)
-	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
-	net.AddObserver(det)
-	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
-	net.SetGatingPolicy(core.NewCatnapGating(det))
-	// Shard before Attach: the collector sizes its series then.
-	if err := net.SetExecMode(noc.ExecMode{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rec := telemetry.NewRecorder(telemetry.Options{Window: window})
-	rec.Attach(net, det, "shards")
-	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, burstSchedule(), 42)
-	run(net, gen, cycles)
-
-	prefix := telemetry.MetricShardBusyRouterCycles + "."
-	series := map[string]int{} // metric name -> windows seen
-	busyTotal := 0.0
-	for _, p := range rec.Metrics() {
-		if !strings.HasPrefix(p.Metric, prefix) {
-			continue
-		}
-		if p.Subnet < 0 || p.Subnet >= net.Subnets() {
-			t.Fatalf("shard-busy point with subnet %d", p.Subnet)
-		}
-		// 2 shards over 4 rows: 8 routers per band, so a window can hold
-		// at most 8 busy routers per cycle.
-		if p.Value < 0 || p.Value > window*8 {
-			t.Fatalf("shard-busy window value %v out of range: %+v", p.Value, p)
-		}
-		series[p.Metric]++
-		busyTotal += p.Value
-	}
-	if len(series) != 2 {
-		t.Fatalf("shard-busy series names = %v, want exactly shards 0 and 1", series)
-	}
-	for name, windows := range series {
-		// One point per window per subnet.
-		if want := (cycles / window) * net.Subnets(); windows != want {
-			t.Errorf("%s has %d points, want %d", name, windows, want)
-		}
-	}
-	if busyTotal == 0 {
-		t.Error("no shard reported busy routers despite traffic")
-	}
-
-	// Unsharded control: no shard-busy series at all.
-	net2, gen2, rec2 := buildInstrumented(t, false, telemetry.Options{Window: window})
-	run(net2, gen2, cycles)
-	for _, p := range rec2.Metrics() {
-		if strings.HasPrefix(p.Metric, prefix) {
-			t.Fatalf("unsharded network emitted shard-busy point %+v", p)
-		}
-	}
-}
-
 // TestEventStreamRoundTrip checks the streaming JSONL sink reproduces
 // the in-memory log exactly through ReadAllEvents.
 func TestEventStreamRoundTrip(t *testing.T) {
@@ -338,31 +271,5 @@ func TestLogRingBound(t *testing.T) {
 	}
 	if l.Total() != 10 || l.Dropped() != 6 {
 		t.Errorf("total=%d dropped=%d, want 10/6", l.Total(), l.Dropped())
-	}
-}
-
-// TestParallelMatchesSequential: telemetry output under parallel subnet
-// execution must match sequential execution (events may interleave
-// across subnets, so compare as multisets).
-func TestParallelMatchesSequential(t *testing.T) {
-	var ev [2]map[telemetry.Event]int
-	var mp [2][]telemetry.MetricPoint
-	for i, par := range []bool{false, true} {
-		net, gen, rec := buildInstrumented(t, false, telemetry.Options{Window: 50, RingCap: 1 << 16})
-		if err := net.SetExecMode(noc.ExecMode{Parallel: par}); err != nil {
-			t.Fatal(err)
-		}
-		run(net, gen, 1000)
-		ev[i] = map[telemetry.Event]int{}
-		for _, e := range rec.Log().Events() {
-			ev[i][e]++
-		}
-		mp[i] = rec.Metrics()
-	}
-	if !reflect.DeepEqual(ev[0], ev[1]) {
-		t.Errorf("event multisets differ between sequential and parallel runs")
-	}
-	if !reflect.DeepEqual(mp[0], mp[1]) {
-		t.Errorf("metrics differ between sequential and parallel runs")
 	}
 }

@@ -215,20 +215,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Read parses a JSONL trace, calling fn for every record; it stops early
-// if fn returns an error.
-//
-// Deprecated: use NewReader and Reader.Each, which also handle gzipped
-// traces.
-func Read(r io.Reader, fn func(Record) error) error {
-	tr, err := NewReader(r)
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	return tr.Each(fn)
-}
-
 // Summary aggregates a trace the way the figures do.
 type Summary struct {
 	Packets     int64
@@ -275,11 +261,16 @@ func newSummary() Summary {
 	return Summary{PerSubnet: map[int]int64{}, PerClass: map[noc.MsgClass]int64{}, FirstCreate: 1<<63 - 1}
 }
 
-// Summarize scans a trace into a Summary.
+// Summarize scans a trace, plain or gzipped, into a Summary.
 func Summarize(r io.Reader) (Summary, error) {
+	tr, err := NewReader(r)
+	if err != nil {
+		return Summary{}, err
+	}
+	defer tr.Close()
 	s := newSummary()
 	var latSum int64
-	err := Read(r, func(rec Record) error {
+	err = tr.Each(func(rec Record) error {
 		s.observe(rec, &latSum)
 		return nil
 	})

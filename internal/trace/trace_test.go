@@ -23,8 +23,12 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	tr, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []trace.Record
-	if err := trace.Read(&buf, func(r trace.Record) error { got = append(got, r); return nil }); err != nil {
+	if err := tr.Each(func(r trace.Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
@@ -36,10 +40,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsGarbage feeds a malformed line after a valid record:
+// Each must deliver the valid record, then fail on the garbage.
 func TestReadRejectsGarbage(t *testing.T) {
-	err := trace.Read(strings.NewReader("{\"id\":1}\nnot json\n"), func(trace.Record) error { return nil })
+	tr, err := trace.NewReader(strings.NewReader("{\"id\":1}\nnot json\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = tr.Each(func(trace.Record) error { n++; return nil })
 	if err == nil {
 		t.Fatal("garbage accepted")
+	}
+	if n != 1 || tr.Count() != 1 {
+		t.Fatalf("delivered %d records (Count %d) before the garbage, want 1", n, tr.Count())
 	}
 }
 
