@@ -1,0 +1,98 @@
+package catnap
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// update rewrites the golden files from the current tree:
+//
+//	go test -run Golden -update .
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current tree")
+
+// goldenOpts is the reduced scale every golden is captured at: short
+// enough that all registry experiments run in a few seconds, long enough
+// that every figure's points see warmed-up traffic.
+var goldenOpts = ExperimentOpts{
+	Scale:   Scale{Warmup: 100, Measure: 300},
+	Loads:   []float64{0.05, 0.30},
+	Total:   600,
+	Explore: ExploreOpts{Budget: 8, Batch: 4},
+	Sweep:   SweepOptions{Jobs: 2},
+}
+
+// checkGolden compares got against testdata/golden/name, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run Golden -update .` to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s drifted from its golden\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// marshalGolden is json.Marshal with indentation, so a drift diffs line
+// by line; number formatting is exactly json.Marshal's.
+func marshalGolden(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestGoldenExperiments pins every registry experiment's typed result at
+// reduced scale. A change that only restructures code must leave every
+// file byte-identical.
+func TestGoldenExperiments(t *testing.T) {
+	for _, name := range ExperimentNames() {
+		t.Run(name, func(t *testing.T) {
+			res, err := RunExperiment(context.Background(), name, goldenOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".json", marshalGolden(t, res.Data))
+			if r, ok := res.Data.(*ExploreResult); ok {
+				// The front's fields are unexported, so Data marshals it
+				// as {}: pin its own serialization as well.
+				var buf bytes.Buffer
+				if err := r.WriteFront(&buf); err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, name+"-front.json", buf.Bytes())
+			}
+		})
+	}
+}
+
+// TestGoldenAblations pins every ablation study at the same scale.
+func TestGoldenAblations(t *testing.T) {
+	for _, name := range AblationNames() {
+		t.Run(name, func(t *testing.T) {
+			pts, err := RunAblation(name, goldenOpts.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "ablation-"+name+".json", marshalGolden(t, pts))
+		})
+	}
+}
