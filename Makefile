@@ -15,14 +15,16 @@ all: check
 # and the core stepping-cost guard last (slowest).
 check: build lint test check-race race bench-telemetry bench-core
 
-# lint is the single static-analysis entry point: go vet plus the
-# in-tree catnap-lint suite (nodeterminism, hotpathalloc, contractflow,
-# resetcoverage, missingdoc — see DESIGN.md "Static analysis"). -time
-# prints the per-analyzer wall-time breakdown so a slow check is
-# attributable.
+# lint is the single static-analysis entry point: a gofmt check over
+# every tracked .go file, go vet, and the in-tree catnap-lint suite
+# (nodeterminism, hotpathalloc, contractflow, resetcoverage, missingdoc
+# — see DESIGN.md "Static analysis"). -time prints the per-analyzer
+# wall-time breakdown so a slow check is attributable.
 # catnap-lint also fails on malformed or unused //lint:ignore
 # directives, so stale suppressions cannot linger.
 lint:
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/catnap-lint -time ./...
 

@@ -31,6 +31,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
@@ -48,7 +49,7 @@ type coreScenario struct {
 	// skip arms idle fast-forward on the fast arm, and makes the ref arm
 	// incremental stepping of the same cycles (the baseline idle
 	// fast-forward must beat) instead of the retained reference scan.
-	// Every other scenario pins NoIdleSkip in BOTH arms: they measure
+	// Every other scenario disarms idle skip in BOTH arms: they measure
 	// per-cycle stepping cost, and letting the fast arm jump over its
 	// idle cycles (the default execution mode) would quietly turn them
 	// into skip benchmarks.
@@ -77,13 +78,11 @@ var coreScenarios = []coreScenario{
 // share the design's seed, so paired runs inject the identical packet
 // sequence and any fast/ref divergence is a determinism bug, not noise.
 func buildCoreSim(sc coreScenario, ref bool) *Simulator {
-	cfg := mustDesign(sc.design)
-	cfg.NoIdleSkip = ref || !sc.skip
-	sim := mustSim(cfg)
-	if ref && !sc.skip {
-		m := sim.ExecMode()
-		m.ReferenceScan = true
-		sim.SetExecMode(m)
+	sim := mustSim(mustDesign(sc.design))
+	if ref || !sc.skip {
+		// Step every cycle: the reference scan for the ref arm of an
+		// incremental scenario, plain incremental stepping otherwise.
+		setExecMode(sim, noc.ExecMode{ReferenceScan: ref && !sc.skip})
 	}
 	return sim
 }

@@ -23,16 +23,26 @@ var benchScale = Scale{Warmup: 1500, Measure: 6000}
 
 var benchLoads = []float64{0.05, 0.15, 0.30, 0.45}
 
+// benchExperiment runs a registry experiment (at benchScale unless o
+// sets a scale) and returns its typed rows.
+func benchExperiment[T any](b *testing.B, name string, o ExperimentOpts) T {
+	b.Helper()
+	if o.Scale == (Scale{}) {
+		o.Scale = benchScale
+	}
+	res, err := RunExperiment(context.Background(), name, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Data.(T)
+}
+
 // BenchmarkFig2 regenerates Figure 2: normalized system performance of an
 // under-provisioned 128-bit Single-NoC vs the 512-bit baseline on the
 // Light and Heavy workloads.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunFig2(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, r := range benchExperiment[[]Fig2Row](b, "fig2", ExperimentOpts{}) {
 			if r.Design == "1NT-128b" {
 				b.ReportMetric(r.Normalized, r.Workload+"_128b_normPerf")
 			}
@@ -44,11 +54,7 @@ func BenchmarkFig2(b *testing.B) {
 // model.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(context.Background(), "table2", ExperimentOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Data.([]power.Table2Row) {
+		for _, r := range benchExperiment[[]power.Table2Row](b, "table2", ExperimentOpts{}) {
 			if r.WidthBits == 128 && r.VoltV == 0.625 {
 				b.ReportMetric(r.FreqGHz, "GHz_128b_0.625V")
 			}
@@ -63,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 // bandwidth-equivalent 1/2/4/8-subnet designs under uniform random.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := RunFig6(benchScale, benchLoads)
+		pts := benchExperiment[[]Fig6Point](b, "fig6", ExperimentOpts{Loads: benchLoads})
 		sat := map[string]float64{}
 		for _, p := range pts {
 			if p.Accepted > sat[p.Design] {
@@ -79,11 +85,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 regenerates Figure 7's analytic power bars.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(context.Background(), "fig7", ExperimentOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := res.Data.([]Fig7Row)
+		rows := benchExperiment[[]Fig7Row](b, "fig7", ExperimentOpts{})
 		b.ReportMetric(rows[0].Breakdown.Total, "single_0.750V_W")
 		b.ReportMetric(rows[1].Breakdown.Total, "multi_0.750V_W")
 		b.ReportMetric(rows[2].Breakdown.Total, "multi_0.625V_W")
@@ -94,10 +96,7 @@ func BenchmarkFig7(b *testing.B) {
 // and normalized performance of the six designs.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunAppWorkloads(benchScale, []string{"Light", "Heavy"}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchExperiment[[]AppRow](b, "fig8", ExperimentOpts{Mixes: []string{"Light", "Heavy"}})
 		for _, r := range rows {
 			switch r.Design {
 			case "1NT-512b", "4NT-128b-PG":
@@ -111,11 +110,9 @@ func BenchmarkFig8(b *testing.B) {
 // power-gated designs on Light and Heavy.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunAppWorkloads(benchScale, []string{"Light", "Heavy"},
-			[]string{"1NT-512b-PG", "4NT-128b-PG"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchExperiment[[]AppRow](b, "fig9", ExperimentOpts{
+			Mixes: []string{"Light", "Heavy"}, Designs: []string{"1NT-512b-PG", "4NT-128b-PG"},
+		})
 		for _, r := range rows {
 			b.ReportMetric(r.Results.CSCPercent, r.Workload+"_"+r.Design+"_CSC%")
 		}
@@ -126,7 +123,7 @@ func BenchmarkFig9(b *testing.B) {
 // load with and without power gating, uniform random.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := RunFig10(benchScale, benchLoads)
+		pts := benchExperiment[[]Fig10Point](b, "fig10", ExperimentOpts{Loads: benchLoads})
 		for _, p := range pts {
 			if p.Offered == 0.05 {
 				b.ReportMetric(p.PowerW, p.Design+"_W@0.05")
@@ -140,10 +137,7 @@ func BenchmarkFig10(b *testing.B) {
 // random, reporting latency at a moderate load and the RR-vs-BFM CSC gap.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := RunFig11(benchScale, "uniform-random", []float64{0.05, 0.15})
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := benchExperiment[[]Fig11Point](b, "fig11", ExperimentOpts{Loads: []float64{0.05, 0.15}})
 		for _, p := range pts {
 			if p.Offered == 0.15 {
 				b.ReportMetric(p.Latency, p.Policy+"_lat@0.15")
@@ -160,7 +154,7 @@ func BenchmarkFig11(b *testing.B) {
 // the second, smaller burst opens.
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := RunFig12(3000, 50)
+		pts := benchExperiment[[]Fig12Point](b, "fig12", ExperimentOpts{Total: 3000, Window: 50})
 		var catchup int64 = -1
 		burst2Subnets := 0.0
 		for _, p := range pts {
@@ -189,10 +183,7 @@ func BenchmarkFig12(b *testing.B) {
 // thresholds on both patterns.
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := RunFig13(benchScale, []float64{0.10, 0.20})
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := benchExperiment[[]Fig13Point](b, "fig13", ExperimentOpts{Loads: []float64{0.10, 0.20}})
 		for _, p := range pts {
 			if p.Offered == 0.20 && (p.Threshold == 0.04 || p.Threshold == 0.24) {
 				b.ReportMetric(p.Latency, p.Pattern+"_thr"+f2(p.Threshold)+"_lat@0.20")
@@ -205,7 +196,7 @@ func BenchmarkFig13(b *testing.B) {
 // load for the Single- and Multi-NoC designs.
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := RunFig14(benchScale, []float64{0.05, 0.15, 0.30})
+		pts := benchExperiment[[]Fig14Point](b, "fig14", ExperimentOpts{Loads: []float64{0.05, 0.15, 0.30}})
 		for _, p := range pts {
 			if p.Offered == 0.05 {
 				b.ReportMetric(p.CSCPercent, p.Design+"_CSC%@0.05")
@@ -217,10 +208,7 @@ func BenchmarkFig14(b *testing.B) {
 // BenchmarkHeadline regenerates the paper's headline comparison.
 func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h, err := RunHeadline(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		h := benchExperiment[Headline](b, "headline", ExperimentOpts{})
 		b.ReportMetric(h.PowerReduction*100, "powerReduction%")
 		b.ReportMetric(h.AvgPerfCost*100, "perfCost%")
 		b.ReportMetric(h.LightCSCPercent, "lightCSC%")
@@ -246,10 +234,9 @@ func BenchmarkSweepFig6JobsMax(b *testing.B) {
 func benchSweepFig6(b *testing.B, jobs int) {
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		pts, err := RunFig6Ctx(context.Background(), benchScale, benchLoads, SweepOptions{Jobs: jobs})
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := benchExperiment[[]Fig6Point](b, "fig6", ExperimentOpts{
+			Loads: benchLoads, Sweep: SweepOptions{Jobs: jobs}, NoReuse: true,
+		})
 		cycles += int64(len(pts)) * (benchScale.Warmup + benchScale.Measure)
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simCycles/s")

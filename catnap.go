@@ -13,8 +13,8 @@
 //	fmt.Println(res)
 //
 // Every configuration evaluated in the paper is available by name through
-// Design; every table and figure has a runner in experiments.go and a
-// corresponding benchmark in bench_test.go.
+// Design; every table and figure runs by name through RunExperiment and
+// has a corresponding benchmark in bench_test.go.
 package catnap
 
 import (
@@ -121,15 +121,6 @@ type Config struct {
 	// one specific lower-order subnetwork". Only meaningful with
 	// AppTraffic and more than one subnet.
 	OrderedForward bool
-
-	// NoIdleSkip disables event-driven idle fast-forward (on by default):
-	// when the network is fully quiescent, Simulator.Run jumps simulated
-	// time directly to the next staged event or traffic arrival instead
-	// of stepping empty cycles one by one. Results are bit-identical
-	// either way (the differential suites assert it); disable it only to
-	// benchmark the per-cycle idle path or to debug with every cycle
-	// visible (-no-skip in the CLIs).
-	NoIdleSkip bool
 
 	// Seed drives all randomness (policies only; traffic generators and
 	// system models take their own seeds).

@@ -99,7 +99,11 @@ func TestGatingCutsPowerAtLowLoad(t *testing.T) {
 }
 
 func TestFig12SubnetsOpenDuringBurst(t *testing.T) {
-	points := RunFig12(3000, 50)
+	res, err := RunExperiment(context.Background(), "fig12", ExperimentOpts{Total: 3000, Window: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := res.Data.([]Fig12Point)
 	if len(points) < 50 {
 		t.Fatalf("got %d samples", len(points))
 	}
@@ -148,10 +152,11 @@ func TestFig7Runner(t *testing.T) {
 }
 
 func TestProfilesCharacterization(t *testing.T) {
-	rows, err := RunProfiles(Scale{Warmup: 500, Measure: 3000})
+	res, err := RunExperiment(context.Background(), "profiles", ExperimentOpts{Scale: Scale{Warmup: 500, Measure: 3000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Data.([]ProfileRow)
 	if len(rows) != 35 {
 		t.Fatalf("characterized %d benchmarks, want 35", len(rows))
 	}
@@ -174,10 +179,11 @@ func TestProfilesCharacterization(t *testing.T) {
 }
 
 func TestHeteroRunner(t *testing.T) {
-	rows, err := RunHetero(Scale{Warmup: 2000, Measure: 6000})
+	res, err := RunExperiment(context.Background(), "hetero", ExperimentOpts{Scale: Scale{Warmup: 2000, Measure: 6000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Data.([]HeteroRow)
 	if len(rows) != 2 {
 		t.Fatalf("got %d variants", len(rows))
 	}

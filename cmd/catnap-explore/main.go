@@ -64,7 +64,6 @@ var (
 	checkpoint    = flag.String("checkpoint", "", "checkpoint file for kill/resume (empty = off)")
 	frontOut      = flag.String("front-out", "", "write the frontier's deterministic JSON to this file")
 	jobs          = flag.Int("jobs", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
-	noSkip        = flag.Bool("no-skip", false, "disable event-driven idle fast-forward (bit-identical, only slower)")
 	reuse         = flag.Bool("reuse", true, "recycle one simulator per worker across evaluations instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
 	verbose       = flag.Bool("v", false, "log every evaluated point as it completes")
 	cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
@@ -175,7 +174,6 @@ func buildOpts() (catnap.ExperimentOpts, error) {
 	e.CheckpointPath = *checkpoint
 	opts.Scale = catnap.Scale{Warmup: *warmup, Measure: *measure}
 	opts.Sweep.Jobs = *jobs
-	opts.NoIdleSkip = *noSkip
 	opts.NoReuse = !*reuse
 	if err := opts.Validate(); err != nil {
 		return opts, err

@@ -50,7 +50,6 @@ var (
 	metricsFile = flag.String("metrics", "", "write telemetry metrics to this file (JSONL; CSV if it ends in .csv), one labeled collector per load")
 	eventsFile  = flag.String("events", "", "stream telemetry events (sleep/wake, congestion, point lifecycle) to this JSONL file")
 	jobs        = flag.Int("jobs", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	noSkip      = flag.Bool("no-skip", false, "disable event-driven idle fast-forward (bit-identical, only slower on idle stretches)")
 	reuse       = flag.Bool("reuse", true, "recycle one simulator per worker across sweep points instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
 	verbose     = flag.Bool("v", false, "log every sweep point as it completes")
 	cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
@@ -94,19 +93,9 @@ func sweep() error {
 		return fmt.Errorf("-trace records one run's packets; use a single -loads value")
 	}
 
-	var rec *telemetry.Recorder
-	var eventsOut *os.File
-	if *metricsFile != "" || *eventsFile != "" {
-		topts := telemetry.Options{}
-		if *eventsFile != "" {
-			f, err := os.Create(*eventsFile)
-			if err != nil {
-				return err
-			}
-			eventsOut = f
-			topts.Events = f
-		}
-		rec = telemetry.NewRecorder(topts)
+	rec, finishTelemetry, err := telemetry.OpenFiles(*metricsFile, *eventsFile, 0)
+	if err != nil {
+		return err
 	}
 
 	pts := make([]runner.Point[catnap.Results], len(loads))
@@ -124,7 +113,6 @@ func sweep() error {
 				if *metricTh > 0 {
 					cfg.MetricThreshold = *metricTh
 				}
-				cfg.NoIdleSkip = *noSkip
 				// With -reuse, the worker's pool resets one simulator in
 				// place; a nil pool (reuse off) degrades to catnap.New.
 				pool, _ := runner.WorkerState(ctx).(*catnap.SimPool)
@@ -176,10 +164,8 @@ func sweep() error {
 	if err != nil {
 		return err
 	}
-	if rec != nil {
-		if err := exportTelemetry(rec, eventsOut); err != nil {
-			return err
-		}
+	if err := finishTelemetry(); err != nil {
+		return err
 	}
 
 	fmt.Printf("# design=%s pattern=%s warmup=%d measure=%d seed=%d\n",
@@ -216,33 +202,4 @@ func parseLoads(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no loads given")
 	}
 	return out, nil
-}
-
-// exportTelemetry flushes the streaming event sink and writes the
-// -metrics file once the sweep has completed.
-func exportTelemetry(rec *telemetry.Recorder, eventsOut *os.File) error {
-	if err := rec.Flush(); err != nil {
-		return err
-	}
-	if eventsOut != nil {
-		if err := eventsOut.Close(); err != nil {
-			return err
-		}
-	}
-	if *metricsFile == "" {
-		return nil
-	}
-	f, err := os.Create(*metricsFile)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(*metricsFile, ".csv") {
-		err = rec.WriteMetricsCSV(f)
-	} else {
-		err = rec.WriteMetricsJSONL(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -59,7 +59,6 @@ var (
 	csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	pattern     = flag.String("pattern", "uniform-random", "traffic pattern for fig11")
 	jobs        = flag.Int("jobs", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	noSkip      = flag.Bool("no-skip", false, "disable event-driven idle fast-forward (bit-identical, only slower on idle stretches)")
 	timeout     = flag.Duration("timeout", 0, "per-point wall-clock limit (0 = none)")
 	metricsFile = flag.String("metrics", "", "write telemetry metrics to this file (JSONL; CSV if it ends in .csv)")
 	eventsFile  = flag.String("events", "", "stream telemetry events (sleep/wake, congestion, sweep lifecycle) to this JSONL file")
@@ -145,20 +144,19 @@ func run(ctx context.Context, name string) error {
 		return w.Flush()
 	}
 
-	rec, finish, err := telemetryRecorder()
+	rec, finish, err := telemetry.OpenFiles(*metricsFile, *eventsFile, *window)
 	if err != nil {
 		return err
 	}
 
 	prog := runner.NewConsole(os.Stderr, *verbose)
 	res, err := catnap.RunExperiment(ctx, name, catnap.ExperimentOpts{
-		Scale:      scale(),
-		Loads:      loads(),
-		Pattern:    *pattern,
-		Window:     *window,
-		NoIdleSkip: *noSkip,
-		Sweep:      catnap.SweepOptions{Jobs: *jobs, Timeout: *timeout, Progress: prog},
-		Telemetry:  rec,
+		Scale:     scale(),
+		Loads:     loads(),
+		Pattern:   *pattern,
+		Window:    *window,
+		Sweep:     catnap.SweepOptions{Jobs: *jobs, Timeout: *timeout, Progress: prog},
+		Telemetry: rec,
 	})
 	prog.Finish()
 	if err != nil {
@@ -172,53 +170,6 @@ func run(ctx context.Context, name string) error {
 		fmt.Println("\n" + res.Note)
 	}
 	return nil
-}
-
-// telemetryRecorder builds the recorder selected by -metrics/-events
-// (nil when neither is set — the zero-overhead path) plus a finish
-// function that flushes the event stream and writes the metrics file.
-func telemetryRecorder() (*telemetry.Recorder, func() error, error) {
-	if *metricsFile == "" && *eventsFile == "" {
-		return nil, func() error { return nil }, nil
-	}
-	var eventsOut *os.File
-	topts := telemetry.Options{Window: *window}
-	if *eventsFile != "" {
-		f, err := os.Create(*eventsFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		eventsOut = f
-		topts.Events = f
-	}
-	rec := telemetry.NewRecorder(topts)
-	finish := func() error {
-		if err := rec.Flush(); err != nil {
-			return err
-		}
-		if eventsOut != nil {
-			if err := eventsOut.Close(); err != nil {
-				return err
-			}
-		}
-		if *metricsFile == "" {
-			return nil
-		}
-		f, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(*metricsFile, ".csv") {
-			err = rec.WriteMetricsCSV(f)
-		} else {
-			err = rec.WriteMetricsJSONL(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	return rec, finish, nil
 }
 
 // runAblation renders one design-choice study around the Catnap

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,15 +23,20 @@ var (
 
 func main() {
 	flag.Parse()
-	sc := catnap.Scale{Warmup: *warmup, Measure: *measure}
+	opts := catnap.ExperimentOpts{
+		Scale:   catnap.Scale{Warmup: *warmup, Measure: *measure},
+		Designs: []string{"1NT-512b", "4NT-128b-PG"},
+	}
 
 	fmt.Printf("%-14s %-14s %9s %9s %9s %7s %7s\n",
 		"workload", "design", "dyn (W)", "stat (W)", "total (W)", "CSC%", "perf")
 	for _, mix := range splitList(*mixes) {
-		rows, err := catnap.RunAppWorkloads(sc, []string{mix}, []string{"1NT-512b", "4NT-128b-PG"})
+		opts.Mixes = []string{mix}
+		res, err := catnap.RunExperiment(context.Background(), "fig8", opts)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rows := res.Data.([]catnap.AppRow)
 		for _, r := range rows {
 			fmt.Printf("%-14s %-14s %9.1f %9.1f %9.1f %7.1f %7.3f\n",
 				r.Workload, r.Design,

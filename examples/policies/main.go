@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,6 @@ import (
 
 func main() {
 	loads := []float64{0.05, 0.10, 0.15, 0.20}
-	sc := catnap.Scale{Warmup: 2000, Measure: 8000}
 
 	fmt.Println("Transpose traffic on 4NT-128b with power gating")
 	fmt.Printf("%-12s", "policy")
@@ -25,10 +25,13 @@ func main() {
 	}
 	fmt.Printf("  CSC@%.2f\n", loads[0])
 
-	points, err := catnap.RunFig11(sc, "transpose", loads)
+	res, err := catnap.RunExperiment(context.Background(), "fig11", catnap.ExperimentOpts{
+		Scale: catnap.Scale{Warmup: 2000, Measure: 8000}, Pattern: "transpose", Loads: loads,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	points := res.Data.([]catnap.Fig11Point)
 
 	// Group the sweep by policy for tabular printing.
 	byPolicy := map[string][]catnap.Fig11Point{}

@@ -13,9 +13,9 @@ import (
 
 // This file is the unified experiment API: a registry of every canned
 // experiment (one per table/figure of the paper plus the beyond-paper
-// studies), each returning a typed result with a ready-to-render table.
-// cmd/catnap is a thin shell over RunExperiment; the RunFigN functions
-// remain available for programmatic use of the underlying data.
+// studies), each returning a typed result with a ready-to-render table
+// and the typed rows behind it (ExperimentResult.Data). RunExperiment is
+// the one way to run an experiment; cmd/catnap is a thin shell over it.
 
 // ExperimentInfo describes one registered experiment.
 type ExperimentInfo struct {
@@ -57,12 +57,6 @@ type ExperimentOpts struct {
 	// Window is the time-series sampling window (fig12) and the
 	// telemetry series window, in cycles; 0 means the paper's 50.
 	Window int64
-	// NoIdleSkip disables event-driven idle fast-forward in every
-	// simulation the experiment builds (Config.NoIdleSkip). Results are
-	// bit-identical either way; set it to benchmark the per-cycle idle
-	// path or to debug the quiescence oracle. cmd/catnap and
-	// cmd/catnap-sweep expose it as -no-skip.
-	NoIdleSkip bool
 	// Explore parameterizes the "explore" design-space search (space,
 	// budget, sampling mode, cache and checkpoint paths); other
 	// experiments ignore it.
@@ -222,7 +216,7 @@ func fcell(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 func init() {
 	registerExperiment(ExperimentInfo{"fig2", "performance of 128b vs 512b Single-NoC on Light/Heavy workloads", "figure"},
 		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runFig2(opts)
+			rows, err := runFig2(ctx, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,7 @@ func TestFig6ParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, jobs := range []int{1, 4} {
-		got, err := RunFig6Ctx(context.Background(), testScale, testLoads, SweepOptions{Jobs: jobs})
+		got, err := runFig6(context.Background(), ExperimentOpts{Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: jobs}})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -45,7 +45,9 @@ func TestFig6ParallelMatchesSequential(t *testing.T) {
 // normalize against a dedicated baseline run per mix.
 func TestAppWorkloadsBaselineNormalization(t *testing.T) {
 	sc := Scale{Warmup: 150, Measure: 300}
-	rows, err := RunAppWorkloadsCtx(context.Background(), sc, []string{"Light"}, []string{"4NT-128b-PG"}, SweepOptions{Jobs: 2})
+	rows, err := runAppWorkloads(context.Background(), ExperimentOpts{
+		Scale: sc, Mixes: []string{"Light"}, Designs: []string{"4NT-128b-PG"}, Sweep: SweepOptions{Jobs: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +75,8 @@ func TestRunCtxCancellation(t *testing.T) {
 	if _, err := sim.RunSyntheticCtx(ctx, traffic.UniformRandom{}, traffic.Constant(0.05), 1000, 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunSyntheticCtx err = %v, want Canceled", err)
 	}
-	if _, err := RunFig6Ctx(ctx, testScale, testLoads, SweepOptions{Jobs: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunFig6Ctx err = %v, want Canceled", err)
+	if _, err := runFig6(ctx, ExperimentOpts{Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: 2}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runFig6 err = %v, want Canceled", err)
 	}
 }
 
@@ -175,7 +177,9 @@ func TestSweepPanicIsReported(t *testing.T) {
 		{"RR", func() Config { return mustDesign("4NT-128b-PG-RR") }},
 		{"broken", func() Config { panic("policy config exploded") }},
 	}
-	_, err := RunFig11Ctx(context.Background(), Scale{Warmup: 100, Measure: 200}, "uniform-random", []float64{0.05}, SweepOptions{Jobs: 2})
+	_, err := RunExperiment(context.Background(), "fig11", ExperimentOpts{
+		Scale: Scale{Warmup: 100, Measure: 200}, Loads: []float64{0.05}, Sweep: SweepOptions{Jobs: 2},
+	})
 	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not reported cleanly: %v", err)
 	}
@@ -184,7 +188,7 @@ func TestSweepPanicIsReported(t *testing.T) {
 // TestFig11UnknownPatternError: the user-reachable pattern name errors
 // up front, listing the valid choices, instead of panicking.
 func TestFig11UnknownPatternError(t *testing.T) {
-	_, err := RunFig11(Scale{}, "no-such-pattern", nil)
+	_, err := RunExperiment(context.Background(), "fig11", ExperimentOpts{Pattern: "no-such-pattern"})
 	if err == nil || !strings.Contains(err.Error(), "transpose") {
 		t.Fatalf("want an error listing valid patterns, got: %v", err)
 	}

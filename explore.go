@@ -13,7 +13,7 @@ import (
 
 // This file binds the internal/explore design-space search engine to the
 // Catnap simulator: ExploreOpts carries the campaign knobs through
-// ExperimentOpts, exploreEvaluator lowers an explore.Spec to a Config
+// ExperimentOpts, evaluateSpec lowers an explore.Spec to a Config
 // and measures it, and the "explore" registry entry renders the Pareto
 // front as an experiment table. cmd/catnap-explore is the full-featured
 // shell (cache, checkpoint/resume, frontier output) over RunExplore.
@@ -150,42 +150,40 @@ func (r *ExploreResult) FrontSpec(p explore.Point) explore.Spec {
 	return r.Space.SpecAt(p.Index, r.Eval)
 }
 
-// exploreEvaluator returns the production evaluator: lower the spec to a
+// evaluateSpec is the production evaluator: lower the spec to a
 // Config (Catnap selection and gating over the spec's provisioning and
 // detection knobs), simulate uniform-random traffic at the spec's load,
 // and report the power/latency objectives.
-func exploreEvaluator(o ExperimentOpts) explore.Evaluator {
-	return func(ctx context.Context, spec explore.Spec) (explore.Sample, error) {
-		kind, err := congestion.KindByName(spec.Metric)
-		if err != nil {
-			return explore.Sample{}, err
-		}
-		cfg := BaseConfig()
-		cfg.Name = fmt.Sprintf("%dNT-%db-vc%d-ti%d-%s", spec.Subnets, spec.WidthBits, spec.VCDepth, spec.TIdle, spec.Metric)
-		cfg.Subnets = spec.Subnets
-		cfg.LinkWidthBits = spec.WidthBits
-		cfg.VCDepth = spec.VCDepth
-		cfg.TIdleDetect = spec.TIdle
-		cfg.Selector = SelectorCatnap
-		cfg.Gating = GatingCatnap
-		cfg.Metric = kind
-		cfg.MetricThreshold = spec.Threshold
-		cfg.Seed = spec.Seed
-		sim, err := simForCtx(ctx, o.tuneCfg(cfg))
-		if err != nil {
-			return explore.Sample{}, err
-		}
-		res, err := sim.RunSyntheticCtx(ctx, traffic.UniformRandom{}, traffic.Constant(spec.Load), spec.Warmup, spec.Measure)
-		if err != nil {
-			return explore.Sample{}, err
-		}
-		return explore.Sample{
-			PowerW:     res.Power.Total,
-			Latency:    res.AvgLatency,
-			Accepted:   res.AcceptedThroughput,
-			CSCPercent: res.CSCPercent,
-		}, nil
+func evaluateSpec(ctx context.Context, spec explore.Spec) (explore.Sample, error) {
+	kind, err := congestion.KindByName(spec.Metric)
+	if err != nil {
+		return explore.Sample{}, err
 	}
+	cfg := BaseConfig()
+	cfg.Name = fmt.Sprintf("%dNT-%db-vc%d-ti%d-%s", spec.Subnets, spec.WidthBits, spec.VCDepth, spec.TIdle, spec.Metric)
+	cfg.Subnets = spec.Subnets
+	cfg.LinkWidthBits = spec.WidthBits
+	cfg.VCDepth = spec.VCDepth
+	cfg.TIdleDetect = spec.TIdle
+	cfg.Selector = SelectorCatnap
+	cfg.Gating = GatingCatnap
+	cfg.Metric = kind
+	cfg.MetricThreshold = spec.Threshold
+	cfg.Seed = spec.Seed
+	sim, err := simForCtx(ctx, cfg)
+	if err != nil {
+		return explore.Sample{}, err
+	}
+	res, err := sim.RunSyntheticCtx(ctx, traffic.UniformRandom{}, traffic.Constant(spec.Load), spec.Warmup, spec.Measure)
+	if err != nil {
+		return explore.Sample{}, err
+	}
+	return explore.Sample{
+		PowerW:     res.Power.Total,
+		Latency:    res.AvgLatency,
+		Accepted:   res.AcceptedThroughput,
+		CSCPercent: res.CSCPercent,
+	}, nil
 }
 
 // exploreOptions lowers the experiment options to the engine's.
@@ -236,7 +234,7 @@ func RunExplore(ctx context.Context, o ExperimentOpts) (*ExploreResult, error) {
 		o.Sweep.WorkerState = func() any { return NewSimPool() }
 	}
 	eopts := exploreOptions(o)
-	res, err := explore.Run(ctx, exploreEvaluator(o), eopts)
+	res, err := explore.Run(ctx, evaluateSpec, eopts)
 	if err != nil {
 		return nil, err
 	}

@@ -27,21 +27,28 @@ func skipGapSched() traffic.Schedule {
 	)
 }
 
+// setExecMode applies m to sim's network and keeps the congestion
+// detector's reference-scan setting in step with it. Simulator.Reset
+// arms idle skip on the incremental path; the differential arms that
+// must step every cycle, or run the reference scan, switch here.
+func setExecMode(sim *Simulator, m noc.ExecMode) {
+	sim.Net.SetExecMode(m)
+	if sim.Det != nil {
+		sim.Det.SetReferenceScan(m.ReferenceScan)
+	}
+}
+
 // skipSample runs one fixed synthetic measurement on the power-gated
-// Catnap design. reference selects the scan-based no-skip arm; rec, when
-// non-nil, attaches full telemetry. Warmup and measure are chosen so the
-// StartMeasure boundary (cycle 300) and the run end (cycle 2100) both
-// fall inside zero-load gaps — deadlines the skipping arm must land on
-// exactly, not jump past.
+// Catnap design. reference selects the scan-based arm, which steps every
+// cycle; rec, when non-nil, attaches full telemetry. Warmup and measure
+// are chosen so the StartMeasure boundary (cycle 300) and the run end
+// (cycle 2100) both fall inside zero-load gaps — deadlines the skipping
+// arm must land on exactly, not jump past.
 func skipSample(t *testing.T, reference bool, rec *telemetry.Recorder) Results {
 	t.Helper()
-	cfg := mustDesign("4NT-128b-PG")
-	cfg.NoIdleSkip = reference
-	sim := mustSim(cfg)
+	sim := mustSim(mustDesign("4NT-128b-PG"))
 	if reference {
-		m := sim.ExecMode()
-		m.ReferenceScan = true
-		sim.SetExecMode(m)
+		setExecMode(sim, noc.ExecMode{ReferenceScan: true})
 	}
 	if rec != nil {
 		sim.EnableTelemetry(rec, "skip-sample")
@@ -93,7 +100,7 @@ func TestIdleSkipTelemetryAcrossWindows(t *testing.T) {
 }
 
 // TestIdleSkipExecModeFlipsMidRun drives the Simulator through segmented
-// runs with SetExecMode changes at the segment boundaries — skipping
+// runs with execution-mode changes at the segment boundaries — skipping
 // disarmed mid-gap, reference scan through the second burst, skipping
 // re-armed for the idle tail — and checks the final results against an
 // uninterrupted reference run of the same total length.
@@ -104,18 +111,17 @@ func TestIdleSkipExecModeFlipsMidRun(t *testing.T) {
 	sim := mustSim(cfg)
 	sim.UseSynthetic(traffic.UniformRandom{}, skipGapSched(), 0)
 	segment := func(n int64, m noc.ExecMode) {
-		sim.SetExecMode(m)
+		setExecMode(sim, m)
 		sim.Run(n)
 	}
-	base := sim.ExecMode() // default: incremental, recycling, IdleSkip on
 	sim.Run(300)
 	sim.StartMeasure()
-	segment(300, noc.ExecMode{PacketRecycling: base.PacketRecycling}) // skip off, mid-gap
-	segment(600, noc.ExecMode{ReferenceScan: true})                   // reference scan through burst 2
-	segment(900, base)                                                // back to the default for the idle tail
+	segment(300, noc.ExecMode{})                    // skip off, mid-gap
+	segment(600, noc.ExecMode{ReferenceScan: true}) // reference scan through burst 2
+	segment(900, noc.ExecMode{IdleSkip: true})      // back to the default for the idle tail
 	fast := sim.StopMeasure()
 	if !reflect.DeepEqual(ref, fast) {
-		t.Fatalf("mid-run SetExecMode flips changed results\nref:  %+v\nfast: %+v", ref, fast)
+		t.Fatalf("mid-run execution-mode flips changed results\nref:  %+v\nfast: %+v", ref, fast)
 	}
 }
 

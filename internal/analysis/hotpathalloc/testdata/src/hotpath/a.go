@@ -21,8 +21,8 @@ func (r *ring) bad(n int) {
 	p := new(ring) // want `new in a hot-path function allocates`
 	_ = p
 	r.items = append(r.buf, n) // want `append outside the amortised`
-	fmt.Println(n)      // want `fmt\.Println in a hot-path function allocates`
-	lit := []int{n}     // want `slice literal in a hot-path function allocates`
+	fmt.Println(n)             // want `fmt\.Println in a hot-path function allocates`
+	lit := []int{n}            // want `slice literal in a hot-path function allocates`
 	_ = lit
 	m := map[int]int{n: n} // want `map literal in a hot-path function allocates`
 	_ = m

@@ -1,7 +1,7 @@
 // Package missingdoc requires a doc comment on every exported symbol of
 // the root catnap package — the library's public API surface, where the
-// Experiment/Opts/Deprecated-shim story is told entirely through doc
-// comments (EXPERIMENTS.md and README link straight into them). New
+// experiment registry and ExperimentOpts story is told entirely through
+// doc comments (EXPERIMENTS.md and README link straight into them). New
 // exported symbols land documented or not at all.
 //
 // The cmd/* main packages are held to the same bar: a main package has

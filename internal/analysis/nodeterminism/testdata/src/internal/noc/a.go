@@ -27,7 +27,7 @@ func newSim() *sim {
 }
 
 func (s *sim) clock() int64 {
-	t := time.Now() // want `time\.Now reads the wall clock`
+	t := time.Now()                 // want `time\.Now reads the wall clock`
 	_ = time.Since(time.Unix(0, 0)) // want `time\.Since reads the wall clock`
 	return t.UnixNano()
 }

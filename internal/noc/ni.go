@@ -105,8 +105,8 @@ type NI struct {
 	injQ      pktQueue
 	injQFlits int
 
-	// free is the packet freelist (ExecMode.PacketRecycling): delivered packets
-	// whose source is this node, awaiting reuse by NewPacket.
+	// free is the packet freelist: delivered packets whose source is
+	// this node, awaiting reuse by NewPacket.
 	free []*Packet
 
 	channels []subnetChannel

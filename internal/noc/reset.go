@@ -80,7 +80,6 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	// their SetExecMode after Reset exactly as they do after New. refScan
 	// is forced off directly (not via applyReferenceScan): the pristine
 	// state rebuilt below is already consistent with the incremental path.
-	n.recycle = false
 	n.refScan = false
 	n.idleSkip = false
 

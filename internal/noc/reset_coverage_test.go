@@ -85,7 +85,6 @@ func dirtyNetwork(t *testing.T) *Network {
 	net.AddObserver(covObserver{})
 	net.SetPowerTracer(covTracer{})
 	net.AddSink(func(now int64, p *Packet) {})
-	net.SetExecMode(ExecMode{PacketRecycling: true})
 	nodes := cfg.Nodes()
 	for c := 0; c < 400; c++ {
 		if c < 300 && c%2 == 0 {

@@ -84,9 +84,9 @@ func TestResetMatchesFreshExecModes(t *testing.T) {
 }
 
 // dirtyModeReset dirties the network under a non-default execution mode
-// (reference scan with packet recycling) before the Reset, so the reset
-// path has a scan-maintained idle-streak representation and a warmed
-// packet freelist to rewind.
+// (the reference scan) before the Reset, so the reset path has a
+// scan-maintained idle-streak representation and a warmed packet
+// freelist to rewind.
 func dirtyModeReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.Network {
 	t.Helper()
 	net, err := noc.New(warmCfg, core.NewRRSelector(warmCfg.Nodes()))
@@ -94,7 +94,7 @@ func dirtyModeReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.
 		t.Fatal(err)
 	}
 	net.SetGatingPolicy(core.BaselineGating{})
-	net.SetExecMode(noc.ExecMode{ReferenceScan: true, PacketRecycling: true})
+	net.SetExecMode(noc.ExecMode{ReferenceScan: true})
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.25), 11)
 	for i := 0; i < warmCycles; i++ {
 		gen.Tick(net.Now())

@@ -3,6 +3,8 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/csv"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -271,5 +273,74 @@ func TestLogRingBound(t *testing.T) {
 	}
 	if l.Total() != 10 || l.Dropped() != 6 {
 		t.Errorf("total=%d dropped=%d, want 10/6", l.Total(), l.Dropped())
+	}
+}
+
+// TestOpenFiles covers the command-line set-up: with both paths empty
+// the recorder is nil and finish does nothing; otherwise the event
+// stream holds every event and the metrics file, CSV or JSONL by
+// suffix, holds every metric point.
+func TestOpenFiles(t *testing.T) {
+	rec, finish, err := telemetry.OpenFiles("", "", 0)
+	if err != nil || rec != nil || finish() != nil {
+		t.Fatalf("both paths empty: recorder %v, err %v", rec, err)
+	}
+	for _, name := range []string{"m.jsonl", "m.csv"} {
+		dir := t.TempDir()
+		metricsPath, eventsPath := filepath.Join(dir, name), filepath.Join(dir, "e.jsonl")
+		rec, finish, err := telemetry.OpenFiles(metricsPath, eventsPath, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.SetGatingPolicy(core.BaselineGating{})
+		rec.Attach(net, nil, "files")
+		run(net, traffic.NewGenerator(net, traffic.UniformRandom{}, burstSchedule(), 42), 500)
+		if err := finish(); err != nil {
+			t.Fatal(err)
+		}
+
+		ef, err := os.Open(eventsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := telemetry.ReadAllEvents(ef)
+		ef.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) == 0 || int64(len(events)) != rec.Log().Total() {
+			t.Errorf("%s: event stream holds %d events, recorder saw %d", name, len(events), rec.Log().Total())
+		}
+
+		data, err := os.ReadFile(metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rec.Metrics()
+		if len(want) == 0 {
+			t.Fatal("no metric points")
+		}
+		if strings.HasSuffix(name, ".csv") {
+			rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+			if err != nil {
+				t.Fatalf("parse csv: %v", err)
+			}
+			if len(rows) != len(want)+1 {
+				t.Errorf("csv rows = %d, want %d (+header)", len(rows), len(want)+1)
+			}
+		} else {
+			got, err := telemetry.ReadAllMetrics(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("read jsonl: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("jsonl metrics file: %d points, want %d", len(got), len(want))
+			}
+		}
 	}
 }
