@@ -2,7 +2,6 @@ package catnap
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
@@ -11,8 +10,8 @@ import (
 // varies one design choice of the Catnap architecture around the paper's
 // operating point and measures the low-load power-gating benefit (CSC,
 // power) against the latency cost, on uniform random traffic at a light
-// and a moderate load. cmd/catnap exposes them via `ablation`;
-// ablation_test.go benchmarks them.
+// and a moderate load. Each study is the registry experiment
+// "ablation-<study>"; ablation_test.go benchmarks them.
 
 // AblationPoint is one (variant, load) measurement.
 type AblationPoint struct {
@@ -99,21 +98,10 @@ var AblationStudies = []AblationStudy{
 // light (deep-sleep regime) and moderate (transition-heavy regime).
 var AblationLoads = []float64{0.03, 0.15}
 
-// RunAblation executes the named study and returns one point per
-// (variant, load), each variant's loads in AblationLoads order. The
-// points run on the sweep engine with one worker per CPU; the signature
-// carries no context, so the run cannot be cancelled.
-func RunAblation(name string, sc Scale) ([]AblationPoint, error) {
-	var study *AblationStudy
-	for i := range AblationStudies {
-		if AblationStudies[i].Name == name {
-			study = &AblationStudies[i]
-			break
-		}
-	}
-	if study == nil {
-		return nil, fmt.Errorf("catnap: unknown ablation %q (have %v)", name, AblationNames())
-	}
+// runAblation executes study and returns one point per (variant, load),
+// each variant's loads in AblationLoads order. Every study measures at
+// AblationLoads, so o.Loads is ignored.
+func runAblation(ctx context.Context, o ExperimentOpts, study AblationStudy) ([]AblationPoint, error) {
 	cases := make([]loadCase[AblationPoint], len(study.Variants))
 	for i, v := range study.Variants {
 		cases[i] = loadCase[AblationPoint]{
@@ -134,18 +122,34 @@ func RunAblation(name string, sc Scale) ([]AblationPoint, error) {
 			},
 		}
 	}
-	o := ExperimentOpts{
-		Scale: sc, Loads: AblationLoads,
-		Sweep: SweepOptions{WorkerState: func() any { return NewSimPool() }},
-	}
-	return loadSweep(context.TODO(), o, cases)
+	o.Loads = AblationLoads
+	return loadSweep(ctx, o, cases)
 }
 
-// AblationNames lists the available studies.
-func AblationNames() []string {
-	out := make([]string, len(AblationStudies))
-	for i, s := range AblationStudies {
-		out[i] = s.Name
+// registerAblations registers one "ablation-<study>" experiment per
+// AblationStudies entry, in that order.
+func registerAblations() {
+	for _, study := range AblationStudies {
+		name := "ablation-" + study.Name
+		registerExperiment(ExperimentInfo{name, study.Doc, "study"},
+			func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
+				pts, err := runAblation(ctx, opts, study)
+				if err != nil {
+					return nil, err
+				}
+				res := &ExperimentResult{
+					Name:   name,
+					Header: []string{"variant", "offered", "power (W)", "CSC (%)", "latency (cyc)", "accepted"},
+					Data:   pts,
+				}
+				for _, p := range pts {
+					res.Rows = append(res.Rows, []string{
+						p.Variant, fcell(p.Offered, 2),
+						fcell(p.Results.Power.Total, 1), fcell(p.Results.CSCPercent, 1),
+						fcell(p.Results.AvgLatency, 1), fcell(p.Results.AcceptedThroughput, 3),
+					})
+				}
+				return res, nil
+			})
 	}
-	return out
 }

@@ -1,6 +1,10 @@
 package catnap
 
-import "testing"
+import (
+	"context"
+	"slices"
+	"testing"
+)
 
 // Ablation benchmarks: one per design-choice study DESIGN.md calls out.
 // Each reports the low-load CSC of the extreme variants so regressions in
@@ -8,11 +12,11 @@ import "testing"
 
 func benchAblation(b *testing.B, study string) {
 	for i := 0; i < b.N; i++ {
-		pts, err := RunAblation(study, benchScale)
+		res, err := RunExperiment(context.Background(), "ablation-"+study, ExperimentOpts{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range pts {
+		for _, p := range res.Data.([]AblationPoint) {
 			if p.Offered == AblationLoads[0] {
 				b.ReportMetric(p.Results.CSCPercent, p.Variant+"_CSC%")
 			}
@@ -42,11 +46,16 @@ func BenchmarkAblationRegion(b *testing.B) { benchAblation(b, "region") }
 func BenchmarkAblationSubnets(b *testing.B) { benchAblation(b, "subnets") }
 
 func TestAblationRegistry(t *testing.T) {
-	names := AblationNames()
-	if len(names) != 6 {
-		t.Fatalf("%d studies, want 6", len(names))
+	if len(AblationStudies) != 6 {
+		t.Fatalf("%d studies, want 6", len(AblationStudies))
 	}
-	if _, err := RunAblation("nope", Scale{Warmup: 10, Measure: 10}); err == nil {
+	names := ExperimentNames()
+	for _, s := range AblationStudies {
+		if !slices.Contains(names, "ablation-"+s.Name) {
+			t.Errorf("ablation-%s missing from the experiment registry %v", s.Name, names)
+		}
+	}
+	if _, err := RunExperiment(context.Background(), "ablation-nope", ExperimentOpts{}); err == nil {
 		t.Error("unknown study should error")
 	}
 }
@@ -54,12 +63,12 @@ func TestAblationRegistry(t *testing.T) {
 // TestAblationIdleDetectShape: a longer idle-detect window must not gate
 // more than a shorter one (it strictly delays sleep).
 func TestAblationIdleDetectShape(t *testing.T) {
-	pts, err := RunAblation("idle-detect", Scale{Warmup: 1000, Measure: 5000})
+	res, err := RunExperiment(context.Background(), "ablation-idle-detect", ExperimentOpts{Scale: Scale{Warmup: 1000, Measure: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	csc := map[string]float64{}
-	for _, p := range pts {
+	for _, p := range res.Data.([]AblationPoint) {
 		if p.Offered == AblationLoads[0] {
 			csc[p.Variant] = p.Results.CSCPercent
 		}

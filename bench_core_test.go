@@ -82,7 +82,7 @@ func buildCoreSim(sc coreScenario, ref bool) *Simulator {
 	if ref || !sc.skip {
 		// Step every cycle: the reference scan for the ref arm of an
 		// incremental scenario, plain incremental stepping otherwise.
-		setExecMode(sim, noc.ExecMode{ReferenceScan: ref && !sc.skip})
+		sim.Net.SetExecMode(noc.ExecMode{ReferenceScan: ref && !sc.skip})
 	}
 	return sim
 }

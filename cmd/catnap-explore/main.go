@@ -2,17 +2,18 @@
 // count, link width, buffer depth, idle-detect window, congestion
 // metric, gating threshold — for the power/latency Pareto front.
 //
-// Three layers make campaigns cheap to repeat, kill, and scale:
+// Two layers make campaigns cheap to repeat, kill, and scale:
 //
 //   - -cache DIR persists every evaluated point content-addressed by its
 //     canonical spec hash (append-only JSONL shards); re-running a
 //     campaign, or a different campaign overlapping the same points,
 //     costs map lookups instead of simulations. The end-of-run summary
-//     reports hits/misses.
-//   - -checkpoint FILE snapshots the frontier, sampling cursor, and
-//     pending batch atomically after every round. A killed campaign
-//     (Ctrl-C, OOM, machine loss) restarts from the snapshot and
-//     finishes with a frontier byte-identical to an uninterrupted run.
+//     reports hits/misses. The cache is also how a killed campaign
+//     (Ctrl-C, OOM, machine loss) resumes: rerun it with the same flags
+//     and the same -cache directory, and it replays every committed
+//     round as cache hits and finishes with a frontier byte-identical
+//     to an uninterrupted run. A rerun with a larger -budget replays
+//     the points it shares with the smaller run from the cache.
 //   - Adaptive sampling (the default) steers each batch toward ±1-step
 //     neighbors of current frontier members, spending -budget where the
 //     front actually is; -grid enumerates the space in order instead,
@@ -24,9 +25,9 @@
 // event-driven idle fast-forward on; the frontier table goes to stdout
 // and -front-out writes its deterministic JSON form.
 //
-// Example — a 200-point adaptive campaign, resumable and cached:
+// Example — a 200-point adaptive campaign, cached and so resumable:
 //
-//	catnap-explore -budget 200 -cache .explore/cache -checkpoint .explore/ckpt.json
+//	catnap-explore -budget 200 -cache .explore/cache
 package main
 
 import (
@@ -52,7 +53,7 @@ var (
 	thresholdsStr = flag.String("thresholds", "", "comma-separated metric thresholds, 0 = metric default (default 0,0.5,2)")
 	load          = flag.Float64("load", 0.10, "offered load every point is evaluated at (packets/node/cycle)")
 	budget        = flag.Int64("budget", 0, "max points to evaluate (0 = the whole space)")
-	batch         = flag.Int("batch", 0, "points per sampling round and checkpoint cadence (0 = 64)")
+	batch         = flag.Int("batch", 0, "points per sampling round (0 = 64)")
 	grid          = flag.Bool("grid", false, "enumerate the space in order instead of sampling adaptively")
 	exploreFrac   = flag.Float64("explore-frac", 0, "random-exploration fraction of each adaptive batch (0 = 0.25)")
 	minAccepted   = flag.Float64("min-accepted", 0, "feasibility floor as a fraction of offered load (0 = 0.9)")
@@ -60,8 +61,7 @@ var (
 	seed          = flag.Uint64("seed", 1, "simulation seed every point runs with")
 	warmup        = flag.Int64("warmup", 1000, "warmup cycles per point")
 	measure       = flag.Int64("measure", 4000, "measurement cycles per point")
-	cacheDir      = flag.String("cache", "", "result-cache directory (empty = in-memory only)")
-	checkpoint    = flag.String("checkpoint", "", "checkpoint file for kill/resume (empty = off)")
+	cacheDir      = flag.String("cache", "", "result-cache directory; rerun with the same flags and directory to resume (empty = in-memory only)")
 	frontOut      = flag.String("front-out", "", "write the frontier's deterministic JSON to this file")
 	jobs          = flag.Int("jobs", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 	reuse         = flag.Bool("reuse", true, "recycle one simulator per worker across evaluations instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
@@ -103,8 +103,8 @@ func explore() error {
 	r, err := catnap.RunExplore(ctx, opts)
 	prog.Finish()
 	if err != nil {
-		if ctx.Err() != nil && *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "catnap-explore: interrupted; rerun with the same flags to resume from %s\n", *checkpoint)
+		if ctx.Err() != nil && *cacheDir != "" {
+			fmt.Fprintf(os.Stderr, "catnap-explore: interrupted; rerun with the same flags to resume from %s\n", *cacheDir)
 		}
 		return err
 	}
@@ -171,7 +171,6 @@ func buildOpts() (catnap.ExperimentOpts, error) {
 	e.SampleSeed = *sampleSeed
 	e.SimSeed = *seed
 	e.CacheDir = *cacheDir
-	e.CheckpointPath = *checkpoint
 	opts.Scale = catnap.Scale{Warmup: *warmup, Measure: *measure}
 	opts.Sweep.Jobs = *jobs
 	opts.NoReuse = !*reuse

@@ -7,8 +7,11 @@
 //
 // The experiment list comes from the catnap.Experiments registry: fig2
 // table2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 headline —
-// plus, beyond the paper: profiles hetero topology, and
-// "ablation <study>". "designs" lists the registered configurations.
+// plus, beyond the paper: profiles hetero topology explore and the six
+// design-choice studies ablation-rcs ablation-threshold
+// ablation-idle-detect ablation-wakeup ablation-region ablation-subnets.
+// "list" prints the registry; "designs" lists the registered
+// configurations.
 //
 // Grid-shaped experiments run on the parallel sweep engine; -jobs
 // selects the worker count (default GOMAXPROCS) and -v logs every sweep
@@ -105,12 +108,6 @@ func mainCode() (code int) {
 			break
 		}
 		err = run(ctx, flag.Arg(0))
-	case 2:
-		if flag.Arg(0) != "ablation" {
-			usage()
-			return 2
-		}
-		err = runAblation(flag.Arg(1))
 	default:
 		usage()
 		return 2
@@ -172,41 +169,23 @@ func run(ctx context.Context, name string) error {
 	return nil
 }
 
-// runAblation renders one design-choice study around the Catnap
-// operating point.
-func runAblation(study string) error {
-	pts, err := catnap.RunAblation(study, scale())
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, p := range pts {
-		out = append(out, []string{
-			p.Variant, f(p.Offered, 2),
-			f(p.Results.Power.Total, 1), f(p.Results.CSCPercent, 1),
-			f(p.Results.AvgLatency, 1), f(p.Results.AcceptedThroughput, 3),
-		})
-	}
-	table([]string{"variant", "offered", "power (W)", "CSC (%)", "latency (cyc)", "accepted"}, out)
-	return nil
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: catnap [flags] <experiment>
 
-Experiments (each regenerates one table/figure of the ISCA'13 paper):
+Experiments (the paper's tables and figures, then the studies beyond it):
 `)
+	w := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
 	for _, e := range catnap.Experiments() {
-		fmt.Fprintf(os.Stderr, "  %-9s %s\n", e.Name, e.Description)
+		fmt.Fprintf(w, "  %s\t%s\n", e.Name, e.Description)
 	}
+	w.Flush()
 	fmt.Fprintf(os.Stderr, `
-Listings and studies:
+Listings:
   list               the experiment registry with kinds
   designs            list registered network configurations
-  ablation <study>   studies: %s
 
 Flags:
-`, strings.Join(catnap.AblationNames(), " "))
+`)
 	flag.PrintDefaults()
 }
 
@@ -244,5 +223,3 @@ func table(header []string, rows [][]string) {
 	}
 	w.Flush()
 }
-
-func f(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }

@@ -58,8 +58,8 @@ type ExperimentOpts struct {
 	// telemetry series window, in cycles; 0 means the paper's 50.
 	Window int64
 	// Explore parameterizes the "explore" design-space search (space,
-	// budget, sampling mode, cache and checkpoint paths); other
-	// experiments ignore it.
+	// budget, sampling mode, cache directory); other experiments ignore
+	// it.
 	Explore ExploreOpts
 	// Sweep configures the parallel engine (worker count, per-point
 	// timeout, progress reporting).
@@ -490,4 +490,10 @@ func init() {
 			}
 			return res, nil
 		})
+
+	// The studies defined in other files register here, last, so the
+	// registry order does not depend on the order Go runs each file's
+	// init.
+	registerExplore()
+	registerAblations()
 }

@@ -16,7 +16,8 @@ import (
 // ExperimentOpts, evaluateSpec lowers an explore.Spec to a Config
 // and measures it, and the "explore" registry entry renders the Pareto
 // front as an experiment table. cmd/catnap-explore is the full-featured
-// shell (cache, checkpoint/resume, frontier output) over RunExplore.
+// shell (persistent cache, resume by rerun, frontier output) over
+// RunExplore.
 
 // ExploreSpace is the searched configuration grid; see explore.Space for
 // the axis semantics.
@@ -32,7 +33,8 @@ type ExploreCacheStats = explore.CacheStats
 // search over (subnets, link width, buffer depth, idle-detect window,
 // congestion metric, gating threshold) for the power/latency Pareto
 // front. The zero value searches the default space adaptively at load
-// 0.10 with an in-memory cache and no checkpointing.
+// 0.10 with an in-memory cache, so a cancelled campaign restarts from
+// zero; set CacheDir to make it resumable.
 type ExploreOpts struct {
 	// Space is the searched grid; zero-valued axes fall back to the
 	// defaults (explore.DefaultSpace) axis by axis.
@@ -43,8 +45,8 @@ type ExploreOpts struct {
 	// Budget caps the number of points evaluated; <= 0 means the whole
 	// space.
 	Budget int64
-	// Batch is the points-per-round granularity (also the checkpoint
-	// cadence); 0 selects the engine default of 64.
+	// Batch is the number of points proposed per sampling round; 0
+	// selects the engine default of 64.
 	Batch int
 	// Grid enumerates the space in order instead of sampling adaptively.
 	Grid bool
@@ -61,9 +63,9 @@ type ExploreOpts struct {
 	SampleSeed uint64
 	SimSeed    uint64
 	// CacheDir is the on-disk result cache; "" keeps results in memory.
+	// Rerunning a cancelled campaign with the same options and CacheDir
+	// resumes it: committed rounds replay as cache hits.
 	CacheDir string
-	// CheckpointPath enables checkpoint/resume when non-empty.
-	CheckpointPath string
 }
 
 // validate checks the explore knobs with ExperimentOpts.Validate's
@@ -140,7 +142,7 @@ type ExploreResult struct {
 
 // WriteFront writes the frontier's deterministic JSON serialization:
 // identical campaigns produce byte-identical output regardless of worker
-// count, cache state, or kill/resume history.
+// count, cache state, or kill-and-rerun history.
 func (r *ExploreResult) WriteFront(w io.Writer) error {
 	return r.Front.WriteTo(w, r.Space, r.Eval)
 }
@@ -209,7 +211,7 @@ func exploreOptions(o ExperimentOpts) explore.Options {
 		},
 		Budget: e.Budget, Batch: e.Batch, Grid: e.Grid,
 		ExploreFrac: e.ExploreFrac, MinAccepted: e.MinAccepted,
-		Seed: sampleSeed, CacheDir: e.CacheDir, CheckpointPath: e.CheckpointPath,
+		Seed: sampleSeed, CacheDir: e.CacheDir,
 		Jobs: o.Sweep.Jobs, Timeout: o.Sweep.Timeout, Progress: o.Sweep.Progress,
 		WorkerState: o.Sweep.WorkerState,
 	}
@@ -222,8 +224,9 @@ var DefaultExploreScale = Scale{Warmup: 1000, Measure: 4000}
 
 // RunExplore executes a design-space exploration campaign with the
 // production evaluator. Cancellation of ctx stops the campaign between
-// simulated cycles; with a checkpoint configured, a later call resumes
-// it losslessly.
+// simulated cycles; with a CacheDir set, a later call with the same
+// options resumes it from the cache and finishes with the same front as
+// an uninterrupted run.
 func RunExplore(ctx context.Context, o ExperimentOpts) (*ExploreResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -246,7 +249,8 @@ func RunExplore(ctx context.Context, o ExperimentOpts) (*ExploreResult, error) {
 	}, nil
 }
 
-func init() {
+// registerExplore registers the "explore" experiment.
+func registerExplore() {
 	registerExperiment(ExperimentInfo{"explore", "Pareto-front search over the Catnap design space (cached, adaptive)", "study"},
 		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
 			start := time.Now()

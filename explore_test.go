@@ -3,8 +3,11 @@ package catnap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"github.com/catnap-noc/catnap/internal/runner"
 )
 
 // tinyExploreOpts is a minutes-not-hours campaign for integration tests:
@@ -71,6 +74,58 @@ func TestRunExploreEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(cold.Bytes(), warmBuf.Bytes()) {
 		t.Fatal("warm-cache frontier differs from cold frontier")
+	}
+}
+
+// TestRunExploreKillAndRerun cancels a production campaign after its
+// fifth finished point, then reruns it on the same cache directory: the
+// rerun must replay the finished points from the cache and end with the
+// front of an uninterrupted run.
+func TestRunExploreKillAndRerun(t *testing.T) {
+	opts := tinyExploreOpts()
+	opts.Explore.Batch = 4
+	opts.Sweep.Jobs = 1
+	want, err := RunExplore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantFront bytes.Buffer
+	if err := want.WriteFront(&wantFront); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Explore.CacheDir = filepath.Join(t.TempDir(), "cache")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killed := opts
+	done := 0
+	killed.Sweep.Progress = runner.ProgressFunc(func(e runner.Event) {
+		if e.Kind == runner.PointDone {
+			if done++; done == 5 {
+				cancel()
+			}
+		}
+	})
+	if _, err := RunExplore(ctx, killed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed campaign returned %v, want context.Canceled", err)
+	}
+
+	got, err := RunExplore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cache.Hits < 5 {
+		t.Fatalf("rerun replayed %d points from the cache, want >= 5: %+v", got.Cache.Hits, got.Cache)
+	}
+	if got.Proposed != want.Proposed {
+		t.Fatalf("rerun proposed %d points, uninterrupted run %d", got.Proposed, want.Proposed)
+	}
+	var gotFront bytes.Buffer
+	if err := got.WriteFront(&gotFront); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFront.Bytes(), wantFront.Bytes()) {
+		t.Fatalf("rerun front differs from uninterrupted run:\nrerun: %s\nwant: %s", gotFront.Bytes(), wantFront.Bytes())
 	}
 }
 

@@ -27,17 +27,6 @@ func skipGapSched() traffic.Schedule {
 	)
 }
 
-// setExecMode applies m to sim's network and keeps the congestion
-// detector's reference-scan setting in step with it. Simulator.Reset
-// arms idle skip on the incremental path; the differential arms that
-// must step every cycle, or run the reference scan, switch here.
-func setExecMode(sim *Simulator, m noc.ExecMode) {
-	sim.Net.SetExecMode(m)
-	if sim.Det != nil {
-		sim.Det.SetReferenceScan(m.ReferenceScan)
-	}
-}
-
 // skipSample runs one fixed synthetic measurement on the power-gated
 // Catnap design. reference selects the scan-based arm, which steps every
 // cycle; rec, when non-nil, attaches full telemetry. Warmup and measure
@@ -48,7 +37,7 @@ func skipSample(t *testing.T, reference bool, rec *telemetry.Recorder) Results {
 	t.Helper()
 	sim := mustSim(mustDesign("4NT-128b-PG"))
 	if reference {
-		setExecMode(sim, noc.ExecMode{ReferenceScan: true})
+		sim.Net.SetExecMode(noc.ExecMode{ReferenceScan: true})
 	}
 	if rec != nil {
 		sim.EnableTelemetry(rec, "skip-sample")
@@ -111,7 +100,7 @@ func TestIdleSkipExecModeFlipsMidRun(t *testing.T) {
 	sim := mustSim(cfg)
 	sim.UseSynthetic(traffic.UniformRandom{}, skipGapSched(), 0)
 	segment := func(n int64, m noc.ExecMode) {
-		setExecMode(sim, m)
+		sim.Net.SetExecMode(m)
 		sim.Run(n)
 	}
 	sim.Run(300)

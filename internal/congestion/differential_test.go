@@ -43,7 +43,6 @@ func runDetector(t *testing.T, kind congestion.MetricKind, ref bool, cycles int,
 	net.SetSelector(core.NewCatnapSelector(det, net.Config().Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
 	net.SetExecMode(noc.ExecMode{ReferenceScan: ref})
-	det.SetReferenceScan(ref)
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(load), 41)
 	for i := 0; i < cycles; i++ {

@@ -190,11 +190,6 @@ type Detector struct {
 	lastHot []int64 // last cycle the raw metric exceeded Threshold
 	rcs     []bool  // [subnet*regions + region], latched every RCSPeriod
 
-	// refScan selects the retained full-mesh scan in AfterCycle; the
-	// default fast path visits only candidate nodes (nonzero raw metric
-	// or LCS currently set), which is exact because a zero sample can
-	// neither set an LCS (Threshold >= 0) nor clear one that is not set.
-	refScan bool
 	// lcsBits[s] mirrors lcs as a bitmap over node ids, maintained in
 	// both modes.
 	lcsBits [][]uint64
@@ -276,7 +271,6 @@ func (d *Detector) Reset(net *noc.Network, cfg Config) {
 		d.lastHot[i] = -1 << 62
 	}
 	d.rcs = resetSlice(d.rcs, d.subnets*d.regions)
-	d.refScan = false
 	d.epoch = 0
 	d.winStart = 0
 	d.prevInjected = resetSlice(d.prevInjected, d.nodes)
@@ -317,12 +311,6 @@ func resetSlice[T any](s []T, n int) []T {
 	clear(s) // bulk typed memclr: one barrier sweep, not one per element
 	return s
 }
-
-// SetReferenceScan switches the detector between the incremental
-// candidate-driven sampling path (default) and the retained full-mesh
-// scan. Both latch identical LCS/RCS sequences; the scan exists for
-// differential tests and honest benchmark baselines.
-func (d *Detector) SetReferenceScan(on bool) { d.refScan = on }
 
 // Epoch returns a counter that changes on every LCS or RCS transition.
 // Gating policies that are pure functions of detector state expose it via
@@ -388,7 +376,7 @@ func (d *Detector) AfterCycle(now int64) {
 		d.winStart = now
 	}
 
-	if d.refScan || d.cfg.Threshold < 0 {
+	if d.net.ReferenceScan() || d.cfg.Threshold < 0 {
 		for s := 0; s < d.subnets; s++ {
 			for n := 0; n < d.nodes; n++ {
 				d.updateLCS(now, s, n, d.sampleScan(s, n))
@@ -434,7 +422,7 @@ func (d *Detector) AfterCycle(now int64) {
 // that close). The full-scan modes veto outright: they do real work every
 // cycle by design.
 func (d *Detector) NextIdleEvent(now int64) (int64, bool) {
-	if d.refScan || d.cfg.Threshold < 0 {
+	if d.net.ReferenceScan() || d.cfg.Threshold < 0 {
 		return 0, false
 	}
 	for s := 0; s < d.subnets; s++ {
@@ -642,7 +630,7 @@ func (d *Detector) latchRCS(now int64) {
 		for i := range regionOr {
 			regionOr[i] = false
 		}
-		if d.refScan {
+		if d.net.ReferenceScan() {
 			for n := 0; n < d.nodes; n++ {
 				if d.lcs[s*d.nodes+n] {
 					regionOr[d.nodeRegion[n]] = true

@@ -29,8 +29,8 @@ type Options struct {
 	// Budget caps the number of points proposed for evaluation; <= 0 (or
 	// anything above the space size) means the whole space.
 	Budget int64
-	// Batch is the number of points proposed per sampling round — also
-	// the checkpoint granularity. <= 0 selects 64.
+	// Batch is the number of points proposed per sampling round. <= 0
+	// selects 64.
 	Batch int
 	// Grid enumerates the space in flat-index order instead of sampling
 	// adaptively. It is the measurable baseline for the adaptive mode.
@@ -48,14 +48,13 @@ type Options struct {
 	// Seed drives the sampling RNG (not the simulations — that is
 	// Eval.Seed). Each round r uses an independent stream derived from
 	// (Seed, r), so the point sequence is a pure function of the
-	// campaign identity and survives kill/resume.
+	// campaign's options and a rerun re-proposes the same points.
 	Seed uint64
 	// CacheDir is the result-cache directory; "" means in-memory only.
+	// A persistent cache is what makes a campaign resumable: rerunning a
+	// killed campaign with the same options and CacheDir replays its
+	// committed rounds as cache hits.
 	CacheDir string
-	// CheckpointPath, when non-empty, enables checkpoint/resume: the
-	// campaign state is snapshotted there atomically at every round, and
-	// Run resumes from it when it exists.
-	CheckpointPath string
 	// Jobs, Timeout, and Progress are passed through to the runner pool
 	// for each round's evaluations.
 	Jobs     int
@@ -113,13 +112,13 @@ type Result struct {
 	Cache CacheStats
 }
 
-// Run executes a campaign: propose a batch, checkpoint it, evaluate it
-// through the runner pool (cache-first), commit outcomes to the frontier
-// in deterministic point order, repeat until the budget or the space is
-// exhausted. With a CheckpointPath, a previously killed campaign resumes
-// from its snapshot and — because commits are idempotent and the point
-// sequence is a pure function of the campaign identity — finishes with a
-// frontier byte-identical to an uninterrupted run's.
+// Run executes a campaign: propose a batch, evaluate it through the
+// runner pool (cache-first), commit outcomes to the frontier in
+// deterministic point order, repeat until the budget or the space is
+// exhausted. propose is a pure function of the space, the front, the
+// seen set, and the round, so rerunning a killed campaign with the same
+// options and CacheDir replays every committed round from the cache and
+// finishes with a frontier byte-identical to an uninterrupted run's.
 func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 	if ev == nil {
 		return nil, errors.New("explore: nil Evaluator")
@@ -145,7 +144,6 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 	if budget <= 0 || budget > size {
 		budget = size
 	}
-	id := identity(sp, opts.Eval, opts.Seed, opts.Grid, batch)
 
 	cache, err := OpenCache(opts.CacheDir)
 	if err != nil {
@@ -153,62 +151,20 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 	}
 	defer cache.Close()
 
-	// Campaign state: restored from the checkpoint when one exists.
 	seen := make(map[int64]struct{})
 	front := &Front{}
-	var pending []int64
 	round := 0
 	var evaluated, infeasible, failures int64
-	if opts.CheckpointPath != "" {
-		ck, err := readCheckpoint(opts.CheckpointPath, id)
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil {
-			if seen, err = decodeIndices(ck.Seen); err != nil {
-				return nil, err
-			}
-			front.pts = append(front.pts, ck.Front...)
-			if err := front.CheckInvariants(); err != nil {
-				return nil, fmt.Errorf("explore: checkpoint %s: %w", opts.CheckpointPath, err)
-			}
-			if h := front.Hash(); h != ck.FrontHash {
-				return nil, fmt.Errorf("explore: checkpoint %s: front hash %s, recorded %s", opts.CheckpointPath, h, ck.FrontHash)
-			}
-			round, pending = ck.Round, ck.Pending
-			evaluated, infeasible, failures = ck.Evaluated, ck.Infeasible, ck.Failures
-		}
-	}
-
-	save := func() error {
-		if opts.CheckpointPath == "" {
-			return nil
-		}
-		return writeCheckpoint(opts.CheckpointPath, &checkpoint{
-			Version: checkpointVersion, Identity: id,
-			Round: round, Evaluated: evaluated, Infeasible: infeasible, Failures: failures,
-			Seen: encodeIndices(seen), Pending: pending,
-			Front: front.Points(), FrontHash: front.Hash(),
-		})
-	}
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		pending := propose(sp, front, seen, proposeParams{
+			round: round, batch: batch, budget: budget,
+			grid: opts.Grid, exploreFrac: exploreFrac, seed: opts.Seed,
+		})
 		if len(pending) == 0 {
-			pending = propose(sp, front, seen, proposeParams{
-				round: round, batch: batch, budget: budget,
-				grid: opts.Grid, exploreFrac: exploreFrac, seed: opts.Seed,
-			})
-			if len(pending) == 0 {
-				break
-			}
-			// Snapshot with the new batch pending: a kill anywhere between
-			// here and the commit replays exactly this batch on resume.
-			if err := save(); err != nil {
-				return nil, err
-			}
+			break
 		}
 
 		points := make([]runner.Point[Sample], len(pending))
@@ -235,20 +191,16 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 		}
 		out, err := runner.Run(ctx, points, runner.Options{Jobs: opts.Jobs, Timeout: opts.Timeout, Progress: opts.Progress, WorkerState: opts.WorkerState})
 		if err != nil {
-			// Cancelled mid-batch: the checkpoint still carries this batch
-			// as pending, and every completed point is in the cache, so a
-			// resume replays it losslessly.
+			// Cancelled mid-batch: every completed point is already in
+			// the cache, so a rerun replays this batch from there.
 			return nil, err
 		}
 
-		// Commit in point order. Membership in seen makes a replayed
-		// commit a no-op, and the fixed order makes frontier membership
-		// deterministic at any worker count.
+		// Commit in point order: the fixed order makes frontier
+		// membership deterministic at any worker count. propose never
+		// repeats a seen index, so every commit is a new point.
 		for i, o := range out {
 			idx := pending[i]
-			if _, dup := seen[idx]; dup {
-				continue
-			}
 			seen[idx] = struct{}{}
 			if o.Err != nil {
 				failures++
@@ -262,13 +214,9 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 			}
 			front.Insert(Point{Index: idx, PowerW: s.PowerW, Latency: s.Latency, Accepted: s.Accepted, CSCPercent: s.CSCPercent})
 		}
-		pending = nil
 		round++
 	}
 
-	if err := save(); err != nil {
-		return nil, err
-	}
 	return &Result{
 		Front: front, SpaceSize: size,
 		Proposed: int64(len(seen)), Evaluated: evaluated, Infeasible: infeasible, Failures: failures,
@@ -298,7 +246,7 @@ type proposeParams struct {
 // done: budget spent or no reachable unseen point.
 //
 // Everything here is a pure function of (space, front, seen, params), so
-// a resumed campaign re-proposes exactly what the killed one would have.
+// a rerun of a killed campaign re-proposes exactly what it proposed.
 func propose(sp Space, front *Front, seen map[int64]struct{}, p proposeParams) []int64 {
 	remaining := p.budget - int64(len(seen))
 	if remaining <= 0 {

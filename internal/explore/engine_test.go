@@ -168,27 +168,39 @@ func TestEngineWarmCacheBitIdentical(t *testing.T) {
 	}
 }
 
+// failingEval is synthEval with a deterministic failure on one slice of
+// the space, so a campaign also has failed points to count.
+func failingEval(ctx context.Context, spec Spec) (Sample, error) {
+	if spec.VCDepth == 2 && spec.Metric == "Delay" {
+		return Sample{}, errors.New("synthetic failure")
+	}
+	return synthEval(ctx, spec)
+}
+
 // TestEngineKillResumeBitIdentical is the resumability acceptance test:
 // a campaign killed after every possible number of evaluations, then
-// resumed, must finish with a frontier byte-identical to an
-// uninterrupted run's.
+// rerun on the same cache directory, must finish with a frontier
+// byte-identical to an uninterrupted run's and with the same counters.
+// Failed points are not cached, so the rerun retries them and they fail
+// again.
 func TestEngineKillResumeBitIdentical(t *testing.T) {
 	sp := testSpace()
 	baseOpts := testOptions(sp)
 	baseOpts.Budget = 24
 	baseOpts.Batch = 8
-	baseline, err := Run(context.Background(), synthEval, baseOpts)
+	baseline, err := Run(context.Background(), failingEval, baseOpts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if baseline.Failures == 0 || baseline.Infeasible == 0 {
+		t.Fatalf("baseline has no failed or infeasible points to compare: %+v", baseline)
 	}
 	want := frontBytes(t, baseline, sp, baseOpts.Eval)
 
 	for _, killAfter := range []int64{1, 5, 8, 9, 17, 23} {
 		t.Run(fmt.Sprintf("kill-after-%d", killAfter), func(t *testing.T) {
-			dir := t.TempDir()
 			opts := baseOpts
-			opts.CacheDir = filepath.Join(dir, "cache")
-			opts.CheckpointPath = filepath.Join(dir, "ckpt.json")
+			opts.CacheDir = filepath.Join(t.TempDir(), "cache")
 			opts.Jobs = 1 // make the kill point exact
 
 			// First run: the evaluator pulls the plug mid-campaign.
@@ -199,19 +211,23 @@ func TestEngineKillResumeBitIdentical(t *testing.T) {
 				if evals.Add(1) >= killAfter {
 					cancel()
 				}
-				return synthEval(ctx, spec)
+				return failingEval(ctx, spec)
 			}
 			if _, err := Run(ctx, killing, opts); !errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
 
-			// Resume: same cache and checkpoint, fresh context.
-			resumed, err := Run(context.Background(), synthEval, opts)
+			// Rerun: same options and cache, fresh context.
+			resumed, err := Run(context.Background(), failingEval, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if resumed.Proposed != baseline.Proposed {
 				t.Fatalf("resumed campaign proposed %d points, baseline %d", resumed.Proposed, baseline.Proposed)
+			}
+			if resumed.Evaluated != baseline.Evaluated || resumed.Infeasible != baseline.Infeasible ||
+				resumed.Failures != baseline.Failures || resumed.Rounds != baseline.Rounds {
+				t.Fatalf("resumed counters %+v differ from baseline %+v", resumed, baseline)
 			}
 			got := frontBytes(t, resumed, sp, opts.Eval)
 			if !bytes.Equal(got, want) {
@@ -223,11 +239,9 @@ func TestEngineKillResumeBitIdentical(t *testing.T) {
 
 func TestEngineResumeOfFinishedCampaignIsNoop(t *testing.T) {
 	sp := testSpace()
-	dir := t.TempDir()
 	opts := testOptions(sp)
 	opts.Budget = 12
-	opts.CacheDir = filepath.Join(dir, "cache")
-	opts.CheckpointPath = filepath.Join(dir, "ckpt.json")
+	opts.CacheDir = filepath.Join(t.TempDir(), "cache")
 	first, err := Run(context.Background(), synthEval, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"sort"
@@ -31,7 +29,7 @@ type Point struct {
 // Ties are resolved first-wins: a candidate equal to a member in both
 // objectives is dominated. With a deterministic insertion order this
 // makes the front's exact membership reproducible, which the
-// checkpoint/resume bit-identity guarantee relies on.
+// kill-and-rerun bit-identity guarantee relies on.
 type Front struct {
 	pts []Point
 }
@@ -112,8 +110,8 @@ func itoa(i int) string {
 
 // frontFile is the deterministic serialization of a front: one record
 // per member in power order, each with its materialized spec. Identical
-// campaigns produce byte-identical files — the property the resume and
-// warm-cache CI checks compare.
+// campaigns produce byte-identical files — the property the warm-rerun
+// and extend checks of the CI smoke job compare.
 type frontFile struct {
 	Points []frontRecord `json:"front"`
 }
@@ -133,13 +131,4 @@ func (f *Front) WriteTo(w io.Writer, sp Space, eval EvalParams) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// Hash returns a short hex digest of the front's deterministic
-// serialization (indices and objectives only) for cheap equality checks
-// in checkpoints and logs.
-func (f *Front) Hash() string {
-	b, _ := json.Marshal(f.pts)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
 }

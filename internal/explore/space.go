@@ -2,16 +2,14 @@
 // cmd/catnap-explore: it searches a discrete Catnap configuration space
 // (subnet count, link width, buffer depth, idle-detect window,
 // congestion metric, gating threshold) for the power/latency Pareto
-// front. Three layers make campaigns cheap to repeat, kill, and scale:
+// front. Two layers make campaigns cheap to repeat, kill, and scale:
 //
 //   - a content-addressed result cache (internal to the campaign
 //     directory): every evaluated point is persisted under the hash of
 //     its canonical spec, so re-runs and overlapping sweeps cost a map
-//     lookup instead of a simulation;
-//   - atomic checkpoint/resume: the frontier, sampling cursor, and
-//     pending-point set snapshot after every batch, so a killed campaign
-//     restarts losslessly and — together with the cache — produces a
-//     frontier byte-identical to an uninterrupted run;
+//     lookup instead of a simulation. It is also the resume mechanism:
+//     a killed campaign rerun with the same options and cache directory
+//     replays its committed rounds as cache hits;
 //   - adaptive sampling: an incrementally maintained Pareto front
 //     (O(log n) dominance checks) steers refinement toward the
 //     neighborhood of the front instead of a dumb grid, with a grid mode
@@ -24,7 +22,7 @@
 // (space, eval params, seed, batch size) reproduce the identical point
 // sequence, and the frontier insertion order is fixed, so the final
 // front is bit-identical at any worker count, with any cache state, and
-// across kill/resume cycles.
+// across kill-and-rerun cycles.
 package explore
 
 import (
@@ -203,14 +201,6 @@ func (sp Space) neighbors(idx int64, dst []int64) []int64 {
 		}
 	}
 	return dst
-}
-
-// Canonical returns the space's canonical one-line serialization: every
-// axis with its sorted-as-given value list. It feeds the campaign
-// identity hash that guards checkpoints against space drift.
-func (sp Space) Canonical() string {
-	return fmt.Sprintf("subnets=%v widths=%v vcdepths=%v tidles=%v metrics=%v thresholds=%v",
-		sp.Subnets, sp.Widths, sp.VCDepths, sp.TIdles, sp.Metrics, sp.Thresholds)
 }
 
 func dupInts(v []int) bool {

@@ -207,10 +207,9 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	tr := &diffTracer{}
 	net.SetPowerTracer(tr)
 
-	var det *congestion.Detector
 	switch o.gating {
 	case "catnap", "opaque":
-		det = congestion.NewDetector(net, congestion.Default(congestion.BFM))
+		det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
 		det.SetTracer(tr)
 		net.AddObserver(det)
 		net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
@@ -232,13 +231,7 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	net.AddObserver(probe)
 
 	mode := noc.ExecMode{ReferenceScan: o.ref, IdleSkip: o.skip}
-	apply := func() {
-		net.SetExecMode(mode)
-		if det != nil {
-			det.SetReferenceScan(mode.ReferenceScan)
-		}
-	}
-	apply()
+	net.SetExecMode(mode)
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, o.sched, 99)
 	flipRef := append([]int(nil), o.flipRef...)
@@ -250,12 +243,12 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 		if len(flipRef) > 0 && int64(flipRef[0]) <= now {
 			flipRef = flipRef[1:]
 			mode.ReferenceScan = !mode.ReferenceScan
-			apply()
+			net.SetExecMode(mode)
 		}
 		if len(flipSkip) > 0 && int64(flipSkip[0]) <= now {
 			flipSkip = flipSkip[1:]
 			mode.IdleSkip = !mode.IdleSkip
-			apply()
+			net.SetExecMode(mode)
 		}
 		if len(drainAt) > 0 && int64(drainAt[0]) <= now {
 			drainAt = drainAt[1:]

@@ -13,7 +13,8 @@ type ExecMode struct {
 	// ReferenceScan selects the retained O(nodes) scan-based stepping
 	// path instead of the incremental O(active) one. It also disables
 	// idle fast-forward: the reference path is the baseline the skipping
-	// path is differenced against.
+	// path is differenced against. A congestion.Detector over the
+	// network follows this setting with its own full-mesh scan.
 	ReferenceScan bool
 	// IdleSkip arms event-driven idle fast-forward: when the network is
 	// fully quiescent, TrySkipIdle jumps simulated time directly to the

@@ -152,6 +152,10 @@ func (n *Network) applyReferenceScan(on bool) {
 }
 
 // ReferenceScan reports whether the scan-based reference path is active.
+// A congestion detector over the network reads it every cycle to pick
+// its own scan or incremental sampling path.
+//
+//catnap:hotpath read by the congestion detector's observer every cycle
 func (n *Network) ReferenceScan() bool { return n.refScan }
 
 // SetSelector replaces the subnet-selection policy. Policies that read
