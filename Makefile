@@ -16,7 +16,8 @@ all: check
 check: build lint test check-race race bench-telemetry bench-core
 
 # lint is the single static-analysis entry point: a gofmt check over
-# every tracked .go file, go vet, and the in-tree catnap-lint suite
+# every tracked .go file, go vet (on the root module and on bench/, its
+# own module, which ./... does not reach), and the in-tree catnap-lint suite
 # (nodeterminism, hotpathalloc, contractflow, resetcoverage, missingdoc
 # — see DESIGN.md "Static analysis"). -time prints the per-analyzer
 # wall-time breakdown so a slow check is attributable.
@@ -26,6 +27,7 @@ lint:
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) run ./cmd/catnap-lint -time ./...
 
 # check-race runs the noc + congestion + root differential suites under

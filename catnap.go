@@ -109,12 +109,6 @@ type Config struct {
 	// synthetic traffic, which may use every VC.
 	AppTraffic bool
 
-	// RealCoherence replaces the statistical 4-hop directory model with
-	// the stateful MESI directory (per-block state, sharer bitmaps,
-	// invalidation fan-out). The paper experiments use the statistical
-	// model; this mode supports protocol-level studies.
-	RealCoherence bool
-
 	// OrderedForward pins the point-to-point-ordered message class
 	// (directory request forwarding) to subnet 0, implementing §2.3's
 	// "messages which require point-to-point ordering can be mapped to

@@ -224,36 +224,6 @@ type testBuffer struct{ n int }
 
 func (b *testBuffer) Write(p []byte) (int, error) { b.n += len(p); return len(p), nil }
 
-func TestRealCoherenceFacade(t *testing.T) {
-	cfg := mustDesign("4NT-128b-PG")
-	cfg.AppTraffic = true
-	cfg.RealCoherence = true
-	sim := mustSim(cfg)
-	sys, err := sim.UseMix("Medium-Heavy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(2000)
-	sim.StartMeasure()
-	sim.Run(6000)
-	res := sim.StopMeasure()
-	if res.SystemIPC <= 0 || res.PacketsDelivered == 0 {
-		t.Fatalf("stateful coherence stalled: %+v", res)
-	}
-	if err := sys.CheckCoherence(false); err != nil {
-		t.Fatal(err)
-	}
-	getS, getM, _, _, _, _, _ := sys.CoherenceStats()
-	if getS == 0 || getM == 0 {
-		t.Error("no protocol traffic")
-	}
-	// The Catnap behaviour must survive the protocol swap: real traffic
-	// still concentrates in the lower subnets at this load.
-	if res.SubnetShare[0] < 0.3 {
-		t.Errorf("subnet shares %v under stateful coherence", res.SubnetShare)
-	}
-}
-
 func TestTorusDesigns(t *testing.T) {
 	mesh := mustSim(mustDesign("4NT-128b-PG"))
 	torus := mustSim(mustDesign("4NT-128b-PG-torus"))

@@ -193,7 +193,7 @@ func parseLoads(s string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 || v > 1 {
+		if err != nil || !(v > 0 && v <= 1) {
 			return nil, fmt.Errorf("bad load %q (want a fraction in (0,1])", part)
 		}
 		out = append(out, v)

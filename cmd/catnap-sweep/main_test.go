@@ -16,7 +16,7 @@ func TestParseLoads(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	for _, bad := range []string{"", "0", "1.5", "abc", "-0.1", ",,"} {
+	for _, bad := range []string{"", "0", "1.5", "abc", "-0.1", ",,", "NaN"} {
 		if _, err := parseLoads(bad); err == nil {
 			t.Errorf("parseLoads(%q) accepted", bad)
 		}

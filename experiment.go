@@ -89,7 +89,7 @@ func (o ExperimentOpts) Validate() error {
 		return fmt.Errorf("catnap: ExperimentOpts.Scale.Measure = %d, want >= 0 cycles", o.Scale.Measure)
 	}
 	for i, l := range o.Loads {
-		if l <= 0 || l > 1 {
+		if !(l > 0 && l <= 1) {
 			return fmt.Errorf("catnap: ExperimentOpts.Loads[%d] = %g, want a load in (0, 1] packets/node/cycle", i, l)
 		}
 	}

@@ -80,16 +80,16 @@ func (o ExploreOpts) validate(prefix string) error {
 			return fmt.Errorf("catnap: %s.Space.Metrics: %w", prefix, err)
 		}
 	}
-	if o.Load < 0 || o.Load > 1 {
+	if !(o.Load >= 0 && o.Load <= 1) {
 		return fmt.Errorf("catnap: %s.Load = %g, want a load in (0, 1] packets/node/cycle (0 = default 0.10)", prefix, o.Load)
 	}
 	if o.Batch < 0 {
 		return fmt.Errorf("catnap: %s.Batch = %d, want >= 0 points (0 = default)", prefix, o.Batch)
 	}
-	if o.ExploreFrac < 0 || o.ExploreFrac > 1 {
+	if !(o.ExploreFrac >= 0 && o.ExploreFrac <= 1) {
 		return fmt.Errorf("catnap: %s.ExploreFrac = %g, want in [0, 1] (0 = default 0.25)", prefix, o.ExploreFrac)
 	}
-	if o.MinAccepted < 0 || o.MinAccepted > 1 {
+	if !(o.MinAccepted >= 0 && o.MinAccepted <= 1) {
 		return fmt.Errorf("catnap: %s.MinAccepted = %g, want in [0, 1] of offered load (0 = default 0.9)", prefix, o.MinAccepted)
 	}
 	return nil

@@ -214,3 +214,49 @@ func TestCoherenceMessageClasses(t *testing.T) {
 		t.Errorf("control packet fraction %.2f, want ~0.6", frac)
 	}
 }
+
+// TestDRAMShareFollowsProfile: the fraction of completed misses that go
+// to DRAM must match the profile's calibration, (1-SharedFrac) of misses
+// reaching the L2 and L2MPKI/L1MPKI of those missing it. The memory path
+// is what throttles a system whose DRAM share drifts above this.
+func TestDRAMShareFollowsProfile(t *testing.T) {
+	for _, name := range []string{"mcf", "sjas", "barnes"} {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := noc.Config{
+			Rows: 4, Cols: 4, TilesPerNode: 4, RegionDim: 2,
+			Subnets: 1, LinkWidthBits: 512,
+			VCs: 4, VCDepth: 4, InjQueueFlits: 16,
+			RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
+		}
+		net, err := noc.New(cfg, rrStub{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := make([]*workload.Profile, net.Topo().Tiles())
+		for i := range assign {
+			assign[i] = prof
+		}
+		sys, err := NewWithAssignment(net, DefaultConfig(), assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Run(15000)
+		var dram int64
+		for _, m := range sys.mcs {
+			dram += m.requests
+		}
+		_, completed := sys.MissStats()
+		if completed == 0 {
+			t.Fatalf("%s: no misses completed", name)
+		}
+		got := float64(dram) / float64(completed)
+		want := (1 - prof.SharedFrac) * prof.L2MPKI / prof.L1MPKI
+		t.Logf("%s: DRAM share %.4f (%d of %d misses), want %.4f", name, got, dram, completed, want)
+		if got < want-0.02 || got > want+0.02 {
+			t.Errorf("%s: DRAM share %.4f, want %.4f ± 0.02", name, got, want)
+		}
+	}
+}

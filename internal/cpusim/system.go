@@ -41,16 +41,6 @@ type Config struct {
 
 	// Seed feeds every core's (and the directory's) RNG.
 	Seed uint64
-
-	// RealCoherence replaces the probabilistic 4-hop directory with the
-	// stateful MESI directory (coherence.go): per-block state, sharer
-	// bitmaps, invalidation/ack fan-out, serialized per-block
-	// transactions. The paper experiments use the probabilistic model;
-	// this mode exists for protocol-level studies and is invariant-tested.
-	RealCoherence bool
-	// Coherence parameterizes the stateful mode's address-stream model;
-	// zero value selects DefaultCoherenceConfig.
-	Coherence CoherenceConfig
 }
 
 // DefaultConfig returns the Table 1 parameters.
@@ -98,8 +88,6 @@ type event struct {
 	seq  int64 // tie-break for determinism
 	kind eventKind
 	t    *txn
-	// t2 carries the stateful-protocol message for evSendCoher.
-	t2 *coherMsg
 	// packet send parameters for evSend.
 	src, dst int
 	class    noc.MsgClass
@@ -111,7 +99,6 @@ type eventKind uint8
 const (
 	evSend eventKind = iota
 	evComplete
-	evSendCoher
 )
 
 type eventHeap []event
@@ -174,9 +161,6 @@ type System struct {
 	evSeq   int64
 	pending int64
 
-	// dir is non-nil in stateful-coherence mode.
-	dir *directory
-
 	// Measurement baselines (set by StartMeasurement).
 	baseRetired []int64
 	baseCycle   int64
@@ -225,14 +209,6 @@ func newSystem(net *noc.Network, cfg Config, assign []*workload.Profile) (*Syste
 		s.mcOf[n] = m
 	}
 
-	if cfg.RealCoherence {
-		ccfg := cfg.Coherence
-		if ccfg.HotBlocks == 0 {
-			ccfg = DefaultCoherenceConfig()
-		}
-		s.dir = newDirectory(s, ccfg)
-	}
-
 	s.cores = make([]*Core, len(assign))
 	root := sim.NewRNG(cfg.Seed)
 	for i, prof := range assign {
@@ -273,10 +249,6 @@ func (s *System) schedule(e event) {
 func (s *System) launchMiss(now int64, c *Core, missIdx int) {
 	s.missesIssued++
 	s.pending++
-	if s.dir != nil {
-		s.dir.launch(now, c, missIdx)
-		return
-	}
 	home := s.rng.Intn(s.net.Topo().Nodes())
 	t := &txn{core: c.id, missIdx: missIdx, home: home, stage: stageReqToHome}
 	// The request leaves the core immediately (L1 miss detection folded
@@ -287,10 +259,6 @@ func (s *System) launchMiss(now int64, c *Core, missIdx int) {
 
 // onPacket advances a transaction when one of its packets is delivered.
 func (s *System) onPacket(now int64, p *noc.Packet) {
-	if m, ok := p.Payload.(coherMsg); ok {
-		s.dir.handle(now, p, m)
-		return
-	}
 	t, ok := p.Payload.(*txn)
 	if !ok {
 		return // foreign traffic (mixed workloads) — not ours
@@ -387,9 +355,6 @@ func (s *System) AfterCycle(now int64) {
 			c.completeMiss(e.t.missIdx)
 			s.missesCompleted++
 			s.pending--
-		case evSendCoher:
-			p := s.net.NewPacket(e.src, e.dst, e.class, e.bits)
-			p.Payload = *e.t2
 		}
 	}
 	for _, c := range s.cores {
@@ -439,42 +404,3 @@ func (s *System) MissStats() (issued, completed int64) {
 
 // Pending returns in-flight miss transactions.
 func (s *System) Pending() int64 { return s.pending }
-
-// L1Stats returns aggregate L1 tag-array statistics in stateful-coherence
-// mode: total resident lines, LRU evictions, and coherence invalidations.
-// All zeros in probabilistic mode.
-func (s *System) L1Stats() (occupancy int, evictions, invalidations uint64) {
-	if s.dir == nil {
-		return
-	}
-	return s.dir.l1Totals()
-}
-
-// coresAt returns the core ids whose tile sits at the given node.
-func (s *System) coresAt(node int) []int {
-	per := s.net.Topo().TilesPerNode()
-	out := make([]int, 0, per)
-	for c := node * per; c < (node+1)*per && c < len(s.cores); c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
-// CheckCoherence verifies the stateful directory's invariants (no-op in
-// probabilistic mode). With requireQuiesced, per-block transaction queues
-// must also be empty.
-func (s *System) CheckCoherence(requireQuiesced bool) error {
-	if s.dir == nil {
-		return nil
-	}
-	return s.dir.CheckInvariants(requireQuiesced)
-}
-
-// CoherenceStats returns the stateful directory's protocol message
-// counts; all zeros in probabilistic mode.
-func (s *System) CoherenceStats() (getS, getM, invs, acks, fwds, wbs, mem int64) {
-	if s.dir == nil {
-		return
-	}
-	return s.dir.Stats()
-}

@@ -43,7 +43,8 @@ func (s CacheStats) HitRate() float64 {
 // Durability model: every Put appends one JSON line and flushes it to
 // the OS before returning, so a killed process loses at most the record
 // being written; Open tolerates a truncated trailing line (it is
-// skipped, and the point simply re-evaluates on the next run). This is
+// skipped, and the point simply re-evaluates on the next run), and the
+// next Put to that shard starts a fresh line after it. This is
 // what makes a killed campaign resumable: Run re-proposes the same
 // points on a rerun and finds every recorded one here. Records are
 // never rewritten — the newest occurrence of a key wins at load, which
@@ -162,12 +163,9 @@ func (c *Cache) Put(key string, spec Spec, s Sample) error {
 	}
 	sh := shardOf(key)
 	if c.files[sh] == nil {
-		f, err := os.OpenFile(c.shardPath(sh), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		if err := c.openShard(sh); err != nil {
 			return fmt.Errorf("explore: cache append: %w", err)
 		}
-		c.files[sh] = f
-		c.bufs[sh] = bufio.NewWriter(f)
 	}
 	b, err := json.Marshal(cacheRecord{Key: key, Spec: spec, Sample: s})
 	if err != nil {
@@ -177,6 +175,42 @@ func (c *Cache) Put(key string, spec Spec, s Sample) error {
 	w.Write(b)
 	w.WriteByte('\n')
 	return w.Flush()
+}
+
+// openShard opens shard sh for appending. A shard that does not end in
+// '\n' ends in a torn record; a newline goes into the buffer first so the
+// next record starts its own line instead of extending the torn one and
+// failing to parse with it. Existing bytes are never truncated or
+// rewritten, which concurrent append-only writers rely on.
+func (c *Cache) openShard(sh int) error {
+	f, err := os.OpenFile(c.shardPath(sh), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	torn, err := endsTorn(f)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if torn {
+		w.WriteByte('\n')
+	}
+	c.files[sh], c.bufs[sh] = f, w
+	return nil
+}
+
+// endsTorn reports whether f is non-empty and its last byte is not '\n'.
+func endsTorn(f *os.File) (bool, error) {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return false, err
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+		return false, err
+	}
+	return last[0] != '\n', nil
 }
 
 // Stats returns the cumulative counters.

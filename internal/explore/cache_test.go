@@ -95,7 +95,6 @@ func TestCacheToleratesTornTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
 	// Each truncated shard loses exactly its torn last record; earlier
 	// lines survive. With two records over at most two shards, at least
 	// zero and at most one record per shard remains — the load itself
@@ -107,6 +106,41 @@ func TestCacheToleratesTornTrailingLine(t *testing.T) {
 	}
 	if int64(c2.Len()) != c2.Stats().Loaded {
 		t.Fatalf("Len %d != Loaded %d", c2.Len(), c2.Stats().Loaded)
+	}
+
+	// The resumed campaign appends one new record to each torn shard; the
+	// next load must recover every one of them rather than lose the first
+	// append to the torn bytes it lands on.
+	shards := []int{shardOf(s0.Key())}
+	if sh := shardOf(s1.Key()); sh != shards[0] {
+		shards = append(shards, sh)
+	}
+	var fresh []Spec
+	for _, sh := range shards {
+		i := 2
+		for shardOf(specN(i).Key()) != sh {
+			if i++; i > 10000 {
+				t.Fatalf("no spec hashes to shard %d", sh)
+			}
+		}
+		s := specN(i)
+		if err := c2.Put(s.Key(), s, Sample{PowerW: float64(s.Seed)}); err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, s)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	for _, s := range fresh {
+		if got, ok := c3.Get(s.Key()); !ok || got.PowerW != float64(s.Seed) {
+			t.Errorf("record appended after a torn tail: got %+v, %v", got, ok)
+		}
 	}
 }
 

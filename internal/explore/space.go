@@ -27,6 +27,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -126,8 +127,8 @@ func (sp Space) Validate() error {
 		}
 	}
 	for i, th := range sp.Thresholds {
-		if th < 0 {
-			return fmt.Errorf("explore: Space.Thresholds[%d] = %g, want >= 0 (0 = metric default)", i, th)
+		if !(th >= 0 && th <= math.MaxFloat64) {
+			return fmt.Errorf("explore: Space.Thresholds[%d] = %g, want a finite value >= 0 (0 = metric default)", i, th)
 		}
 	}
 	return nil

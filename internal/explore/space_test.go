@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,8 @@ func TestSpaceValidateNamesAxis(t *testing.T) {
 		{func(s *Space) { s.TIdles = []int{-1} }, "Space.TIdles"},
 		{func(s *Space) { s.Metrics = nil }, "Space.Metrics"},
 		{func(s *Space) { s.Thresholds = []float64{-0.5} }, "Space.Thresholds"},
+		{func(s *Space) { s.Thresholds = []float64{math.NaN()} }, "Space.Thresholds"},
+		{func(s *Space) { s.Thresholds = []float64{0, math.Inf(1)} }, "Space.Thresholds"},
 	}
 	for _, c := range cases {
 		sp := testSpace()

@@ -216,7 +216,6 @@ func (s *Simulator) UseMix(mixName string) (*cpusim.System, error) {
 	}
 	scfg := cpusim.DefaultConfig()
 	scfg.Seed = s.Cfg.Seed
-	scfg.RealCoherence = s.Cfg.RealCoherence
 	sys, err := cpusim.New(s.Net, scfg, mix)
 	if err != nil {
 		return nil, err
@@ -262,7 +261,6 @@ func (s *Simulator) UseSplitMix(westMix, eastMix string) (*cpusim.System, error)
 	}
 	scfg := cpusim.DefaultConfig()
 	scfg.Seed = s.Cfg.Seed
-	scfg.RealCoherence = s.Cfg.RealCoherence
 	sys, err := cpusim.NewWithAssignment(s.Net, scfg, assign)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package catnap
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -81,6 +82,7 @@ func TestExperimentOptsValidate(t *testing.T) {
 		{"negative measure", ExperimentOpts{Scale: Scale{Measure: -5}}, "ExperimentOpts.Scale.Measure"},
 		{"load too high", ExperimentOpts{Loads: []float64{0.1, 1.5}}, "ExperimentOpts.Loads[1]"},
 		{"load zero", ExperimentOpts{Loads: []float64{0}}, "ExperimentOpts.Loads[0]"},
+		{"load NaN", ExperimentOpts{Loads: []float64{math.NaN()}}, "ExperimentOpts.Loads[0]"},
 		{"bad pattern", ExperimentOpts{Pattern: "zigzag"}, "ExperimentOpts.Pattern"},
 		{"bad mix", ExperimentOpts{Mixes: []string{"NoSuchMix"}}, "ExperimentOpts.Mixes[0]"},
 		{"bad design", ExperimentOpts{Designs: []string{"9NT-1b"}}, "ExperimentOpts.Designs[0]"},
@@ -91,9 +93,12 @@ func TestExperimentOptsValidate(t *testing.T) {
 		{"explore dup axis", ExperimentOpts{Explore: ExploreOpts{Space: ExploreSpace{Widths: []int{128, 128}}}}, "ExperimentOpts.Explore.Space"},
 		{"explore bad metric", ExperimentOpts{Explore: ExploreOpts{Space: ExploreSpace{Metrics: []string{"Vibes"}}}}, "ExperimentOpts.Explore.Space.Metrics"},
 		{"explore load too high", ExperimentOpts{Explore: ExploreOpts{Load: 1.5}}, "ExperimentOpts.Explore.Load"},
+		{"explore load NaN", ExperimentOpts{Explore: ExploreOpts{Load: math.NaN()}}, "ExperimentOpts.Explore.Load"},
 		{"explore negative batch", ExperimentOpts{Explore: ExploreOpts{Batch: -1}}, "ExperimentOpts.Explore.Batch"},
 		{"explore frac out of range", ExperimentOpts{Explore: ExploreOpts{ExploreFrac: 2}}, "ExperimentOpts.Explore.ExploreFrac"},
+		{"explore frac NaN", ExperimentOpts{Explore: ExploreOpts{ExploreFrac: math.NaN()}}, "ExperimentOpts.Explore.ExploreFrac"},
 		{"explore min-accepted out of range", ExperimentOpts{Explore: ExploreOpts{MinAccepted: 1.1}}, "ExperimentOpts.Explore.MinAccepted"},
+		{"explore min-accepted NaN", ExperimentOpts{Explore: ExploreOpts{MinAccepted: math.NaN()}}, "ExperimentOpts.Explore.MinAccepted"},
 	}
 	for _, c := range cases {
 		err := c.opts.Validate()
