@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check check-race build test race lint bench bench-core bench-compare bench-telemetry experiments quick-experiments fmt vet clean
+.PHONY: all check check-race build test race lint bench bench-core bench-telemetry experiments quick-experiments fmt vet clean
 
 all: check
 
@@ -18,17 +18,17 @@ check: build lint test check-race race bench-telemetry bench-core
 # lint is the single static-analysis entry point: a gofmt check over
 # every tracked .go file, go vet (on the root module and on bench/, its
 # own module, which ./... does not reach), and the in-tree catnap-lint suite
-# (nodeterminism, hotpathalloc, contractflow, resetcoverage, missingdoc
-# — see DESIGN.md "Static analysis"). -time prints the per-analyzer
-# wall-time breakdown so a slow check is attributable.
+# (nodeterminism, missingdoc — see DESIGN.md "Static analysis").
 # catnap-lint also fails on malformed or unused //lint:ignore
-# directives, so stale suppressions cannot linger.
+# directives, so stale suppressions cannot linger. The zero-allocation
+# and reset-completeness contracts are runtime tests (TestStepAllocs,
+# TestResetCoverage) in the plain test suite.
 lint:
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
-	$(GO) run ./cmd/catnap-lint -time ./...
+	$(GO) run ./cmd/catnap-lint ./...
 
 # check-race runs the noc + congestion + root differential suites under
 # the race detector: mid-run flips, drain, the incremental-vs-reference
@@ -74,25 +74,6 @@ bench-telemetry:
 bench-core:
 	CORE_BENCH=1 $(GO) test -run TestCoreBenchGuard -count=1 -timeout 30m .
 
-# bench-compare snapshots the bench-core report and diffs it against the
-# previous snapshot with cmd/catnap-benchdiff, which understands the
-# BENCH_core.json schema (and ignores fields of older schemas). First
-# run saves the baseline; later runs print per-scenario deltas and FAIL
-# (exit 1) if any scenario's fast arm slowed down by more than
-# BENCH_FAIL_OVER percent, or if baseline coverage was dropped. Override
-# the threshold per run: `make bench-compare BENCH_FAIL_OVER=50`
-# (generous default because min-of-5 wall-clock numbers on shared
-# machines are noisy).
-BENCH_FAIL_OVER ?= 35
-bench-compare:
-	CORE_BENCH=1 BENCH_CORE_OUT=bench_core_new.json $(GO) test -run TestCoreBenchGuard -count=1 -timeout 30m .
-	@if [ -f bench_core_old.json ]; then \
-		$(GO) run ./cmd/catnap-benchdiff -fail-over $(BENCH_FAIL_OVER) bench_core_old.json bench_core_new.json; \
-	else \
-		cp bench_core_new.json bench_core_old.json; \
-		echo "bench-compare: saved baseline to bench_core_old.json; rerun after changes to compare."; \
-	fi
-
 # Regenerate every table/figure at full scale into results/ (slow: ~1h).
 experiments:
 	mkdir -p results
@@ -115,4 +96,4 @@ vet:
 
 clean:
 	rm -f test_output.txt bench_output.txt BENCH_telemetry.json BENCH_core.json \
-		bench_old.txt bench_new.txt bench_core_old.json bench_core_new.json
+		bench_old.txt bench_new.txt

@@ -383,8 +383,8 @@ type coreBenchRow struct {
 	// Points/sec columns, set only by throughput-style scenarios
 	// (sweep-reuse): whole sweep points completed per second per arm.
 	// For those scenarios ns/cycle spreads per-point provisioning cost
-	// over simulated cycles and is not a stepping cost, so readers (and
-	// catnap-benchdiff) should prefer these columns when present.
+	// over simulated cycles and is not a stepping cost, so readers should
+	// prefer these columns when present.
 	FastPointsPerSec float64 `json:"fast_points_per_sec,omitempty"`
 	RefPointsPerSec  float64 `json:"ref_points_per_sec,omitempty"`
 }
@@ -483,18 +483,14 @@ func TestCoreBenchGuard(t *testing.T) {
 	report.Scenarios["explore-cached"] = runExploreCachedScenario(t, reps)
 	report.Scenarios["sweep-reuse"] = runSweepReuseScenario(t, reps)
 
-	out := os.Getenv("BENCH_CORE_OUT")
-	if out == "" {
-		out = "BENCH_core.json"
-	}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile("BENCH_core.json", append(b, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("core stepping benchmark written to %s\n", out)
+	fmt.Println("core stepping benchmark written to BENCH_core.json")
 
 	if sp := report.Scenarios["lowload-gated"].Speedup; sp < 3.0 {
 		t.Errorf("lowload-gated speedup %.2fx below the 3x guard (fast %.1f ns/cycle, ref %.1f ns/cycle)",

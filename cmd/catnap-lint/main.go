@@ -1,17 +1,14 @@
 // catnap-lint is the multichecker for catnap's custom static analyses:
-// the determinism, zero-alloc, contract-propagation, reset-coverage, and
-// API-doc rules documented in DESIGN.md "Static analysis". It is
-// dependency-free — the driver under internal/analysis mirrors the
-// golang.org/x/tools/go/analysis shape on the standard toolchain alone —
-// and runs from make lint (part of make check).
+// the determinism and API-doc rules documented in DESIGN.md "Static
+// analysis". It is dependency-free — the driver under internal/analysis
+// mirrors the golang.org/x/tools/go/analysis shape on the standard
+// toolchain alone — and runs from make lint (part of make check).
 //
 // Usage:
 //
-//	catnap-lint [-checks name,name] [-list] [-time] [packages]
+//	catnap-lint [-list] [-C dir] [packages]
 //
-// With no packages, ./... is analyzed. -time prints a per-analyzer
-// wall-time breakdown after the run (make lint passes it, so slow
-// checks are attributable in the log). Exit status 1 means findings (or
+// With no packages, ./... is analyzed. Exit status 1 means findings (or
 // malformed/stale //lint:ignore directives); suppress a finding with
 //
 //	//lint:ignore <analyzer> <reason>
@@ -23,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"github.com/catnap-noc/catnap/internal/analysis"
 	"github.com/catnap-noc/catnap/internal/analysis/suite"
@@ -38,8 +33,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("catnap-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	checks := fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	timings := fs.Bool("time", false, "print per-analyzer wall time after the run")
 	dir := fs.String("C", ".", "module directory to analyze from")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -51,14 +44,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *checks != "" {
-		var err error
-		analyzers, err = suite.ByName(strings.Split(*checks, ","))
-		if err != nil {
-			fmt.Fprintf(stderr, "catnap-lint: -checks: %v\n", err)
-			return 2
-		}
 	}
 
 	patterns := fs.Args()
@@ -75,15 +60,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	diags, times, runErr := analysis.RunTimed(pkgs, analyzers)
+	diags, runErr := analysis.Run(pkgs, analyzers)
 	fset := pkgs[0].Fset // Load type-checks every package on one FileSet
 	for _, d := range diags {
 		fmt.Fprintf(stdout, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if *timings {
-		for _, tm := range times {
-			fmt.Fprintf(stdout, "analyzer %-18s %v\n", tm.Name, tm.Elapsed.Round(time.Millisecond))
-		}
 	}
 	if runErr != nil {
 		fmt.Fprintf(stderr, "catnap-lint: %v\n", runErr)

@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -78,6 +79,9 @@ func main() {
 func sweep() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	if err := checkFlags(*warmup, *measure, *jobs, *metricTh); err != nil {
+		return err
+	}
 	pat, err := traffic.PatternByName(*pattern)
 	if err != nil {
 		return err
@@ -181,6 +185,22 @@ func sweep() error {
 			loads[i], res.AcceptedThroughput, res.AvgLatency, res.P99Latency,
 			res.Power.Total, res.CSCPercent, res.ActiveRouterFraction,
 			strings.Join(shares, ","))
+	}
+	return nil
+}
+
+// checkFlags rejects numeric flag values no sweep can run with, naming
+// the flag, before any point starts.
+func checkFlags(warmup, measure int64, jobs int, threshold float64) error {
+	switch {
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: want >= 0 cycles", warmup)
+	case measure <= 0:
+		return fmt.Errorf("-measure %d: want > 0 cycles", measure)
+	case jobs < 0:
+		return fmt.Errorf("-jobs %d: want >= 0 workers (0 = GOMAXPROCS)", jobs)
+	case !(threshold >= 0) || math.IsInf(threshold, 1):
+		return fmt.Errorf("-threshold %g: want a finite value >= 0 (0 = default)", threshold)
 	}
 	return nil
 }

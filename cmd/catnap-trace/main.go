@@ -226,6 +226,9 @@ func (a *analysis) observe(r trace.Record) error {
 }
 
 func run(path string, window int64) error {
+	if window < 0 {
+		return fmt.Errorf("-series %d: want >= 0 cycles (0 disables)", window)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err

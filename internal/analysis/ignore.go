@@ -22,9 +22,9 @@ type ignoreSet struct {
 const ignorePrefix = "//lint:ignore"
 
 // collectAllIgnores merges every package's ignore directives into one
-// set keyed by file, so module-wide analyzers get the same suppression
-// semantics as per-package ones. File paths are unique across packages,
-// so the merge loses nothing.
+// set keyed by file, so the stale-ignore sweep runs once over the whole
+// run. File paths are unique across packages, so the merge loses
+// nothing.
 func collectAllIgnores(pkgs []*Package) (ignoreSet, []string) {
 	set := ignoreSet{byFile: make(map[string][]*ignoreDirective)}
 	var errs []string

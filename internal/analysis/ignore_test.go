@@ -67,7 +67,7 @@ func TestIgnoreMultipleAnalyzers(t *testing.T) {
 	src := `package p
 
 func a() {
-	//lint:ignore alloc,contractflow shared cold path
+	//lint:ignore alloc,order shared cold path
 	both()
 }
 `
@@ -76,7 +76,7 @@ func a() {
 	if len(errs) != 0 {
 		t.Fatalf("unexpected collect errors: %v", errs)
 	}
-	for _, name := range []string{"alloc", "contractflow"} {
+	for _, name := range []string{"alloc", "order"} {
 		if !set.suppresses(pkg.Fset, Diagnostic{Pos: lineStart(t, pkg, 5), Analyzer: name}) {
 			t.Errorf("comma-list directive must cover analyzer %q", name)
 		}
@@ -99,15 +99,14 @@ func a() {}
 	}
 }
 
-// TestIgnoreUnused covers the stale-ignore sweep, including the module
-// analyzer case: a directive naming contractflow is condemned when
-// contractflow ran and suppressed nothing, and left alone when only
-// other analyzers ran.
+// TestIgnoreUnused covers the stale-ignore sweep: a directive naming an
+// analyzer is condemned when that analyzer ran and suppressed nothing,
+// and left alone when only other analyzers ran.
 func TestIgnoreUnused(t *testing.T) {
 	src := `package p
 
 func a() {
-	//lint:ignore contractflow nothing here ever fires
+	//lint:ignore order nothing here ever fires
 	quiet()
 }
 `
@@ -119,38 +118,8 @@ func a() {
 	if errs := set.unused(map[string]bool{"alloc": true}); len(errs) != 0 {
 		t.Errorf("directive naming only un-ran analyzers must survive a partial run, got %v", errs)
 	}
-	got := set.unused(map[string]bool{"contractflow": true})
+	got := set.unused(map[string]bool{"order": true})
 	if len(got) != 1 || !strings.Contains(got[0], "unused //lint:ignore") {
-		t.Fatalf("want one unused-directive error under contractflow, got %v", got)
-	}
-}
-
-// TestIgnoreSuppressesModuleAnalyzer runs a module analyzer through
-// RunTimed and checks the directive both suppresses its diagnostic and
-// counts as used (no stale-ignore error).
-func TestIgnoreSuppressesModuleAnalyzer(t *testing.T) {
-	src := `package p
-
-func a() {
-	//lint:ignore contractflow audited cold path
-	flagged()
-}
-`
-	pkg := mustParse(t, "a.go", src)
-	target := lineStart(t, pkg, 5)
-	mod := &Analyzer{
-		Name: "contractflow",
-		Doc:  "test stand-in",
-		RunModule: func(mp *ModulePass) error {
-			mp.Reportf(target, "flagged() is reachable")
-			return nil
-		},
-	}
-	diags, _, err := RunTimed([]*Package{pkg}, []*Analyzer{mod})
-	if err != nil {
-		t.Fatalf("RunTimed: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("directive must suppress the module analyzer's diagnostic, got %v", diags)
+		t.Fatalf("want one unused-directive error under order, got %v", got)
 	}
 }

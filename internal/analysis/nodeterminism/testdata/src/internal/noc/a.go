@@ -43,13 +43,6 @@ func (s *sim) spawn() {
 	go s.drain() // want `go statement in a deterministic package`
 }
 
-// spawnAnnotated shows that no annotation licenses a goroutine.
-//
-//catnap:hotpath
-func (s *sim) spawnAnnotated() {
-	go func() { s.drain() }() // want `go statement in a deterministic package`
-}
-
 func (s *sim) drain() {}
 
 func (s *sim) mapMutate() {

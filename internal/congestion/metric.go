@@ -224,8 +224,6 @@ type RCSEnergy struct {
 // fall back to Default(cfg.Metric) semantics. Like noc.New, it is a thin
 // shell over Reset, so a reset detector and a fresh one run identical
 // construction code.
-//
-//catnap:reset-covered every per-run structure is built by Reset itself
 func NewDetector(net *noc.Network, cfg Config) *Detector {
 	d := &Detector{rcsE: &RCSEnergy{}}
 	d.Reset(net, cfg)
@@ -367,8 +365,6 @@ func (d *Detector) Congested(subnet, node int) bool {
 // skipped node would have sampled zero against a non-negative threshold
 // with its LCS already clear: a no-op in the reference scan too, so the
 // latched sequences are identical.
-//
-//catnap:hotpath runs in the observer phase every cycle
 func (d *Detector) AfterCycle(now int64) {
 	windowEnd := now-d.winStart >= d.cfg.WindowCycles
 	if windowEnd {
@@ -498,8 +494,6 @@ func (d *Detector) SkipIdle(from, to int64) {
 
 // updateLCS applies one node's set/clear-with-hysteresis step given its
 // raw metric sample — the shared per-node body of both sampling paths.
-//
-//catnap:hotpath
 func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 	idx := s*d.nodes + n
 	if raw > d.cfg.Threshold {
@@ -523,8 +517,6 @@ func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 }
 
 // sample returns the raw metric value for (subnet, node) this cycle.
-//
-//catnap:hotpath
 func (d *Detector) sample(subnet, node int) float64 {
 	switch d.cfg.Metric {
 	case BFM:
@@ -543,8 +535,6 @@ func (d *Detector) sample(subnet, node int) float64 {
 
 // sampleScan is sample for the reference path: the occupancy metrics
 // rescan the router's ports instead of reading the maintained counters.
-//
-//catnap:hotpath
 func (d *Detector) sampleScan(subnet, node int) float64 {
 	switch d.cfg.Metric {
 	case BFM:
@@ -559,8 +549,6 @@ func (d *Detector) sampleScan(subnet, node int) float64 {
 
 // closeWindow recomputes the windowed metrics (IR, Delay) from counter
 // deltas over the window just ended.
-//
-//catnap:hotpath once per WindowCycles
 func (d *Detector) closeWindow(now int64) {
 	w := float64(now - d.winStart)
 	if w <= 0 {
@@ -617,12 +605,9 @@ func (d *Detector) closeWindow(now int64) {
 // latchRCS recomputes every region's OR output from current LCS values.
 // The fast path ORs over the set-LCS bitmap instead of scanning every
 // node; the result is the same OR.
-//
-//catnap:hotpath once per RCSPeriod
 func (d *Detector) latchRCS(now int64) {
 	d.rcsE.Latches++
 	if d.orScratch == nil {
-		//lint:ignore hotpathalloc lazy one-time scratch allocation; every later latch reuses it
 		d.orScratch = make([]bool, d.regions)
 	}
 	for s := 0; s < d.subnets; s++ {

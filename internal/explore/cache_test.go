@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"bufio"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -142,6 +144,43 @@ func TestCacheToleratesTornTrailingLine(t *testing.T) {
 			t.Errorf("record appended after a torn tail: got %+v, %v", got, ok)
 		}
 	}
+}
+
+// FuzzCacheLoad writes arbitrary bytes as a shard: OpenCache must load
+// it without panicking, and a record Put after the load must come back
+// from a reopen whatever torn, blank or garbage lines precede it. Seeds
+// live in testdata/fuzz/FuzzCacheLoad.
+func FuzzCacheLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shard []byte) {
+		dir := t.TempDir()
+		s := specN(1)
+		key := s.Key()
+		path := (&Cache{dir: dir}).shardPath(shardOf(key))
+		if err := os.WriteFile(path, shard, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(dir)
+		if errors.Is(err, bufio.ErrTooLong) {
+			return // a line past the scanner's limit is refused, not loaded
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(key, s, Sample{PowerW: 42}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c, err = OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if got, ok := c.Get(key); !ok || got.PowerW != 42 {
+			t.Fatalf("record put after loading the shard was lost on reopen: %+v, %t", got, ok)
+		}
+	})
 }
 
 func TestCacheInMemory(t *testing.T) {

@@ -134,8 +134,6 @@ func (c *Config) AggregateWidthBits() int { return c.Subnets * c.LinkWidthBits }
 
 // vcMask returns the VC eligibility mask for a class, resolving the
 // zero-means-all convention against the configured VC count.
-//
-//catnap:hotpath
 func (c *Config) vcMask(class MsgClass) uint32 {
 	all := uint32(1)<<uint(c.VCs) - 1
 	m := c.ClassVCMask[class]
@@ -159,8 +157,6 @@ func (c *Config) topology() topology.Topology {
 
 // datelineMask returns the VC set for a torus dateline class: the lower
 // half of the VCs before the dateline, the upper half after.
-//
-//catnap:hotpath
 func (c *Config) datelineMask(crossed bool) uint32 {
 	half := c.VCs / 2
 	lower := uint32(1)<<uint(half) - 1

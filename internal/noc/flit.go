@@ -95,21 +95,15 @@ type Packet struct {
 
 // Latency returns the packet's total latency in cycles, from source-queue
 // entry to tail ejection.
-//
-//catnap:hotpath
 func (p *Packet) Latency() int64 { return p.ArriveTime - p.CreateTime }
 
 // NetworkLatency returns the in-network latency (head injection to tail
 // ejection), excluding source queueing.
-//
-//catnap:hotpath
 func (p *Packet) NetworkLatency() int64 { return p.ArriveTime - p.InjectTime }
 
 // FlitsForWidth returns the serialization length of a packet of sizeBits
 // on a datapath of widthBits: a flit cannot exceed the subnet width, and
 // every packet is at least one flit (paper §2.3).
-//
-//catnap:hotpath
 func FlitsForWidth(sizeBits, widthBits int) int {
 	if sizeBits <= 0 {
 		return 1
@@ -143,8 +137,6 @@ type flit struct {
 	crossed uint8
 }
 
-//catnap:hotpath
 func (f *flit) head() bool { return f.seq == 0 }
 
-//catnap:hotpath
 func (f *flit) tail() bool { return int(f.seq) == f.pkt.NumFlits-1 }

@@ -85,8 +85,6 @@ type Network struct {
 // New is a thin shell over Reset: it allocates the network and lets
 // Reset build every per-run structure. A reset network and a fresh one
 // therefore run identical construction code.
-//
-//catnap:reset-covered every per-run structure is built by Reset itself
 func New(cfg Config, selector SubnetSelector) (*Network, error) {
 	n := &Network{}
 	if err := n.Reset(cfg, selector); err != nil {
@@ -154,8 +152,6 @@ func (n *Network) applyReferenceScan(on bool) {
 // ReferenceScan reports whether the scan-based reference path is active.
 // A congestion detector over the network reads it every cycle to pick
 // its own scan or incremental sampling path.
-//
-//catnap:hotpath read by the congestion detector's observer every cycle
 func (n *Network) ReferenceScan() bool { return n.refScan }
 
 // SetSelector replaces the subnet-selection policy. Policies that read
@@ -198,16 +194,12 @@ func (n *Network) Config() *Config { return n.cfg }
 func (n *Network) Topo() topology.Topology { return n.topo }
 
 // Subnet returns subnetwork s.
-//
-//catnap:hotpath
 func (n *Network) Subnet(s int) *Subnet { return n.subnets[s] }
 
 // Subnets returns the number of subnetworks.
 func (n *Network) Subnets() int { return len(n.subnets) }
 
 // NI returns the network interface of node i.
-//
-//catnap:hotpath
 func (n *Network) NI(i int) *NI { return n.nis[i] }
 
 // Now returns the current cycle (the cycle the next Step will execute).
@@ -219,9 +211,6 @@ func (n *Network) Now() int64 { return n.now }
 // flight. Do not keep (or read) a *Packet after its delivery callbacks
 // return: the struct then goes to src's freelist and a later NewPacket
 // there reuses every field, Payload included.
-//
-//catnap:hotpath called once per injected packet
-//catnap:reset-covered packets live in queues/wheels Reset clears; the freelist is retained and every recycled packet is fully overwritten here
 func (n *Network) NewPacket(src, dst int, class MsgClass, sizeBits int) *Packet {
 	ni := n.nis[src]
 	var p *Packet
@@ -230,7 +219,8 @@ func (n *Network) NewPacket(src, dst int, class MsgClass, sizeBits int) *Packet 
 		ni.free[k] = nil
 		ni.free = ni.free[:k]
 	} else {
-		//lint:ignore hotpathalloc freelist miss: one allocation per live packet, amortised away once recycling warms the freelist
+		// Freelist miss: one allocation per live packet, amortised away
+		// once recycling warms the freelist.
 		p = new(Packet)
 	}
 	*p = Packet{
@@ -252,7 +242,7 @@ func (n *Network) NewPacket(src, dst int, class MsgClass, sizeBits int) *Packet 
 
 // Step advances the network by one cycle.
 //
-//catnap:hotpath the per-cycle entry point; the bench-core guard asserts 0 B/cycle through here
+// Once warm it allocates nothing (TestStepAllocs).
 func (n *Network) Step() {
 	t := n.now
 	for _, s := range n.subnets {
@@ -305,8 +295,6 @@ func (n *Network) Drain(maxCycles int64) bool {
 
 // eject completes a flit's journey at its destination NI; the tail flit
 // completes the packet.
-//
-//catnap:hotpath called once per delivered flit
 func (n *Network) eject(now int64, node int, f flit) {
 	p := f.pkt
 	if p.Dst != node {
@@ -330,8 +318,6 @@ func (n *Network) eject(now int64, node int, f flit) {
 }
 
 // niStreaming reports whether node's NI is mid-packet into subnet s.
-//
-//catnap:hotpath
 func (n *Network) niStreaming(s, node int) bool { return n.nis[node].streaming(s) }
 
 // FlushCSC closes all open sleep periods; call once before reading CSC.
@@ -352,8 +338,6 @@ func (n *Network) NetworkLatency() *stats.Latency { return n.netLatency }
 // Counts returns cumulative packet counters: created (entered a source
 // queue), injected (head flit entered a subnet), ejected (tail flit
 // delivered).
-//
-//catnap:hotpath
 func (n *Network) Counts() (created, injected, ejected int64) {
 	return n.createdPkts, n.injectedPkts, n.ejectedPkts
 }
@@ -407,27 +391,19 @@ func (n *Network) SubnetFlitShare() []float64 {
 
 // FlitsPerSubnet returns the network-wide injected flit count per subnet
 // (the sum of every NI's FlitsPerSubnet). Callers must not modify it.
-//
-//catnap:hotpath
 func (n *Network) FlitsPerSubnet() []int64 { return n.flitsPerSubnet }
 
 // NIQueueFlits returns the total bounded injection-queue occupancy over
 // all NIs, in flits.
-//
-//catnap:hotpath
 func (n *Network) NIQueueFlits() int { return n.niQueueFlits }
 
 // NIQueuedBits exposes a bitmap over node ids with bit n set iff node n's
 // bounded injection queue is nonempty; the IQOcc congestion metric
 // iterates it instead of polling every NI. Callers must not modify it.
-//
-//catnap:hotpath
 func (n *Network) NIQueuedBits() []uint64 { return n.niQBits }
 
 // setNIQueued maintains the nonempty-injection-queue bitmap; each NI
 // calls it at the end of its inject phase.
-//
-//catnap:hotpath
 func (n *Network) setNIQueued(node int, queued bool) {
 	if queued {
 		n.niQBits[node>>6] |= 1 << (uint(node) & 63)

@@ -10,16 +10,14 @@ type pktQueue struct {
 	n    int
 }
 
-//catnap:hotpath
 func (q *pktQueue) len() int { return q.n }
 
-//catnap:hotpath
 func (q *pktQueue) front() *Packet { return q.buf[q.head] }
 
-//catnap:hotpath
 func (q *pktQueue) push(p *Packet) {
 	if q.n == len(q.buf) {
-		//lint:ignore hotpathalloc one-time ring growth to the high-water capacity; steady state never re-enters this branch
+		// One-time growth to the high-water capacity; steady state never
+		// re-enters this branch.
 		grown := make([]*Packet, 2*len(q.buf)+4)
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
@@ -31,7 +29,6 @@ func (q *pktQueue) push(p *Packet) {
 	q.n++
 }
 
-//catnap:hotpath
 func (q *pktQueue) pop() *Packet {
 	p := q.buf[q.head]
 	q.buf[q.head] = nil // do not retain packets past their dequeue
@@ -62,8 +59,6 @@ type subnetChannel struct {
 }
 
 // freeSlot returns an idle stream index, or -1.
-//
-//catnap:hotpath
 func (ch *subnetChannel) freeSlot() int {
 	for i := range ch.streams {
 		if ch.streams[i].pkt == nil {
@@ -74,8 +69,6 @@ func (ch *subnetChannel) freeSlot() int {
 }
 
 // freeVC returns a free local-port VC within mask, or -1.
-//
-//catnap:hotpath
 func (ch *subnetChannel) freeVC(mask uint32) int {
 	for v := range ch.busy {
 		if mask&(1<<uint(v)) == 0 || ch.busy[v] {
@@ -132,16 +125,12 @@ type NI struct {
 // drift from the reset path.
 
 // enqueue admits a freshly created packet into the source queue.
-//
-//catnap:hotpath
 func (ni *NI) enqueue(p *Packet) {
 	ni.sourceQ.push(p)
 }
 
 // QueueOccupancyFlits returns the bounded injection queue's occupancy in
 // flits — the IQOcc congestion metric.
-//
-//catnap:hotpath
 func (ni *NI) QueueOccupancyFlits() int { return ni.injQFlits }
 
 // SourceQueueLen returns the unbounded source queue length in packets
@@ -150,8 +139,6 @@ func (ni *NI) SourceQueueLen() int { return ni.sourceQ.len() }
 
 // Backlogged reports whether this NI holds any packet that has not yet
 // fully entered the network.
-//
-//catnap:hotpath
 func (ni *NI) Backlogged() bool {
 	if ni.sourceQ.len() > 0 || ni.injQ.len() > 0 {
 		return true
@@ -166,13 +153,9 @@ func (ni *NI) Backlogged() bool {
 
 // streaming reports whether the NI is mid-packet into subnet s (the
 // subnet's local router must then stay awake).
-//
-//catnap:hotpath
 func (ni *NI) streaming(s int) bool { return ni.channels[s].active > 0 }
 
 // creditReturn gives back one buffer slot of the local router's input VC.
-//
-//catnap:hotpath
 func (ni *NI) creditReturn(subnet, vc int) {
 	ni.channels[subnet].credits[vc]++
 }
@@ -180,8 +163,6 @@ func (ni *NI) creditReturn(subnet, vc int) {
 // injectPhase runs once per cycle: admit packets into the bounded queue,
 // assign the head-of-line packet to a subnet via the selector, and stream
 // one flit per subnet channel.
-//
-//catnap:hotpath
 func (ni *NI) injectPhase(now int64) {
 	cfg := ni.net.cfg
 
@@ -287,8 +268,6 @@ func (ni *NI) injectPhase(now int64) {
 }
 
 // streamFlit sends the next flit of one stream into the subnet.
-//
-//catnap:hotpath
 func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	cfg := ni.net.cfg
 	p := st.pkt

@@ -83,8 +83,6 @@ const (
 )
 
 // String returns the cause name used in telemetry events.
-//
-//catnap:hotpath
 func (c WakeCause) String() string {
 	switch c {
 	case WakeLookAhead:
@@ -157,8 +155,6 @@ func (e *PowerEvents) Sub(other *PowerEvents) {
 }
 
 // Add accumulates other into e.
-//
-//catnap:hotpath
 func (e *PowerEvents) Add(other *PowerEvents) {
 	e.BufferWrites += other.BufferWrites
 	e.BufferReads += other.BufferReads

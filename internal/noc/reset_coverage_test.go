@@ -12,10 +12,12 @@ import (
 
 // Reset-completeness test: a dirtied network rewound by Reset is walked
 // field by field against a freshly constructed one, through every nested
-// Subnet, Router, and NI. Any field that differs must appear in the
-// explicit allowlist below with the reason it is exempt; a new struct
-// field that Reset forgets therefore fails here with its exact path,
-// before it ever corrupts a reused simulator.
+// Subnet, Router, and NI, for every ordered pair of shapes in
+// coverageShapes (same-shape resets on the diagonal, shape changes off
+// it). Any field that differs must appear in the explicit allowlist below
+// with the reason it is exempt; a new struct field that Reset forgets
+// therefore fails here with its exact path, before it ever corrupts a
+// reused simulator.
 
 // resetAllowlist maps "Type.field" to the reason the field is allowed to
 // differ between a fresh network and a reset one. Everything else must
@@ -36,6 +38,31 @@ func coverageConfig() Config {
 		VCs: 2, VCDepth: 4, InjQueueFlits: 16,
 		RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
 		TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
+	}
+}
+
+// coverageShapes varies every dimension Reset rebuilds by: topology,
+// subnet count, mesh size and VC count.
+func coverageShapes() []struct {
+	name string
+	cfg  Config
+} {
+	with := func(f func(*Config)) Config {
+		c := coverageConfig()
+		f(&c)
+		return c
+	}
+	return []struct {
+		name string
+		cfg  Config
+	}{
+		{"mesh", coverageConfig()},
+		{"torus", with(func(c *Config) { c.Torus = true })},
+		{"fbfly", with(func(c *Config) { c.FBfly = true })},
+		{"1subnet", with(func(c *Config) { c.Subnets = 1 })},
+		{"4subnets", with(func(c *Config) { c.Subnets = 4 })},
+		{"8x8", with(func(c *Config) { c.Rows, c.Cols, c.RegionDim = 8, 8, 4 })},
+		{"4vcs", with(func(c *Config) { c.VCs = 4 })},
 	}
 }
 
@@ -71,12 +98,11 @@ type covTracer struct{}
 func (covTracer) RouterSlept(now int64, subnet, node int, idle int64)           {}
 func (covTracer) RouterWoke(now int64, subnet, node int, c WakeCause, sl int64) {}
 
-// dirtyNetwork builds a network and drives it hard across the mutable
-// surface: packets in flight, packet recycling, gating transitions,
-// observers, sinks, and a tracer installed.
-func dirtyNetwork(t *testing.T) *Network {
+// dirtyNetwork builds a network of shape cfg and drives it hard across
+// the mutable surface: packets in flight, packet recycling, gating
+// transitions, observers, sinks, and a tracer installed.
+func dirtyNetwork(t *testing.T, cfg Config) *Network {
 	t.Helper()
-	cfg := coverageConfig()
 	net, err := New(cfg, &covSelector{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,21 +122,27 @@ func dirtyNetwork(t *testing.T) *Network {
 	return net
 }
 
-// TestResetCoverage compares a dirtied-then-Reset network against a
-// fresh one field by field and enforces the allowlist.
+// TestResetCoverage compares a network dirtied under one shape and Reset
+// to another against a fresh network of the target shape, field by
+// field, and enforces the allowlist.
 func TestResetCoverage(t *testing.T) {
-	cfg := coverageConfig()
-	fresh, err := New(cfg, &covSelector{})
-	if err != nil {
-		t.Fatal(err)
+	shapes := coverageShapes()
+	for _, from := range shapes {
+		for _, to := range shapes {
+			t.Run(from.name+"->"+to.name, func(t *testing.T) {
+				fresh, err := New(to.cfg, &covSelector{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused := dirtyNetwork(t, from.cfg)
+				if err := reused.Reset(to.cfg, &covSelector{}); err != nil {
+					t.Fatal(err)
+				}
+				w := &resetWalker{t: t, seen: map[[2]uintptr]bool{}, hit: map[string]bool{}}
+				w.walkStruct("Network", reflect.ValueOf(fresh).Elem(), reflect.ValueOf(reused).Elem())
+			})
+		}
 	}
-	reused := dirtyNetwork(t)
-	if err := reused.Reset(cfg, &covSelector{}); err != nil {
-		t.Fatal(err)
-	}
-
-	w := &resetWalker{t: t, seen: map[[2]uintptr]bool{}, hit: map[string]bool{}}
-	w.walkStruct("Network", reflect.ValueOf(fresh).Elem(), reflect.ValueOf(reused).Elem())
 
 	// Every allowlist entry must still name a real field, so renames and
 	// removals cannot leave stale exemptions behind.

@@ -56,13 +56,10 @@ type vcState struct {
 	crossed uint8
 }
 
-//catnap:hotpath
 func (v *vcState) empty() bool { return v.count == 0 }
 
-//catnap:hotpath
 func (v *vcState) front() *flit { return &v.q[v.head] }
 
-//catnap:hotpath
 func (v *vcState) push(f flit) {
 	if v.count == len(v.q) {
 		panic("noc: VC buffer overflow (credit accounting bug)")
@@ -71,7 +68,6 @@ func (v *vcState) push(f flit) {
 	v.count++
 }
 
-//catnap:hotpath
 func (v *vcState) pop() flit {
 	f := v.q[v.head]
 	// Zero the whole slot, not just the packet pointer: dequeued packets
@@ -183,8 +179,6 @@ type Router struct {
 // values on every reset. wire serves fresh construction and shape-changing
 // reset alike: the caller hands it a zeroed Router (optionally carrying a
 // retained CSC tracker) over freshly zeroed pools.
-//
-//catnap:reset-covered Subnet.reset zeroes the router and re-runs wire+rearm; same-shape resets re-run rearm over the retained views
 func (r *Router) wire(sub *Subnet, node int) {
 	cfg := sub.net.cfg
 	topo := sub.net.topo
@@ -268,21 +262,15 @@ func (r *Router) PortOccupancy(p int) int { return r.in[p].occupancy }
 // MaxPortOccupancy returns the maximum buffered flit count over all input
 // ports — the paper's BFM local congestion metric. O(1): the counter is
 // maintained at deliver/traverse.
-//
-//catnap:hotpath
 func (r *Router) MaxPortOccupancy() int { return r.maxPortOcc }
 
 // TotalOccupancy returns the total buffered flits across all ports. O(1):
 // the counter is maintained at deliver/traverse.
-//
-//catnap:hotpath
 func (r *Router) TotalOccupancy() int { return r.totalOcc }
 
 // MaxPortOccupancyScan recomputes MaxPortOccupancy by scanning the ports.
 // It exists for the retained reference path and for consistency checks;
 // the hot paths use the incremental counter.
-//
-//catnap:hotpath
 func (r *Router) MaxPortOccupancyScan() int {
 	m := 0
 	for p := range r.in {
@@ -295,8 +283,6 @@ func (r *Router) MaxPortOccupancyScan() int {
 
 // TotalOccupancyScan recomputes TotalOccupancy by scanning the ports (see
 // MaxPortOccupancyScan).
-//
-//catnap:hotpath
 func (r *Router) TotalOccupancyScan() int {
 	t := 0
 	for p := range r.in {
@@ -307,8 +293,6 @@ func (r *Router) TotalOccupancyScan() int {
 
 // BlockingCounters returns the cumulative eligible-but-blocked flit cycles
 // and granted flits, for the Delay congestion metric.
-//
-//catnap:hotpath
 func (r *Router) BlockingCounters() (blockedCycles, granted int64) {
 	return r.blockedFlitCycles, r.grantedFlits
 }
@@ -317,8 +301,6 @@ func (r *Router) BlockingCounters() (blockedCycles, granted int64) {
 // It is a no-op on an active router; on a waking router it keeps the
 // earlier completion time. cause is reported to the network's power
 // tracer, if one is installed, on the actual Asleep→Waking transition.
-//
-//catnap:hotpath
 func (r *Router) wake(now int64, delay int, cause WakeCause) {
 	switch r.sub.pstate[r.node] {
 	case PowerActive:
@@ -342,8 +324,6 @@ func (r *Router) wake(now int64, delay int, cause WakeCause) {
 // sleep gates the router at cycle now after idle continuously-empty
 // cycles. The caller has verified the sleep preconditions (empty buffers,
 // no pinned arrivals, policy approval).
-//
-//catnap:hotpath
 func (r *Router) sleep(now, idle int64) {
 	r.sub.pstate[r.node] = PowerAsleep
 	r.sub.onSleep(r.node)
@@ -359,8 +339,6 @@ func (r *Router) sleep(now, idle int64) {
 // representations are reset (emptySince for the reference scan path,
 // lastBusy for the incremental path) so a mode switch stays consistent,
 // and the next sleep-eligibility check is scheduled.
-//
-//catnap:hotpath
 func (r *Router) completeWake(now int64) {
 	r.sub.pstate[r.node] = PowerActive
 	r.sub.onWakeDone(r.node)
@@ -372,8 +350,6 @@ func (r *Router) completeWake(now int64) {
 // noteBusyEnd records that the router was busy at cycle busyCycle (the
 // lazy lastBusy update) and schedules the sleep-eligibility check that
 // this busy period's end makes due.
-//
-//catnap:hotpath
 func (r *Router) noteBusyEnd(now, busyCycle int64) {
 	if busyCycle > r.sub.lastBusy[r.node] {
 		r.sub.lastBusy[r.node] = busyCycle
@@ -386,8 +362,6 @@ func (r *Router) noteBusyEnd(now, busyCycle int64) {
 // look-ahead wake-up: a head flit's pre-computed route identifies the
 // downstream router, and if that router is gated a wake-up signal is sent
 // immediately, hiding WakeupHidden cycles of the wake-up delay.
-//
-//catnap:hotpath
 func (r *Router) deliver(now int64, p, v int, f flit) {
 	cfg := r.sub.net.cfg
 	f.eligibleAt = now + int64(cfg.RouterDelay)
@@ -430,8 +404,6 @@ type reqMasks [16]uint64
 // look-ahead route of packets newly at the front of a FIFO. On the
 // incremental path it fills req for switchAllocate; the scan path
 // ignores req (nil is allowed there).
-//
-//catnap:hotpath
 func (r *Router) vcAllocate(req *reqMasks) {
 	nports := len(r.in)
 	if r.slotMask && !r.sub.refScan {
@@ -501,8 +473,6 @@ func (r *Router) vcAllocate(req *reqMasks) {
 
 // allocateOutVC tries to grant vc's front packet a downstream virtual
 // channel on its output port.
-//
-//catnap:hotpath
 func (r *Router) allocateOutVC(vc *vcState) {
 	op := &r.out[vc.outPort]
 	mask := r.sub.net.cfg.vcMask(vc.curPkt.Class)
@@ -544,8 +514,6 @@ func (r *Router) allocateOutVC(vc *vcState) {
 // dimBit returns the dateline bit of a mesh direction's ring (X rings
 // use bit 0, Y rings bit 1). Only torus configurations consult it, and
 // the torus is always the radix-5 mesh port layout.
-//
-//catnap:hotpath
 func dimBit(p int) uint8 {
 	if p == int(topology.East) || p == int(topology.West) {
 		return 1 << 0
@@ -559,8 +527,6 @@ func dimBit(p int) uint8 {
 // the downstream router being awake. It returns the number of flits moved.
 // req is the request-mask set vcAllocate filled this cycle (unused, and
 // may be nil, on the scan path).
-//
-//catnap:hotpath
 func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 	moved := 0
 	for p := range r.grantedInput {
@@ -641,8 +607,6 @@ func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 // Slots that stop requesting mid-allocation (emptied, or a tail popped)
 // keep a stale bit and are filtered by the same live check the scan
 // performs. grantedInput was reset by the caller.
-//
-//catnap:hotpath
 func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 	moved := 0
 	nports := len(r.in)
@@ -724,8 +688,6 @@ func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 // traverse moves the front flit of input (p, v) through the crossbar onto
 // output port o, updating credits, wormhole state, look-ahead routing and
 // the staged arrival/credit wheels.
-//
-//catnap:hotpath
 func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort) {
 	cfg := r.sub.net.cfg
 	f := vc.pop()
@@ -805,8 +767,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 // accrues state-residency counts for the power model. The incremental
 // path (Subnet.powerPhase) reproduces these decisions bit-identically
 // without visiting steady-state routers.
-//
-//catnap:hotpath
 func (r *Router) powerUpdate(now int64) {
 	cfg := r.sub.net.cfg
 	pol := r.sub.net.gating
@@ -853,8 +813,6 @@ func (r *Router) powerUpdate(now int64) {
 // decision is ever missed. idle below TIdleDetect at a live check can only
 // happen after defensive rescheduling; it, too, leaves the next check in
 // place.
-//
-//catnap:hotpath
 func (r *Router) powerCheck(now int64, blocked bool) {
 	if r.totalOcc > 0 || r.sub.pinnedUntil[r.node] > now || r.sub.net.niStreaming(r.sub.index, r.node) {
 		if blocked {

@@ -41,8 +41,7 @@ type IdleSkipper interface {
 // skipping path is differenced against, and it touches every router every
 // cycle by design.
 //
-//catnap:quiescent-only reads cross-subnet state; callable only between cycles
-//catnap:hotpath attempted every cycle of Simulator.Run while skipping is armed
+// Call it only between cycles, never from inside Step.
 func (n *Network) Quiescent() bool {
 	if n.refScan || n.inFlight != 0 {
 		return false
@@ -79,7 +78,8 @@ func (n *Network) Quiescent() bool {
 // timestamps, so jumping past a pending entry would strand it for
 // misapplication one wheel revolution later.
 //
-//catnap:quiescent-only wheel slot arithmetic assumes the clock sits between cycles
+// Call it only between cycles, never from inside Step: the wheel-slot
+// arithmetic assumes the clock sits between cycles.
 func (n *Network) NextEventCycle() (at int64, ok bool) {
 	at = SkipHorizon
 	for _, s := range n.subnets {
@@ -91,8 +91,6 @@ func (n *Network) NextEventCycle() (at int64, ok bool) {
 }
 
 // nextEventCycle is NextEventCycle for one subnet.
-//
-//catnap:quiescent-only
 func (s *Subnet) nextEventCycle(now int64) int64 {
 	min := SkipHorizon
 	// Staged wheels: slot i relative to slot(now) gives the due cycle.
@@ -155,14 +153,15 @@ func (s *Subnet) nextEventCycle(now int64) int64 {
 // patches its own state via SkipIdle, so the result is bit-identical to
 // having stepped the span cycle by cycle.
 //
-//catnap:quiescent-only advances the network clock; never call mid-phase
-//catnap:hotpath attempted every cycle of Simulator.Run while skipping is armed
+// Call it only between cycles, never from inside Step: it advances the
+// network clock.
 func (n *Network) TrySkipIdle(target int64) int64 {
 	if !n.idleSkip || target <= n.now || !n.Quiescent() {
 		return 0
 	}
 	to := target
-	//lint:ignore contractflow the skip machinery runs once per quiescent span, not per cycle; its cost amortises over the skipped cycles
+	// The skip machinery runs once per quiescent span, not per cycle; its
+	// cost amortises over the skipped cycles.
 	if ev, ok := n.NextEventCycle(); ok && ev < to {
 		to = ev
 	}
@@ -171,7 +170,6 @@ func (n *Network) TrySkipIdle(target int64) int64 {
 		if !ok {
 			return 0 // per-cycle observer: correctness by veto
 		}
-		//lint:ignore contractflow once per quiescent span; see NextEventCycle above
 		next, ok := sk.NextIdleEvent(n.now)
 		if !ok {
 			return 0
@@ -189,7 +187,6 @@ func (n *Network) TrySkipIdle(target int64) int64 {
 		s.events.SleepRouterCycles += k * int64(s.stateCount[PowerAsleep])
 	}
 	for _, o := range n.obs {
-		//lint:ignore contractflow once per quiescent span; see NextEventCycle above
 		o.(IdleSkipper).SkipIdle(n.now, to)
 	}
 	n.now = to

@@ -152,35 +152,31 @@ type wireShape struct {
 
 // Router returns the router at node n (read-mostly access for congestion
 // metrics, policies, and tests).
-//
-//catnap:hotpath
 func (s *Subnet) Router(n int) *Router { return &s.routers[n] }
 
 // Events returns the subnet's switching-activity counters.
 func (s *Subnet) Events() *PowerEvents { return s.events }
 
-//catnap:hotpath
 func (s *Subnet) slot(cycle int64) int { return int(cycle % int64(s.wheelSize)) }
 
-//catnap:hotpath wheel append, amortised zero-alloc once warmed
+// stageArrival and its siblings append to wheel slots, which keep their
+// capacity, so staging stops allocating once every slot has reached its
+// high-water mark.
 func (s *Subnet) stageArrival(at int64, node, port, vc int, f flit) {
 	i := s.slot(at)
 	s.arrivals[i] = append(s.arrivals[i], arrival{node: node, port: port, vc: vc, f: f})
 }
 
-//catnap:hotpath
 func (s *Subnet) stageCredit(at int64, node, port, vc int) {
 	i := s.slot(at)
 	s.credits[i] = append(s.credits[i], credit{node: node, port: port, vc: vc})
 }
 
-//catnap:hotpath
 func (s *Subnet) stageNICredit(at int64, node, vc int) {
 	i := s.slot(at)
 	s.niCredits[i] = append(s.niCredits[i], niCredit{node: node, vc: vc})
 }
 
-//catnap:hotpath
 func (s *Subnet) stageEject(at int64, node int, f flit) {
 	i := s.slot(at)
 	s.ejections[i] = append(s.ejections[i], ejection{node: node, f: f})
@@ -189,8 +185,6 @@ func (s *Subnet) stageEject(at int64, node int, f flit) {
 // deliverPhase drains every event staged for cycle now: credits first (so
 // freed slots are usable this cycle), then flit arrivals, then ejections
 // into the NIs.
-//
-//catnap:hotpath
 func (s *Subnet) deliverPhase(now int64) {
 	i := s.slot(now)
 
@@ -219,8 +213,6 @@ func (s *Subnet) deliverPhase(now int64) {
 }
 
 // routerPhase runs allocation and traversal on every active router.
-//
-//catnap:hotpath
 func (s *Subnet) routerPhase(now int64) {
 	if s.refScan {
 		s.routerPhaseScan(now)
@@ -248,8 +240,6 @@ func (s *Subnet) routerPhase(now int64) {
 
 // routerPhaseScan is the retained reference implementation: visit every
 // router, skipping gated and empty ones by rescanning their ports.
-//
-//catnap:hotpath
 func (s *Subnet) routerPhaseScan(now int64) {
 	for n := range s.routers {
 		if s.pstate[n] != PowerActive {
@@ -269,8 +259,6 @@ func (s *Subnet) routerPhaseScan(now int64) {
 // (when the gating policy's decision epoch moved) asleep or sleep-blocked
 // routers — while accruing state residency from the per-state counts in
 // O(1). Event order matches the reference scan: ascending node id.
-//
-//catnap:hotpath
 func (s *Subnet) powerPhase(now int64) {
 	if s.refScan {
 		s.powerPhaseScan(now)
@@ -346,8 +334,6 @@ func (s *Subnet) powerPhase(now int64) {
 
 // powerPhaseScan is the retained reference implementation: every router,
 // every cycle.
-//
-//catnap:hotpath
 func (s *Subnet) powerPhaseScan(now int64) {
 	for n := range s.routers {
 		s.routers[n].powerUpdate(now)
@@ -369,16 +355,12 @@ func (s *Subnet) ActiveRouters() int {
 
 // PowerStates returns the router counts in each power state; telemetry
 // samples it per cycle for the Figure 12-style power-state series. O(1).
-//
-//catnap:hotpath
 func (s *Subnet) PowerStates() (active, waking, asleep int) {
 	return s.stateCount[PowerActive], s.stateCount[PowerWaking], s.stateCount[PowerAsleep]
 }
 
 // BufferedFlits returns the total flits buffered across every router in
 // the subnet (the occupancy the BFA metric averages). O(1).
-//
-//catnap:hotpath
 func (s *Subnet) BufferedFlits() int { return s.bufferedFlits }
 
 // MaxBFM returns the maximum per-router BFM (max input-port occupancy)
@@ -386,8 +368,6 @@ func (s *Subnet) BufferedFlits() int { return s.bufferedFlits }
 // congestion metric. Amortized O(1): bfmMax only rises to the exact new
 // value on delivery and is lazily walked down over the router histogram
 // on reads after drains.
-//
-//catnap:hotpath
 func (s *Subnet) MaxBFM() int {
 	for s.bfmMax > 0 && s.bfmHist[s.bfmMax] == 0 {
 		s.bfmMax--
@@ -398,8 +378,6 @@ func (s *Subnet) MaxBFM() int {
 // OccupiedBits exposes the occupied-router bitmap (bit n of word n/64 set
 // iff router n buffers at least one flit). Congestion detection iterates
 // it instead of scanning the mesh; callers must not modify it.
-//
-//catnap:hotpath
 func (s *Subnet) OccupiedBits() []uint64 { return s.occBits }
 
 // PowerStatesScan recomputes PowerStates by scanning every router — the
@@ -441,8 +419,6 @@ func (s *Subnet) MaxBFMScan() int {
 // --- incremental aggregate maintenance -------------------------------
 
 // noteBFM moves one router between max-port-occupancy histogram buckets.
-//
-//catnap:hotpath
 func (s *Subnet) noteBFM(from, to int) {
 	s.bfmHist[from]--
 	s.bfmHist[to]++
@@ -453,16 +429,12 @@ func (s *Subnet) noteBFM(from, to int) {
 
 // setOccupied marks router n as holding buffered flits. Gaining a flit
 // also cancels any sleep-blocked status: the router is busy again.
-//
-//catnap:hotpath
 func (s *Subnet) setOccupied(n int) {
 	s.occBits[n>>6] |= 1 << (uint(n) & 63)
 	s.blockedBits[n>>6] &^= 1 << (uint(n) & 63)
 }
 
 // clearOccupied marks router n as empty.
-//
-//catnap:hotpath
 func (s *Subnet) clearOccupied(n int) {
 	s.occBits[n>>6] &^= 1 << (uint(n) & 63)
 }
@@ -470,18 +442,13 @@ func (s *Subnet) clearOccupied(n int) {
 // setBlocked / clearBlocked maintain the sleep-blocked set (idle long
 // enough to sleep, but the policy said no; re-evaluated on policy-epoch
 // changes instead of every cycle).
-//
-//catnap:hotpath
 func (s *Subnet) setBlocked(n int) { s.blockedBits[n>>6] |= 1 << (uint(n) & 63) }
 
-//catnap:hotpath
 func (s *Subnet) clearBlocked(n int) { s.blockedBits[n>>6] &^= 1 << (uint(n) & 63) }
 
 // onSleep records an Active→Asleep transition. The fresh sleeper is owed
 // one WantWake poll on the next power phase even if the policy epoch does
 // not move (a generic epoched policy may want it straight back up).
-//
-//catnap:hotpath
 func (s *Subnet) onSleep(n int) {
 	s.stateCount[PowerActive]--
 	s.stateCount[PowerAsleep]++
@@ -491,8 +458,6 @@ func (s *Subnet) onSleep(n int) {
 }
 
 // onWakeStart records an Asleep→Waking transition.
-//
-//catnap:hotpath
 func (s *Subnet) onWakeStart(n int) {
 	s.stateCount[PowerAsleep]--
 	s.stateCount[PowerWaking]++
@@ -502,15 +467,12 @@ func (s *Subnet) onWakeStart(n int) {
 }
 
 // onWakeDone records a Waking→Active transition.
-//
-//catnap:hotpath
 func (s *Subnet) onWakeDone(n int) {
 	s.stateCount[PowerWaking]--
 	s.stateCount[PowerActive]++
 	s.wakingBits[n>>6] &^= 1 << (uint(n) & 63)
 }
 
-//catnap:hotpath
 func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.checkWheel))) }
 
 // scheduleCheck (re)schedules router r's next sleep-eligibility check at
@@ -519,8 +481,6 @@ func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.che
 // re-arm) is checked immediately. A single checkAt overwrite invalidates
 // any previously staged entry. No-op on the reference path or without a
 // gating policy; SetGatingPolicy re-arms every router when one appears.
-//
-//catnap:hotpath
 func (s *Subnet) scheduleCheck(r *Router, now int64) {
 	if s.refScan || s.net.gating == nil {
 		return

@@ -161,8 +161,6 @@ func (c *Collector) SetLeakRate(pjPerRouterCycle float64) { c.leakPJ = pjPerRout
 
 // AfterCycle implements noc.CycleObserver: it samples the settled end-
 // of-cycle state into the windowed series.
-//
-//catnap:hotpath runs once per simulated cycle when telemetry is attached
 func (c *Collector) AfterCycle(now int64) {
 	c.last = now
 	c.sampled = true
@@ -219,8 +217,6 @@ func (c *Collector) SkipIdle(from, to int64) {
 }
 
 // RouterSlept implements noc.PowerTracer.
-//
-//catnap:hotpath
 func (c *Collector) RouterSlept(now int64, subnet, node int, idle int64) {
 	c.cSleeps.Add(1)
 	c.log.Append(Event{
@@ -230,8 +226,6 @@ func (c *Collector) RouterSlept(now int64, subnet, node int, idle int64) {
 }
 
 // RouterWoke implements noc.PowerTracer.
-//
-//catnap:hotpath
 func (c *Collector) RouterWoke(now int64, subnet, node int, cause noc.WakeCause, slept int64) {
 	switch cause {
 	case noc.WakeLookAhead:
@@ -248,8 +242,6 @@ func (c *Collector) RouterWoke(now int64, subnet, node int, cause noc.WakeCause,
 }
 
 // LCSChanged implements congestion.Tracer.
-//
-//catnap:hotpath
 func (c *Collector) LCSChanged(now int64, subnet, node int, on bool) {
 	t := EventCongestionOn
 	if on {
@@ -263,8 +255,6 @@ func (c *Collector) LCSChanged(now int64, subnet, node int, on bool) {
 
 // RCSChanged implements congestion.Tracer. Node carries the region
 // index.
-//
-//catnap:hotpath
 func (c *Collector) RCSChanged(now int64, subnet, region int, on bool) {
 	c.cRCSToggle.Add(1)
 	t := EventRCSOn

@@ -118,8 +118,6 @@ func NewLog(capacity int, sink io.Writer) *Log {
 }
 
 // Append records one event.
-//
-//catnap:hotpath fires only on power/congestion transitions, never per flit
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -135,7 +133,8 @@ func (l *Log) Append(e Event) {
 		l.full = true
 	}
 	if l.enc != nil && l.sinkErr == nil {
-		//lint:ignore hotpathalloc JSON streaming is opt-in via WithSink; runs that care about allocation leave the sink nil
+		// Streaming allocates; it is opt-in via the sink, and runs that
+		// care about allocation leave the sink nil.
 		l.sinkErr = l.enc.Encode(e)
 	}
 }

@@ -11,13 +11,15 @@ import (
 // function that flushes and closes that stream and then writes every
 // metric point to metricsPath: CSV when the name ends in .csv, JSONL
 // otherwise. Either path may be empty. With both empty the recorder is
-// nil (telemetry off, at zero cost) and finish does nothing.
+// nil (telemetry off, at zero cost) and finish does nothing. Both files
+// are created here, so an unwritable path fails before any simulation
+// runs rather than after it.
 func OpenFiles(metricsPath, eventsPath string, window int64) (*Recorder, func() error, error) {
 	if metricsPath == "" && eventsPath == "" {
 		return nil, func() error { return nil }, nil
 	}
 	opts := Options{Window: window}
-	var events *os.File
+	var events, metrics *os.File
 	if eventsPath != "" {
 		f, err := os.Create(eventsPath)
 		if err != nil {
@@ -25,29 +27,35 @@ func OpenFiles(metricsPath, eventsPath string, window int64) (*Recorder, func() 
 		}
 		events, opts.Events = f, f
 	}
-	rec := NewRecorder(opts)
-	finish := func() error {
-		if err := rec.Flush(); err != nil {
-			return err
-		}
-		if events != nil {
-			if err := events.Close(); err != nil {
-				return err
-			}
-		}
-		if metricsPath == "" {
-			return nil
-		}
+	if metricsPath != "" {
 		f, err := os.Create(metricsPath)
 		if err != nil {
+			if events != nil {
+				events.Close()
+			}
+			return nil, nil, err
+		}
+		metrics = f
+	}
+	rec := NewRecorder(opts)
+	finish := func() error {
+		err := rec.Flush()
+		if events != nil {
+			if cerr := events.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if metrics == nil {
 			return err
 		}
-		if strings.HasSuffix(metricsPath, ".csv") {
-			err = rec.WriteMetricsCSV(f)
-		} else {
-			err = rec.WriteMetricsJSONL(f)
+		if err == nil {
+			if strings.HasSuffix(metricsPath, ".csv") {
+				err = rec.WriteMetricsCSV(metrics)
+			} else {
+				err = rec.WriteMetricsJSONL(metrics)
+			}
 		}
-		if cerr := f.Close(); err == nil {
+		if cerr := metrics.Close(); err == nil {
 			err = cerr
 		}
 		return err

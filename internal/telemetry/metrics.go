@@ -41,8 +41,6 @@ type Counter struct {
 }
 
 // Add increments the counter by d.
-//
-//catnap:hotpath
 func (c *Counter) Add(d int64) { atomic.AddInt64(&c.v, d) }
 
 // Value returns the current total.

@@ -277,13 +277,18 @@ func TestLogRingBound(t *testing.T) {
 }
 
 // TestOpenFiles covers the command-line set-up: with both paths empty
-// the recorder is nil and finish does nothing; otherwise the event
-// stream holds every event and the metrics file, CSV or JSONL by
-// suffix, holds every metric point.
+// the recorder is nil and finish does nothing; an unwritable metrics
+// path fails at set-up, before any run; otherwise the event stream holds
+// every event and the metrics file, CSV or JSONL by suffix, holds every
+// metric point.
 func TestOpenFiles(t *testing.T) {
 	rec, finish, err := telemetry.OpenFiles("", "", 0)
 	if err != nil || rec != nil || finish() != nil {
 		t.Fatalf("both paths empty: recorder %v, err %v", rec, err)
+	}
+	dir := t.TempDir()
+	if _, _, err := telemetry.OpenFiles(filepath.Join(dir, "missing", "m.jsonl"), filepath.Join(dir, "e.jsonl"), 0); err == nil {
+		t.Error("OpenFiles accepted a metrics path under a missing directory")
 	}
 	for _, name := range []string{"m.jsonl", "m.csv"} {
 		dir := t.TempDir()

@@ -1,0 +1,84 @@
+package catnap
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/catnap-noc/catnap/internal/congestion"
+	"github.com/catnap-noc/catnap/internal/noc"
+	"github.com/catnap-noc/catnap/internal/sim"
+	"github.com/catnap-noc/catnap/internal/telemetry"
+	"github.com/catnap-noc/catnap/internal/traffic"
+)
+
+// stepAllocPeriod is one traffic period in cycles: a multiple of every
+// staged-wheel size (RouterDelay+LinkDelay+CreditDelay+4) and of the
+// gating check wheel (TIdleDetect+2), so every period lands its events in
+// the same wheel slots.
+const stepAllocPeriod = 840
+
+// TestStepAllocs pins the zero-allocation contract of Network.Step: once
+// warm, stepping periodic traffic allocates nothing. Every period injects
+// the same burst of uniform-random packets and must drain before it ends.
+// The arms cover every design (and so every subnet selector and gating
+// policy), each congestion metric with telemetry attached, and the
+// reference-scan path; the 1024-packet burst congests the mesh enough to
+// toggle RCS on the Catnap designs. Congestion-steered arms are not
+// exactly periodic and now and then grow a wheel slot to a new high-water
+// mark, so the bound is fewer than one allocation per 100 cycles rather
+// than zero; an allocation per flit hop, wake or injection exceeds it by
+// orders of magnitude.
+func TestStepAllocs(t *testing.T) {
+	type arm struct {
+		name               string
+		cfg                Config
+		telemetry, refScan bool
+	}
+	var arms []arm
+	for _, d := range Designs() {
+		arms = append(arms, arm{name: d, cfg: mustDesign(d)})
+	}
+	for m := congestion.BFM; m <= congestion.Delay; m++ {
+		cfg := mustDesign("4NT-128b-PG")
+		cfg.Metric = m
+		arms = append(arms, arm{name: cfg.Name + "/" + m.String() + "+telemetry", cfg: cfg, telemetry: true})
+	}
+	for _, d := range []string{"4NT-128b-PG", "1NT-512b"} {
+		arms = append(arms, arm{name: d + "/reference-scan", cfg: mustDesign(d), refScan: true})
+	}
+	for _, burst := range []int{16, 1024} {
+		for _, a := range arms {
+			t.Run(fmt.Sprintf("%s/burst%d", a.name, burst), func(t *testing.T) {
+				s := mustSim(a.cfg)
+				if a.refScan {
+					s.Net.SetExecMode(noc.ExecMode{ReferenceScan: true})
+				}
+				if a.telemetry {
+					s.EnableTelemetry(telemetry.NewRecorder(telemetry.Options{}), a.name)
+				}
+				topo, rng := s.Net.Topo(), sim.NewRNG(1)
+				period := func() {
+					rng.Reseed(1)
+					for i := 0; i < burst; i++ {
+						src := i % topo.Nodes()
+						dst := traffic.UniformRandom{}.Dest(rng, src, topo.Rows(), topo.Cols())
+						s.Net.NewPacket(src, dst, noc.ClassSynthetic, traffic.SyntheticPacketBits)
+					}
+					s.Run(stepAllocPeriod)
+					if n := s.Net.InFlight(); n != 0 {
+						t.Fatalf("%d packets still in flight at the end of a period", n)
+					}
+				}
+				// 8NT-64b's round-robin selector needs 8 periods before
+				// every subnet's wheels have seen the burst.
+				for i := 0; i < 16; i++ {
+					period()
+				}
+				allocs := testing.AllocsPerRun(8, period)
+				if allocs*100 >= stepAllocPeriod {
+					t.Errorf("%.0f allocations per %d-cycle period, want fewer than one per 100 cycles", allocs, stepAllocPeriod)
+				}
+			})
+		}
+	}
+}
