@@ -7,28 +7,25 @@ GO ?= go
 all: check
 
 # check is the default verification path, in dependency order: build
-# first (cheap, fails fast on syntax), then the static-analysis gate
-# (lint = go vet + catnap-lint, run exactly once here — the race
-# targets no longer duplicate vet), then the plain test suite, the
-# differential suites under the race detector (check-race), the full
-# suite under the race detector, the telemetry zero-overhead guard,
-# and the core stepping-cost guard last (slowest).
+# first (cheap, fails fast on syntax), then lint (gofmt + go vet, run
+# exactly once here — the race targets do not repeat vet), then the
+# plain test suite (which also enforces the determinism and docs source
+# rules), the differential suites under the race detector (check-race),
+# the full suite under the race detector, the telemetry zero-overhead
+# guard, and the core stepping-cost guard last (slowest).
 check: build lint test check-race race bench-telemetry bench-core
 
-# lint is the single static-analysis entry point: a gofmt check over
-# every tracked .go file, go vet (on the root module and on bench/, its
-# own module, which ./... does not reach), and the in-tree catnap-lint suite
-# (nodeterminism, missingdoc — see DESIGN.md "Static analysis").
-# catnap-lint also fails on malformed or unused //lint:ignore
-# directives, so stale suppressions cannot linger. The zero-allocation
-# and reset-completeness contracts are runtime tests (TestStepAllocs,
-# TestResetCoverage) in the plain test suite.
+# lint is a gofmt check over every tracked .go file, then go vet on the
+# root module and on bench/, its own module, which ./... does not reach.
+# The repository's own source rules (determinism, docs: TestRepoLintClean
+# in internal/analysis, see DESIGN.md "Static analysis") and the
+# zero-allocation and reset-completeness contracts (TestStepAllocs,
+# TestResetCoverage) are tests in the plain test suite.
 lint:
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
-	$(GO) run ./cmd/catnap-lint ./...
 
 # check-race runs the noc + congestion + root differential suites under
 # the race detector: mid-run flips, drain, the incremental-vs-reference

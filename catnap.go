@@ -119,9 +119,6 @@ type Config struct {
 	// Seed drives all randomness (policies only; traffic generators and
 	// system models take their own seeds).
 	Seed uint64
-
-	// PowerParams overrides the calibrated power model constants.
-	PowerParams *power.Params
 }
 
 // BaseConfig returns the paper's 256-core baseline: an 8×8 concentrated
@@ -198,20 +195,13 @@ func (c *Config) ApplyDefaults() {
 		c.Seed = b.Seed
 	}
 	if c.VoltageV == 0 {
-		p := c.powerParams()
+		p := power.DefaultParams()
 		if v, ok := p.MinVoltageFor(c.LinkWidthBits, 2.0); ok {
 			c.VoltageV = v
 		} else {
 			c.VoltageV = p.Vref
 		}
 	}
-}
-
-func (c *Config) powerParams() power.Params {
-	if c.PowerParams != nil {
-		return *c.PowerParams
-	}
-	return power.DefaultParams()
 }
 
 // nocConfig lowers the facade configuration to the engine's.

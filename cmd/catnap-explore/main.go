@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -64,7 +65,6 @@ var (
 	cacheDir      = flag.String("cache", "", "result-cache directory; rerun with the same flags and directory to resume (empty = in-memory only)")
 	frontOut      = flag.String("front-out", "", "write the frontier's deterministic JSON to this file")
 	jobs          = flag.Int("jobs", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
-	reuse         = flag.Bool("reuse", true, "recycle one simulator per worker across evaluations instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
 	verbose       = flag.Bool("v", false, "log every evaluated point as it completes")
 	cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 	memprofile    = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -113,17 +113,7 @@ func explore() error {
 	// hit rate from this line).
 	fmt.Fprintf(os.Stderr, "explore: %d points (hits %d, misses %d, hit rate %.0f%%), front %d, rounds %d\n",
 		r.Proposed, r.Cache.Hits, r.Cache.Misses, r.Cache.HitRate(), r.Front.Len(), r.Rounds)
-
-	fmt.Printf("# space=%d budget=%d load=%g warmup=%d measure=%d seed=%d sample-seed=%d grid=%t\n",
-		r.SpaceSize, *budget, *load, *warmup, *measure, *seed, *sampleSeed, *grid)
-	fmt.Printf("%7s %6s %7s %6s %7s %10s %10s %9s %9s %7s\n",
-		"subnets", "width", "vcdepth", "tidle", "metric", "threshold", "power(W)", "lat(cyc)", "accepted", "CSC%")
-	for _, p := range r.Front.Points() {
-		s := r.FrontSpec(p)
-		fmt.Printf("%7d %6d %7d %6d %7s %10g %10.2f %9.1f %9.3f %7.1f\n",
-			s.Subnets, s.WidthBits, s.VCDepth, s.TIdle, s.Metric, s.Threshold,
-			p.PowerW, p.Latency, p.Accepted, p.CSCPercent)
-	}
+	writeFront(os.Stdout, r)
 
 	if *frontOut != "" {
 		f, err := os.Create(*frontOut)
@@ -139,6 +129,22 @@ func explore() error {
 		}
 	}
 	return nil
+}
+
+// writeFront prints the frontier table under a header line. The header
+// gives the evaluation parameters the campaign ran with, read from r
+// rather than the flags, since a zero flag selects a default.
+func writeFront(w io.Writer, r *catnap.ExploreResult) {
+	fmt.Fprintf(w, "# space=%d budget=%d load=%g warmup=%d measure=%d seed=%d sample-seed=%d grid=%t\n",
+		r.SpaceSize, *budget, r.Eval.Load, r.Eval.Warmup, r.Eval.Measure, r.Eval.Seed, *sampleSeed, *grid)
+	fmt.Fprintf(w, "%7s %6s %7s %6s %7s %10s %10s %9s %9s %7s\n",
+		"subnets", "width", "vcdepth", "tidle", "metric", "threshold", "power(W)", "lat(cyc)", "accepted", "CSC%")
+	for _, p := range r.Front.Points() {
+		s := r.FrontSpec(p)
+		fmt.Fprintf(w, "%7d %6d %7d %6d %7s %10g %10.2f %9.1f %9.3f %7.1f\n",
+			s.Subnets, s.WidthBits, s.VCDepth, s.TIdle, s.Metric, s.Threshold,
+			p.PowerW, p.Latency, p.Accepted, p.CSCPercent)
+	}
 }
 
 // buildOpts assembles and validates the experiment options from flags.
@@ -173,7 +179,6 @@ func buildOpts() (catnap.ExperimentOpts, error) {
 	e.CacheDir = *cacheDir
 	opts.Scale = catnap.Scale{Warmup: *warmup, Measure: *measure}
 	opts.Sweep.Jobs = *jobs
-	opts.NoReuse = !*reuse
 	if err := opts.Validate(); err != nil {
 		return opts, err
 	}

@@ -51,7 +51,6 @@ var (
 	metricsFile = flag.String("metrics", "", "write telemetry metrics to this file (JSONL; CSV if it ends in .csv), one labeled collector per load")
 	eventsFile  = flag.String("events", "", "stream telemetry events (sleep/wake, congestion, point lifecycle) to this JSONL file")
 	jobs        = flag.Int("jobs", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	reuse       = flag.Bool("reuse", true, "recycle one simulator per worker across sweep points instead of rebuilding (bit-identical; disable to benchmark fresh construction)")
 	verbose     = flag.Bool("v", false, "log every sweep point as it completes")
 	cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -117,9 +116,8 @@ func sweep() error {
 				if *metricTh > 0 {
 					cfg.MetricThreshold = *metricTh
 				}
-				// With -reuse, the worker's pool resets one simulator in
-				// place; a nil pool (reuse off) degrades to catnap.New.
-				pool, _ := runner.WorkerState(ctx).(*catnap.SimPool)
+				// The worker's pool resets one simulator in place.
+				pool := runner.WorkerState(ctx).(*catnap.SimPool)
 				sim, err := pool.Get(cfg)
 				if err != nil {
 					return catnap.Results{}, err
@@ -159,9 +157,9 @@ func sweep() error {
 	if rec != nil {
 		sweepProg = runner.Tee(prog, rec.Progress())
 	}
-	ropts := runner.Options{Jobs: *jobs, Progress: sweepProg}
-	if *reuse {
-		ropts.WorkerState = func() any { return catnap.NewSimPool() }
+	ropts := runner.Options{
+		Jobs: *jobs, Progress: sweepProg,
+		WorkerState: func() any { return catnap.NewSimPool() },
 	}
 	results, err := runner.Values(runner.Run(ctx, pts, ropts))
 	prog.Finish()

@@ -16,13 +16,14 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
-	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/telemetry"
 	"github.com/catnap-noc/catnap/internal/trace"
 )
@@ -169,58 +170,37 @@ func reportEvents(path string) error {
 	return nil
 }
 
-// analysis folds every aggregate the report needs in one streaming pass,
-// so the trace is read exactly once and never materialized (gzip inputs
-// could not Seek for a second pass anyway).
-type analysis struct {
-	packets   int64
-	latSum    int64
-	maxLat    int64
-	first     int64
-	last      int64
-	perSubnet map[int]int64
-	perClass  map[noc.MsgClass]int64
-	bounds    []int64
-	counts    []int64
-	window    int64
-	series    map[int64]int64
+// histBounds are the latency histogram's inclusive bucket upper bounds in
+// cycles; the last bucket catches everything longer.
+var histBounds = [...]int64{10, 20, 40, 80, 160, 320, 640, 1280, 1 << 62}
+
+// report is a trace's summary plus what only this command prints: the
+// latency histogram and, with -series, deliveries per window. It folds
+// the trace in one streaming pass, so the trace is read exactly once and
+// never materialized (gzip inputs could not Seek for a second pass
+// anyway).
+type report struct {
+	trace.Summary
+	hist   [len(histBounds)]int64
+	window int64
+	series map[int64]int64
 }
 
-func newAnalysis(window int64) *analysis {
-	return &analysis{
-		first:     1<<63 - 1,
-		perSubnet: map[int]int64{},
-		perClass:  map[noc.MsgClass]int64{},
-		bounds:    []int64{10, 20, 40, 80, 160, 320, 640, 1280, 1 << 62},
-		counts:    make([]int64, 9),
-		window:    window,
-		series:    map[int64]int64{},
-	}
+func newReport(window int64) *report {
+	return &report{window: window, series: map[int64]int64{}}
 }
 
-func (a *analysis) observe(r trace.Record) error {
-	a.packets++
-	lat := r.Latency()
-	a.latSum += lat
-	if lat > a.maxLat {
-		a.maxLat = lat
-	}
-	a.perSubnet[r.Subnet]++
-	a.perClass[r.Class]++
-	if r.Create < a.first {
-		a.first = r.Create
-	}
-	if r.Arrive > a.last {
-		a.last = r.Arrive
-	}
-	for i, b := range a.bounds {
+func (r *report) observe(rec trace.Record) error {
+	r.Summary.Add(rec)
+	lat := rec.Latency()
+	for i, b := range histBounds {
 		if lat <= b {
-			a.counts[i]++
+			r.hist[i]++
 			break
 		}
 	}
-	if a.window > 0 {
-		a.series[r.Arrive/a.window]++
+	if r.window > 0 {
+		r.series[rec.Arrive/r.window]++
 	}
 	return nil
 }
@@ -241,78 +221,75 @@ func run(path string, window int64) error {
 	}
 	defer tr.Close()
 
-	a := newAnalysis(window)
-	if err := tr.Each(a.observe); err != nil {
+	r := newReport(window)
+	if err := tr.Each(r.observe); err != nil {
 		return err
 	}
-	if a.packets == 0 {
+	if r.Packets == 0 {
 		fmt.Println("empty trace")
 		return nil
 	}
-	a.report()
+	r.write(os.Stdout)
 	return nil
 }
 
-func (a *analysis) report() {
-	span := a.last - a.first
-	fmt.Printf("packets: %d over %d cycles (%.4f packets/cycle)\n",
-		a.packets, span, float64(a.packets)/float64(span))
-	fmt.Printf("latency: mean %.1f, max %d cycles\n",
-		float64(a.latSum)/float64(a.packets), a.maxLat)
+// write prints the report. Subnets, message classes (in MsgClass order:
+// req, fwd, resp, ack, syn) and series windows are listed in ascending
+// order, so a trace always renders the same way.
+func (r *report) write(w io.Writer) {
+	span := r.LastArrive - r.FirstCreate
+	fmt.Fprintf(w, "packets: %d over %d cycles (%.4f packets/cycle)\n",
+		r.Packets, span, float64(r.Packets)/float64(span))
+	fmt.Fprintf(w, "latency: mean %.1f, max %d cycles\n", r.MeanLatency, r.MaxLatency)
 
-	fmt.Println("\nper subnet:")
-	subnets := make([]int, 0, len(a.perSubnet))
-	for s := range a.perSubnet {
-		subnets = append(subnets, s)
-	}
-	sort.Ints(subnets)
-	for _, s := range subnets {
-		c := a.perSubnet[s]
-		fmt.Printf("  subnet %d: %8d (%5.1f%%) %s\n", s, c,
-			100*float64(c)/float64(a.packets), bar(float64(c)/float64(a.packets)))
+	fmt.Fprintln(w, "\nper subnet:")
+	for _, s := range sortedKeys(r.PerSubnet) {
+		c := r.PerSubnet[s]
+		fmt.Fprintf(w, "  subnet %d: %8d (%5.1f%%) %s\n", s, c,
+			100*float64(c)/float64(r.Packets), bar(float64(c)/float64(r.Packets)))
 	}
 
-	fmt.Println("\nper message class:")
-	for class, c := range a.perClass {
-		fmt.Printf("  %-5v %8d (%5.1f%%)\n", class, c, 100*float64(c)/float64(a.packets))
+	fmt.Fprintln(w, "\nper message class:")
+	for _, class := range sortedKeys(r.PerClass) {
+		c := r.PerClass[class]
+		fmt.Fprintf(w, "  %-5v %8d (%5.1f%%)\n", class, c, 100*float64(c)/float64(r.Packets))
 	}
 
-	fmt.Println("\nlatency histogram (cycles):")
+	fmt.Fprintln(w, "\nlatency histogram (cycles):")
 	prev := int64(0)
-	for i, b := range a.bounds {
+	for i, b := range histBounds {
 		label := fmt.Sprintf("%d-%d", prev+1, b)
-		if i == len(a.bounds)-1 {
+		if i == len(histBounds)-1 {
 			label = fmt.Sprintf(">%d", prev)
 		}
-		frac := float64(a.counts[i]) / float64(a.packets)
-		fmt.Printf("  %-10s %8d (%5.1f%%) %s\n", label, a.counts[i], 100*frac, bar(frac))
+		frac := float64(r.hist[i]) / float64(r.Packets)
+		fmt.Fprintf(w, "  %-10s %8d (%5.1f%%) %s\n", label, r.hist[i], 100*frac, bar(frac))
 		prev = b
 	}
 
-	if a.window > 0 {
-		fmt.Printf("\ndeliveries per %d-cycle window:\n", a.window)
-		keys := make([]int64, 0, len(a.series))
-		for k := range a.series {
-			keys = append(keys, k)
+	if r.window > 0 {
+		fmt.Fprintf(w, "\ndeliveries per %d-cycle window:\n", r.window)
+		peak := int64(1)
+		for _, v := range r.series {
+			peak = max(peak, v)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			fmt.Printf("  %8d %6d %s\n", k*a.window, a.series[k], bar(float64(a.series[k])/float64(maxVal(a.series))))
+		for _, k := range sortedKeys(r.series) {
+			fmt.Fprintf(w, "  %8d %6d %s\n", k*r.window, r.series[k], bar(float64(r.series[k])/float64(peak)))
 		}
 	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func bar(frac float64) string {
 	n := int(frac*40 + 0.5)
 	return strings.Repeat("#", n)
-}
-
-func maxVal(m map[int64]int64) int64 {
-	var mx int64 = 1
-	for _, v := range m {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

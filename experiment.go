@@ -69,8 +69,7 @@ type ExperimentOpts struct {
 	// points recycle one simulator via Simulator.Reset instead of
 	// rebuilding it; results are bit-identical either way (the reset
 	// differential suite asserts it). Set NoReuse to benchmark or debug
-	// the fresh-construction path. cmd/catnap-sweep and cmd/catnap-explore
-	// expose it as -reuse=false.
+	// the fresh-construction path.
 	NoReuse bool
 	// Telemetry, when non-nil, records cycle-level metrics and events
 	// from the experiment's simulations (single-simulation experiments

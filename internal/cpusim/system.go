@@ -385,18 +385,6 @@ func (s *System) SystemIPC() float64 {
 	return float64(instr) / float64(cycles)
 }
 
-// CoreIPC returns core i's IPC since StartMeasurement.
-func (s *System) CoreIPC(i int) float64 {
-	cycles := s.net.Now() - s.baseCycle
-	if cycles <= 0 {
-		return 0
-	}
-	return float64(s.cores[i].retired-s.baseRetired[i]) / float64(cycles)
-}
-
-// Cores returns the core models.
-func (s *System) Cores() []*Core { return s.cores }
-
 // MissStats returns issued and completed miss transaction counts.
 func (s *System) MissStats() (issued, completed int64) {
 	return s.missesIssued, s.missesCompleted

@@ -129,9 +129,6 @@ func (c *Config) Validate() error {
 // Nodes returns the number of network nodes (routers per subnet).
 func (c *Config) Nodes() int { return c.Rows * c.Cols }
 
-// AggregateWidthBits returns the total datapath width across subnets.
-func (c *Config) AggregateWidthBits() int { return c.Subnets * c.LinkWidthBits }
-
 // vcMask returns the VC eligibility mask for a class, resolving the
 // zero-means-all convention against the configured VC count.
 func (c *Config) vcMask(class MsgClass) uint32 {

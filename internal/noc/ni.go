@@ -106,7 +106,6 @@ type NI struct {
 
 	// Cumulative injection counters for the IR congestion metric and the
 	// Figure 12(b) subnet-utilization plot.
-	FlitsInjected   int64
 	PacketsInjected int64
 	// FlitsPerSubnet counts flits injected into each subnet at this node.
 	FlitsPerSubnet []int64
@@ -132,10 +131,6 @@ func (ni *NI) enqueue(p *Packet) {
 // QueueOccupancyFlits returns the bounded injection queue's occupancy in
 // flits — the IQOcc congestion metric.
 func (ni *NI) QueueOccupancyFlits() int { return ni.injQFlits }
-
-// SourceQueueLen returns the unbounded source queue length in packets
-// (diagnostic; large values mean the offered load exceeds acceptance).
-func (ni *NI) SourceQueueLen() int { return ni.sourceQ.len() }
 
 // Backlogged reports whether this NI holds any packet that has not yet
 // fully entered the network.
@@ -282,7 +277,6 @@ func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	sub := ni.net.subnets[s]
 	sub.stageArrival(now+int64(cfg.LinkDelay), ni.node, ni.net.localPort, st.vc, f)
 	sub.events.NIFlits++
-	ni.FlitsInjected++
 	ni.FlitsPerSubnet[s]++
 	ni.net.flitsPerSubnet[s]++
 	ni.injQFlits--

@@ -253,7 +253,6 @@ func (ni *NI) reset() {
 		ch.rr = 0
 		ch.active = 0
 	}
-	ni.FlitsInjected = 0
 	ni.PacketsInjected = 0
 	ni.FlitsPerSubnet = resetSlice(ni.FlitsPerSubnet, cfg.Subnets)
 	ni.readyScratch = resetSlice(ni.readyScratch, cfg.Subnets)

@@ -255,10 +255,6 @@ func (r *Router) State() PowerState { return r.sub.pstate[r.node] }
 // CSC returns the router's compensated-sleep-cycle tracker.
 func (r *Router) CSC() *stats.CSC { return r.csc }
 
-// PortOccupancy returns the buffered flit count of input port p; the
-// congestion metrics sample it every cycle.
-func (r *Router) PortOccupancy(p int) int { return r.in[p].occupancy }
-
 // MaxPortOccupancy returns the maximum buffered flit count over all input
 // ports — the paper's BFM local congestion metric. O(1): the counter is
 // maintained at deliver/traverse.

@@ -40,9 +40,6 @@ func NewModel(p Params, cfg *noc.Config, volt float64) *Model {
 	return m
 }
 
-// Voltage returns the supply voltage the model evaluates at.
-func (m *Model) Voltage() float64 { return m.volt }
-
 // w returns the width scaling factor W/RefWidth.
 func (m *Model) w() float64 { return m.width / m.p.RefWidth }
 

@@ -215,7 +215,8 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Summary aggregates a trace the way the figures do.
+// Summary aggregates a trace the way the figures do. The zero value is an
+// empty summary; Add folds in one record.
 type Summary struct {
 	Packets     int64
 	MeanLatency float64
@@ -228,14 +229,21 @@ type Summary struct {
 	// FirstCreate/LastArrive bound the traced interval.
 	FirstCreate int64
 	LastArrive  int64
+
+	latSum int64
 }
 
-// observe folds one record into the summary (latSum accumulates for the
-// mean; call finish once done).
-func (s *Summary) observe(rec Record, latSum *int64) {
+// Add folds one record into the summary.
+func (s *Summary) Add(rec Record) {
+	if s.Packets == 0 {
+		s.PerSubnet = map[int]int64{}
+		s.PerClass = map[noc.MsgClass]int64{}
+		s.FirstCreate = rec.Create
+	}
 	s.Packets++
 	lat := rec.Latency()
-	*latSum += lat
+	s.latSum += lat
+	s.MeanLatency = float64(s.latSum) / float64(s.Packets)
 	if lat > s.MaxLatency {
 		s.MaxLatency = lat
 	}
@@ -249,18 +257,6 @@ func (s *Summary) observe(rec Record, latSum *int64) {
 	}
 }
 
-func (s *Summary) finish(latSum int64) {
-	if s.Packets > 0 {
-		s.MeanLatency = float64(latSum) / float64(s.Packets)
-	} else {
-		s.FirstCreate = 0
-	}
-}
-
-func newSummary() Summary {
-	return Summary{PerSubnet: map[int]int64{}, PerClass: map[noc.MsgClass]int64{}, FirstCreate: 1<<63 - 1}
-}
-
 // Summarize scans a trace, plain or gzipped, into a Summary.
 func Summarize(r io.Reader) (Summary, error) {
 	tr, err := NewReader(r)
@@ -268,15 +264,13 @@ func Summarize(r io.Reader) (Summary, error) {
 		return Summary{}, err
 	}
 	defer tr.Close()
-	s := newSummary()
-	var latSum int64
+	var s Summary
 	err = tr.Each(func(rec Record) error {
-		s.observe(rec, &latSum)
+		s.Add(rec)
 		return nil
 	})
 	if err != nil {
 		return Summary{}, err
 	}
-	s.finish(latSum)
 	return s, nil
 }

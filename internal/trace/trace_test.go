@@ -242,3 +242,23 @@ func TestSummarizeGzip(t *testing.T) {
 		t.Errorf("summary = %+v", s)
 	}
 }
+
+// FuzzTraceReader feeds arbitrary bytes, plain or gzipped, through
+// NewReader and Each: neither may panic, and Each must yield exactly the
+// records Count reports decoded. Seeds in testdata/fuzz/FuzzTraceReader
+// cover a valid record, a torn record, empty input, a gzip stream of two
+// records, and that stream cut in half.
+func FuzzTraceReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := trace.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return // a torn gzip header is refused, not read
+		}
+		defer r.Close()
+		var n int64
+		_ = r.Each(func(trace.Record) error { n++; return nil })
+		if n != r.Count() {
+			t.Fatalf("Each yielded %d records, Count() = %d", n, r.Count())
+		}
+	})
+}

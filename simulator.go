@@ -11,7 +11,6 @@ import (
 	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/power"
 	"github.com/catnap-noc/catnap/internal/sim"
-	"github.com/catnap-noc/catnap/internal/stats"
 	"github.com/catnap-noc/catnap/internal/telemetry"
 	"github.com/catnap-noc/catnap/internal/trace"
 	"github.com/catnap-noc/catnap/internal/traffic"
@@ -31,13 +30,9 @@ type Simulator struct {
 	// Model is the power model at the configuration's operating voltage.
 	Model *power.Model
 
-	gen *traffic.Generator
-	sys *cpusim.System
-
-	measuring  bool
-	winLatency *stats.Latency
-	winNetLat  *stats.Latency
-	start      measureSnapshot
+	gen   *traffic.Generator
+	sys   *cpusim.System
+	start measureSnapshot
 }
 
 // measureSnapshot captures cumulative counters at measurement start.
@@ -69,8 +64,8 @@ func New(cfg Config) (*Simulator, error) {
 // Reset rewinds the simulator in place to the state New(cfg) would
 // produce: the network and congestion detector are reset in place
 // (reusing every shape-compatible allocation), the policies, idle
-// fast-forward, power model, and measurement sink are rewired from cfg,
-// and any attached traffic generator or system model is detached.
+// fast-forward and power model are rewired from cfg, and any attached
+// traffic generator or system model is detached.
 // Configuration errors detectable before mutation leave the simulator
 // unchanged; a later wiring error (not reachable with validated configs)
 // leaves it in an undefined state and it must be discarded — SimPool.Get
@@ -116,9 +111,6 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.Cfg = cfg
 	s.gen = nil
 	s.sys = nil
-	s.measuring = false
-	s.winLatency = nil
-	s.winNetLat = nil
 	s.start = measureSnapshot{}
 
 	if needsDet {
@@ -163,14 +155,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	// to the next staged event or traffic arrival, bit-identically to
 	// stepping them (the idle-skip differential suites assert it).
 	s.Net.SetExecMode(noc.ExecMode{IdleSkip: true})
-	s.Model = power.NewModel(cfg.powerParams(), s.Net.Config(), cfg.VoltageV)
-
-	s.Net.AddSink(func(now int64, p *noc.Packet) {
-		if s.measuring {
-			s.winLatency.Observe(p.Latency())
-			s.winNetLat.Observe(p.NetworkLatency())
-		}
-	})
+	s.Model = power.NewModel(power.DefaultParams(), s.Net.Config(), cfg.VoltageV)
 	return nil
 }
 
@@ -338,11 +323,11 @@ func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 }
 
 // StartMeasure opens a measurement window: all Results quantities are
-// deltas from this point.
+// deltas from this point. The network's latency accumulators restart
+// here, so they hold exactly the window's packets until StopMeasure.
 func (s *Simulator) StartMeasure() {
-	s.winLatency = stats.NewLatency(0)
-	s.winNetLat = stats.NewLatency(0)
-	s.measuring = true
+	s.Net.Latency().Reset()
+	s.Net.NetworkLatency().Reset()
 	s.Net.FlushCSC()
 	csc, _ := s.Net.CompensatedSleepCycles()
 	created, injected, ejected := s.Net.Counts()
@@ -369,7 +354,6 @@ func (s *Simulator) StartMeasure() {
 
 // StopMeasure closes the window and returns the measured results.
 func (s *Simulator) StopMeasure() Results {
-	s.measuring = false
 	now := s.Net.Now()
 	cycles := now - s.start.cycle
 	nodes := int64(s.Net.Topo().Nodes())
@@ -388,6 +372,7 @@ func (s *Simulator) StopMeasure() Results {
 	}
 
 	created, injected, ejected := s.Net.Counts()
+	lat := s.Net.Latency()
 	r := Results{
 		Config:           s.Cfg.Name,
 		Cycles:           cycles,
@@ -395,10 +380,10 @@ func (s *Simulator) StopMeasure() Results {
 		PacketsInjected:  injected - s.start.injected,
 		PacketsDelivered: ejected - s.start.ejected,
 		FlitsDelivered:   s.Net.EjectedFlits() - s.start.ejectedFlits,
-		AvgLatency:       s.winLatency.Mean(),
-		P50Latency:       float64(s.winLatency.Percentile(50)),
-		P99Latency:       float64(s.winLatency.Percentile(99)),
-		AvgNetLatency:    s.winNetLat.Mean(),
+		AvgLatency:       lat.Mean(),
+		P50Latency:       float64(lat.Percentile(50)),
+		P99Latency:       float64(lat.Percentile(99)),
+		AvgNetLatency:    s.Net.NetworkLatency().Mean(),
 		Power:            s.Model.Measure(events, cycles, s.Cfg.TBreakeven, orToggles),
 		CSCPercent:       pct(cscDelta, routerCycles),
 	}
