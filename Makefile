@@ -28,14 +28,13 @@ lint:
 	$(GO) -C bench vet ./...
 
 # check-race runs the noc + congestion + root differential suites under
-# the race detector: mid-run flips, drain, the incremental-vs-reference
-# differentials, idle skip, and the reset/reuse differentials
-# (Network.Reset vs fresh construction, SimPool recycling across
-# heterogeneous shapes, which the sweep engine drives from several
-# workers at once).
+# the race detector: drain, the incremental-vs-reference differentials,
+# idle skip, and the reset/reuse differentials (Network.Reset vs fresh
+# construction, SimPool recycling across heterogeneous shapes, which the
+# sweep engine drives from several workers at once).
 check-race:
 	$(GO) test -race -count=1 -timeout 60m \
-		-run 'Incremental|Flip|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
+		-run 'Incremental|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
 		./internal/noc ./internal/congestion .
 
 build:

@@ -31,7 +31,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
@@ -46,13 +45,13 @@ type coreScenario struct {
 	name   string
 	design string
 	sched  traffic.Schedule
-	// skip arms idle fast-forward on the fast arm, and makes the ref arm
-	// incremental stepping of the same cycles (the baseline idle
-	// fast-forward must beat) instead of the retained reference scan.
-	// Every other scenario disarms idle skip in BOTH arms: they measure
-	// per-cycle stepping cost, and letting the fast arm jump over its
-	// idle cycles (the default execution mode) would quietly turn them
-	// into skip benchmarks.
+	// skip runs the fast arm through Simulator.Run, which fast-forwards
+	// idle spans, and makes the ref arm step the same cycles one by one on
+	// the incremental path (the baseline idle fast-forward must beat)
+	// instead of on the retained reference scan. Every other scenario
+	// steps every cycle in BOTH arms: they measure per-cycle stepping
+	// cost, and letting the fast arm jump over its idle cycles would
+	// quietly turn them into skip benchmarks.
 	skip bool
 }
 
@@ -68,7 +67,7 @@ var coreScenarios = []coreScenario{
 	{name: "saturation-gated", design: "4NT-128b-PG", sched: traffic.Constant(0.45)},
 	{name: "ungated-1NT", design: "1NT-512b", sched: traffic.Constant(0.10)},
 	// idle-skip measures the event-driven fast-forward win itself: the
-	// fully idle gated mesh with IdleSkip armed versus sequential
+	// fully idle gated mesh run through Simulator.Run versus sequential
 	// incremental stepping of the same idle cycles (the O(active) path
 	// the fast-forward replaces; the reference scan would overstate it).
 	{name: "idle-skip", design: "4NT-128b-PG", sched: traffic.Constant(0), skip: true},
@@ -77,14 +76,24 @@ var coreScenarios = []coreScenario{
 // buildCoreSim constructs one arm's simulator. Both arms of a scenario
 // share the design's seed, so paired runs inject the identical packet
 // sequence and any fast/ref divergence is a determinism bug, not noise.
+// The ref arm of an incremental scenario runs on the reference scan.
 func buildCoreSim(sc coreScenario, ref bool) *Simulator {
 	sim := mustSim(mustDesign(sc.design))
-	if ref || !sc.skip {
-		// Step every cycle: the reference scan for the ref arm of an
-		// incremental scenario, plain incremental stepping otherwise.
-		sim.Net.SetExecMode(noc.ExecMode{ReferenceScan: ref && !sc.skip})
-	}
+	sim.Net.SetReferenceScan(ref && !sc.skip)
 	return sim
+}
+
+// runCoreArm advances one arm n cycles: Simulator.Run, which skips idle
+// spans, on the fast arm of a skip scenario, and a plain Step loop on
+// every other arm.
+func runCoreArm(sim *Simulator, sc coreScenario, ref bool, n int64) {
+	if sc.skip && !ref {
+		sim.Run(n)
+		return
+	}
+	for i := int64(0); i < n; i++ {
+		sim.Step()
+	}
 }
 
 // coreRun is one measured steady-state window.
@@ -101,12 +110,12 @@ type coreRun struct {
 func runCoreScenario(sc coreScenario, ref bool) coreRun {
 	sim := buildCoreSim(sc, ref)
 	sim.UseSynthetic(traffic.UniformRandom{}, sc.sched, 0)
-	sim.Run(coreBenchWarmup)
+	runCoreArm(sim, sc, ref, coreBenchWarmup)
 	sim.StartMeasure()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	sim.Run(coreBenchMeasure)
+	runCoreArm(sim, sc, ref, coreBenchMeasure)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	return coreRun{res: sim.StopMeasure(), elapsed: elapsed, bytes: ms1.TotalAlloc - ms0.TotalAlloc}
@@ -130,9 +139,9 @@ func BenchmarkStep(b *testing.B) {
 					b.StopTimer()
 					sim := buildCoreSim(sc, ref)
 					sim.UseSynthetic(traffic.UniformRandom{}, sc.sched, 0)
-					sim.Run(coreBenchWarmup)
+					runCoreArm(sim, sc, ref, coreBenchWarmup)
 					b.StartTimer()
-					sim.Run(coreBenchMeasure)
+					runCoreArm(sim, sc, ref, coreBenchMeasure)
 				}
 				perCycle := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / coreBenchMeasure
 				b.ReportMetric(perCycle, "ns/cycle")

@@ -2,6 +2,7 @@ package catnap
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/power"
@@ -27,6 +28,31 @@ func TestDesignRegistry(t *testing.T) {
 	}
 	if _, err := Design("bogus"); err == nil {
 		t.Error("Design(bogus) should fail")
+	}
+}
+
+// TestNewRejectsUnrunnableConfigs pins that New refuses, with an error,
+// configurations that used to panic inside construction or a run, or to
+// report non-finite power: a negative mesh dimension, a one-node mesh
+// (no destination for synthetic traffic), and supply voltages that are
+// not finite and positive.
+func TestNewRejectsUnrunnableConfigs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		design string
+		mutate func(*Config)
+	}{
+		{"rows -1", "4NT-128b-PG", func(c *Config) { c.Rows = -1 }},
+		{"one-node mesh", "1NT-512b", func(c *Config) { c.Rows, c.Cols, c.RegionDim = 1, 1, 1 }},
+		{"voltage -1", "4NT-128b-PG", func(c *Config) { c.VoltageV = -1 }},
+		{"voltage NaN", "4NT-128b-PG", func(c *Config) { c.VoltageV = math.NaN() }},
+		{"voltage +Inf", "4NT-128b-PG", func(c *Config) { c.VoltageV = math.Inf(1) }},
+	} {
+		cfg := mustDesign(c.design)
+		c.mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", c.name)
+		}
 	}
 }
 

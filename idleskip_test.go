@@ -9,10 +9,10 @@ import (
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
-// These tests pin idle fast-forward at the public Simulator surface: with
-// the default execution mode (IdleSkip on), full runs — results, windowed
-// telemetry series, and the event log — must be bit-identical to the
-// reference scan stepping every cycle, including when measurement and
+// These tests pin idle fast-forward at the public Simulator surface: on
+// the default incremental path, which always skips, full runs — results,
+// windowed telemetry series, and the event log — must be bit-identical to
+// the reference scan stepping every cycle, including when measurement and
 // telemetry window boundaries land inside skipped spans.
 
 // skipGapSched offers two bursts separated by long zero-load gaps, then
@@ -37,7 +37,7 @@ func skipSample(t *testing.T, reference bool, rec *telemetry.Recorder) Results {
 	t.Helper()
 	sim := mustSim(mustDesign("4NT-128b-PG"))
 	if reference {
-		sim.Net.SetExecMode(noc.ExecMode{ReferenceScan: true})
+		sim.Net.SetReferenceScan(true)
 	}
 	if rec != nil {
 		sim.EnableTelemetry(rec, "skip-sample")
@@ -46,7 +46,8 @@ func skipSample(t *testing.T, reference bool, rec *telemetry.Recorder) Results {
 }
 
 // TestIdleSkipResultsBitIdentical compares every Results field between
-// the default (skipping) mode and the reference scan with skipping off.
+// the default (skipping) incremental path and the reference scan, which
+// never skips.
 func TestIdleSkipResultsBitIdentical(t *testing.T) {
 	ref := skipSample(t, true, nil)
 	fast := skipSample(t, false, nil)
@@ -85,32 +86,6 @@ func TestIdleSkipTelemetryAcrossWindows(t *testing.T) {
 	}
 	if len(refE) == 0 {
 		t.Fatal("reference run logged no events")
-	}
-}
-
-// TestIdleSkipExecModeFlipsMidRun drives the Simulator through segmented
-// runs with execution-mode changes at the segment boundaries — skipping
-// disarmed mid-gap, reference scan through the second burst, skipping
-// re-armed for the idle tail — and checks the final results against an
-// uninterrupted reference run of the same total length.
-func TestIdleSkipExecModeFlipsMidRun(t *testing.T) {
-	ref := skipSample(t, true, nil)
-
-	cfg := mustDesign("4NT-128b-PG")
-	sim := mustSim(cfg)
-	sim.UseSynthetic(traffic.UniformRandom{}, skipGapSched(), 0)
-	segment := func(n int64, m noc.ExecMode) {
-		sim.Net.SetExecMode(m)
-		sim.Run(n)
-	}
-	sim.Run(300)
-	sim.StartMeasure()
-	segment(300, noc.ExecMode{})                    // skip off, mid-gap
-	segment(600, noc.ExecMode{ReferenceScan: true}) // reference scan through burst 2
-	segment(900, noc.ExecMode{IdleSkip: true})      // back to the default for the idle tail
-	fast := sim.StopMeasure()
-	if !reflect.DeepEqual(ref, fast) {
-		t.Fatalf("mid-run execution-mode flips changed results\nref:  %+v\nfast: %+v", ref, fast)
 	}
 }
 

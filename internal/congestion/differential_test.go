@@ -5,7 +5,6 @@ import (
 
 	"github.com/catnap-noc/catnap/internal/congestion"
 	"github.com/catnap-noc/catnap/internal/core"
-	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
@@ -42,7 +41,7 @@ func runDetector(t *testing.T, kind congestion.MetricKind, ref bool, cycles int,
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, net.Config().Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
-	net.SetExecMode(noc.ExecMode{ReferenceScan: ref})
+	net.SetReferenceScan(ref)
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(load), 41)
 	for i := 0; i < cycles; i++ {

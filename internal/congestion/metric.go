@@ -113,7 +113,8 @@ type Config struct {
 	// Metric selects the local congestion metric.
 	Metric MetricKind
 	// Threshold is the set-threshold in the metric's native unit (flits,
-	// packets/node/cycle, or cycles).
+	// packets/node/cycle, or cycles); defaults to the metric's Default
+	// when zero or negative.
 	Threshold float64
 	// ClearThreshold is the value the metric must drop below to clear the
 	// LCS; defaults to Threshold when zero or negative. A gap between the
@@ -238,7 +239,7 @@ func NewDetector(net *noc.Network, cfg Config) *Detector {
 // different one.
 func (d *Detector) Reset(net *noc.Network, cfg Config) {
 	def := Default(cfg.Metric)
-	if cfg.Threshold == 0 {
+	if cfg.Threshold <= 0 {
 		cfg.Threshold = def.Threshold
 	}
 	if cfg.ClearThreshold <= 0 {
@@ -311,8 +312,8 @@ func resetSlice[T any](s []T, n int) []T {
 }
 
 // Epoch returns a counter that changes on every LCS or RCS transition.
-// Gating policies that are pure functions of detector state expose it via
-// noc.EpochedPolicy.
+// Gating policies whose answers are pure functions of detector state
+// return it as their noc.GatingPolicy.PolicyEpoch.
 func (d *Detector) Epoch() uint64 { return d.epoch }
 
 // Config returns the detector's configuration.
@@ -362,7 +363,7 @@ func (d *Detector) Congested(subnet, node int) bool {
 // path visits only candidate nodes — those whose raw metric can be
 // nonzero this cycle (occupied routers, nonempty NI queues, or a hot
 // windowed rate) plus those whose LCS is set and may need clearing. Every
-// skipped node would have sampled zero against a non-negative threshold
+// skipped node would have sampled zero against a positive threshold
 // with its LCS already clear: a no-op in the reference scan too, so the
 // latched sequences are identical.
 func (d *Detector) AfterCycle(now int64) {
@@ -372,7 +373,7 @@ func (d *Detector) AfterCycle(now int64) {
 		d.winStart = now
 	}
 
-	if d.net.ReferenceScan() || d.cfg.Threshold < 0 {
+	if d.net.ReferenceScan() {
 		for s := 0; s < d.subnets; s++ {
 			for n := 0; n < d.nodes; n++ {
 				d.updateLCS(now, s, n, d.sampleScan(s, n))
@@ -415,10 +416,10 @@ func (d *Detector) AfterCycle(now int64) {
 // clears), and, for the windowed metrics, no counter movement pending
 // against the previous window snapshots (a pending delta makes the next
 // window close compute nonzero rates, so the skip is bounded to end at
-// that close). The full-scan modes veto outright: they do real work every
-// cycle by design.
+// that close). The reference scan vetoes outright: it does real work
+// every cycle by design.
 func (d *Detector) NextIdleEvent(now int64) (int64, bool) {
-	if d.net.ReferenceScan() || d.cfg.Threshold < 0 {
+	if d.net.ReferenceScan() {
 		return 0, false
 	}
 	for s := 0; s < d.subnets; s++ {

@@ -43,14 +43,13 @@ func (g *CatnapGating) WantWake(now int64, subnet, node int) bool {
 	return g.det.RCSAtNode(subnet-1, node)
 }
 
-// PolicyEpoch implements noc.EpochedPolicy: both answers are pure
+// PolicyEpoch implements noc.GatingPolicy: both answers are pure
 // functions of the detector's congestion state, so the detector's
 // change counter is the policy's decision epoch. The power phase then
 // re-evaluates sleeping/blocked routers only when an LCS or RCS moved.
 func (g *CatnapGating) PolicyEpoch() uint64 { return g.det.Epoch() }
 
 var _ noc.GatingPolicy = (*CatnapGating)(nil)
-var _ noc.EpochedPolicy = (*CatnapGating)(nil)
 
 // BaselineGating is the Matsutani-style power-gating policy used for the
 // Single-NoC-PG and Multi-NoC round-robin baselines (§6.1): a router
@@ -70,10 +69,9 @@ func (BaselineGating) AllowSleep(now int64, subnet, node int, idleCycles int64) 
 // router proactively.
 func (BaselineGating) WantWake(now int64, subnet, node int) bool { return false }
 
-// PolicyEpoch implements noc.EpochedPolicy: baseline answers never
+// PolicyEpoch implements noc.GatingPolicy: baseline answers never
 // change, so the epoch is constant and sleeping routers are never
 // re-polled.
 func (BaselineGating) PolicyEpoch() uint64 { return 0 }
 
 var _ noc.GatingPolicy = BaselineGating{}
-var _ noc.EpochedPolicy = BaselineGating{}

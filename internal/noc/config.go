@@ -82,6 +82,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Rows <= 0 || c.Cols <= 0:
 		return fmt.Errorf("noc: invalid mesh %dx%d", c.Rows, c.Cols)
+	case c.Rows*c.Cols < 2:
+		return fmt.Errorf("noc: a %dx%d mesh has no destination for traffic; need at least 2 nodes", c.Rows, c.Cols)
 	case c.TilesPerNode <= 0:
 		return fmt.Errorf("noc: invalid concentration %d", c.TilesPerNode)
 	case c.RegionDim <= 0 || c.Rows%c.RegionDim != 0 || c.Cols%c.RegionDim != 0:
@@ -106,6 +108,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: inconsistent wakeup timing (TWakeup=%d hidden=%d)", c.TWakeup, c.WakeupHidden)
 	case c.TIdleDetect < 0 || c.TBreakeven < 0:
 		return fmt.Errorf("noc: negative gating constants")
+	}
+	for class := range c.ClassVCMask {
+		if c.ClassVCMask[class] != 0 && c.vcMask(MsgClass(class)) == 0 {
+			return fmt.Errorf("noc: class %d VC mask %#x selects none of the %d VCs", class, c.ClassVCMask[class], c.VCs)
+		}
 	}
 	if c.Torus && c.FBfly {
 		return fmt.Errorf("noc: Torus and FBfly are mutually exclusive")

@@ -53,15 +53,17 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// opaqueGating hides a policy's EpochedPolicy implementation, forcing the
-// incremental power phase onto its every-cycle polling fallback.
-type opaqueGating struct{ p noc.GatingPolicy }
-
-func (o opaqueGating) AllowSleep(now int64, subnet, node int, idle int64) bool {
-	return o.p.AllowSleep(now, subnet, node, idle)
+// churnGating wraps a policy and returns a fresh epoch on every call, the
+// way a policy whose answers vary with time must: the incremental power
+// phase then re-polls every sleeping and sleep-blocked router each cycle.
+type churnGating struct {
+	noc.GatingPolicy
+	epoch uint64
 }
-func (o opaqueGating) WantWake(now int64, subnet, node int) bool {
-	return o.p.WantWake(now, subnet, node)
+
+func (c *churnGating) PolicyEpoch() uint64 {
+	c.epoch++
+	return c.epoch
 }
 
 // diffFingerprint is everything one run exposes to comparison.
@@ -158,38 +160,28 @@ func (p *diffProbe) scanCheck(now int64) {
 	}
 }
 
-// diffOpts parameterizes one differential run. The flip lists toggle the
-// corresponding mode at those cycles mid-run (each toggle re-applies the
-// whole mode through SetExecMode): flipRef toggles the reference scan,
-// flipSkip toggles idle fast-forward. drainAt
-// lists cycles at which the run calls Network.Drain with drainBudget as
-// its deadline — on a quiescent network the deadline then lands inside
-// what the skipping arm would fast-forward over.
+// diffOpts parameterizes one differential run. drainAt lists cycles at
+// which the run calls Network.Drain with drainBudget as its deadline — on
+// a quiescent network the deadline then lands inside what the skipping
+// arm would fast-forward over.
 type diffOpts struct {
 	// net, when non-nil, runs the scenario on this network instead of
 	// building a fresh one — the reset differential suite passes a
 	// previously used, Reset network here to prove reuse is bit-identical.
 	net         *noc.Network
 	gating      string
-	ref         bool
-	skip        bool // arm idle fast-forward and attempt it every cycle
+	ref         bool // select the reference scan before the first Step
+	skip        bool // attempt idle fast-forward before every Step
 	sched       traffic.Schedule
 	cycles      int
-	flipRef     []int
-	flipSkip    []int
 	drainAt     []int
 	drainBudget int64
 }
 
 // diffRun executes the full stack for cycles and fingerprints it.
-// flipAt, when non-empty, toggles the stepping mode at those cycles
-// (mid-run switch support).
-func diffRun(t *testing.T, gating string, ref bool, sched traffic.Schedule, cycles int, flipAt ...int) diffFingerprint {
+func diffRun(t *testing.T, gating string, ref bool, sched traffic.Schedule, cycles int) diffFingerprint {
 	t.Helper()
-	return diffRunWith(t, diffOpts{
-		gating: gating, ref: ref,
-		sched: sched, cycles: cycles, flipRef: flipAt,
-	})
+	return diffRunWith(t, diffOpts{gating: gating, ref: ref, sched: sched, cycles: cycles})
 }
 
 func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
@@ -208,7 +200,7 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	net.SetPowerTracer(tr)
 
 	switch o.gating {
-	case "catnap", "opaque":
+	case "catnap", "churn":
 		det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
 		det.SetTracer(tr)
 		net.AddObserver(det)
@@ -216,7 +208,7 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 		if o.gating == "catnap" {
 			net.SetGatingPolicy(core.NewCatnapGating(det))
 		} else {
-			net.SetGatingPolicy(opaqueGating{p: core.NewCatnapGating(det)})
+			net.SetGatingPolicy(&churnGating{GatingPolicy: core.NewCatnapGating(det)})
 		}
 	case "baseline":
 		net.SetGatingPolicy(core.BaselineGating{})
@@ -226,45 +218,28 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	}
 
 	fp := diffFingerprint{}
-	noFlips := len(o.flipRef) == 0 && len(o.flipSkip) == 0
-	probe := &diffProbe{t: t, net: net, out: &fp.cycleHash, check: !o.ref && !o.skip && noFlips}
+	probe := &diffProbe{t: t, net: net, out: &fp.cycleHash, check: !o.ref && !o.skip}
 	net.AddObserver(probe)
-
-	mode := noc.ExecMode{ReferenceScan: o.ref, IdleSkip: o.skip}
-	net.SetExecMode(mode)
+	net.SetReferenceScan(o.ref)
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, o.sched, 99)
-	flipRef := append([]int(nil), o.flipRef...)
-	flipSkip := append([]int(nil), o.flipSkip...)
 	drainAt := append([]int(nil), o.drainAt...)
 	end := int64(o.cycles)
 	for net.Now() < end {
 		now := net.Now()
-		if len(flipRef) > 0 && int64(flipRef[0]) <= now {
-			flipRef = flipRef[1:]
-			mode.ReferenceScan = !mode.ReferenceScan
-			net.SetExecMode(mode)
-		}
-		if len(flipSkip) > 0 && int64(flipSkip[0]) <= now {
-			flipSkip = flipSkip[1:]
-			mode.IdleSkip = !mode.IdleSkip
-			net.SetExecMode(mode)
-		}
 		if len(drainAt) > 0 && int64(drainAt[0]) <= now {
 			drainAt = drainAt[1:]
 			net.Drain(o.drainBudget)
 			continue // re-read the clock: Drain steps the network itself
 		}
-		if mode.IdleSkip {
+		if o.skip {
 			// Mirror Simulator.trySkip: bound the jump by the run deadline,
-			// the next pending mode flip or drain call, and the generator's
-			// next injection cycle, then let the network and its observers
+			// the next pending drain call, and the generator's next
+			// injection cycle, then let the network and its observers
 			// bound it further.
 			target := end
-			for _, f := range [][]int{flipRef, flipSkip, drainAt} {
-				if len(f) > 0 && int64(f[0]) < target {
-					target = int64(f[0])
-				}
+			if len(drainAt) > 0 && int64(drainAt[0]) < target {
+				target = int64(drainAt[0])
 			}
 			if at, ok := gen.NextArrival(now); ok && at < target {
 				target = at
@@ -332,13 +307,12 @@ func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint) {
 }
 
 // TestIncrementalMatchesReferenceScan is the tentpole differential: for
-// every gating flavor (Catnap epoched, Catnap with the epoch interface
-// hidden, baseline, and no gating), the incremental O(active) path must
-// reproduce the reference scan bit for bit, including the exact order of
-// sleep/wake/LCS/RCS transitions.
+// every gating flavor (Catnap, baseline, and no gating), the incremental
+// O(active) path must reproduce the reference scan bit for bit, including
+// the exact order of sleep/wake/LCS/RCS transitions.
 func TestIncrementalMatchesReferenceScan(t *testing.T) {
 	const cycles = 3000
-	for _, gating := range []string{"catnap", "opaque", "baseline", "none"} {
+	for _, gating := range []string{"catnap", "baseline", "none"} {
 		ref := diffRun(t, gating, true, traffic.Fig12Bursts(), cycles)
 		fast := diffRun(t, gating, false, traffic.Fig12Bursts(), cycles)
 		compareFingerprints(t, gating+"/bursty", ref, fast)
@@ -398,16 +372,6 @@ func TestIncrementalScanFallbackMatchesReference(t *testing.T) {
 		}
 		diffShapeArms(t, c.name, c.cfg, 1500)
 	}
-}
-
-// TestReferenceScanFlipMidRun switches between the two stepping modes
-// mid-run: the idle-streak conversion and check re-arming must land the
-// flipped run exactly on the always-incremental trajectory.
-func TestReferenceScanFlipMidRun(t *testing.T) {
-	const cycles = 2400
-	base := diffRun(t, "catnap", false, traffic.Fig12Bursts(), cycles)
-	flipped := diffRun(t, "catnap", false, traffic.Fig12Bursts(), cycles, 700, 1500)
-	compareFingerprints(t, "flip", base, flipped)
 }
 
 // TestDrainedQuiescenceIncremental drains a gated run on the incremental

@@ -299,6 +299,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CreditDelay = -1 },
 		func(c *Config) { c.WakeupHidden = c.TWakeup + 1 },
 		func(c *Config) { c.TBreakeven = -1 },
+		func(c *Config) { c.Rows, c.Cols, c.RegionDim = 1, 1, 1 },     // one node: no destination
+		func(c *Config) { c.ClassVCMask[ClassResponse] = 1 << c.VCs }, // no VC below VCs
 	}
 	for i, m := range mutations {
 		c := internalConfig()

@@ -45,18 +45,10 @@ type Network struct {
 	latency    *stats.Latency
 	netLatency *stats.Latency
 
-	// refScan selects the retained O(nodes) scan-based router/power/
-	// sampling phases instead of the incremental O(active) ones; results
-	// are bit-identical either way (the differential tests assert it).
+	// refScan selects the retained O(nodes) scan-based phases instead of
+	// the incremental O(active) ones, and disables idle fast-forward;
+	// results are bit-identical either way (the differential tests).
 	refScan bool
-	// idleSkip arms event-driven idle fast-forward (see skip.go): when
-	// the network is fully quiescent, TrySkipIdle jumps n.now directly to
-	// the next staged event instead of stepping empty cycles.
-	idleSkip bool
-	// epochFn caches the gating policy's EpochedPolicy method, if it
-	// implements one, so the power phase re-evaluates asleep and
-	// sleep-blocked routers only when the policy's answers can change.
-	epochFn func() uint64
 
 	// Network-wide NI aggregates, mutated only in the sequential inject
 	// phase: total bounded-queue occupancy with a nonempty-queue bitmap
@@ -94,15 +86,10 @@ func New(cfg Config, selector SubnetSelector) (*Network, error) {
 }
 
 // SetGatingPolicy installs (or, with nil, removes) the power-gating
-// policy. Call before stepping. If the policy implements EpochedPolicy,
-// steady-state sleep/wake decisions are re-evaluated only when its epoch
-// moves; otherwise it is polled every cycle like the reference path.
+// policy. Call before stepping. Steady-state sleep/wake decisions are
+// re-evaluated only when the policy's epoch moves (see GatingPolicy).
 func (n *Network) SetGatingPolicy(p GatingPolicy) {
 	n.gating = p
-	n.epochFn = nil
-	if ep, ok := p.(EpochedPolicy); ok {
-		n.epochFn = ep.PolicyEpoch
-	}
 	if p != nil && !n.refScan {
 		for _, s := range n.subnets {
 			s.rearmChecks(n.now)
@@ -110,46 +97,24 @@ func (n *Network) SetGatingPolicy(p GatingPolicy) {
 	}
 }
 
-// applyReferenceScan is SetExecMode's reference-scan transition: a no-op
-// when the mode already matches, otherwise it converts the idle-streak
-// representation and re-arms sleep checks.
-func (n *Network) applyReferenceScan(on bool) {
-	if n.refScan == on {
-		return
+// SetReferenceScan selects (on) or deselects the retained O(nodes) scan
+// path, the oracle the differential suites compare the incremental path
+// and idle fast-forward against; a congestion detector follows it. The
+// path is fixed for the run: SetReferenceScan panics once n has stepped.
+func (n *Network) SetReferenceScan(on bool) {
+	if n.now != 0 {
+		panic("noc: SetReferenceScan after the network has stepped")
 	}
 	n.refScan = on
 	for _, s := range n.subnets {
 		s.refScan = on
-		for i := range s.routers {
-			if s.pstate[i] != PowerActive {
-				continue
-			}
-			r := &s.routers[i]
-			if on {
-				r.emptySince = s.lastBusy[i] + 1
-			} else {
-				s.lastBusy[i] = r.emptySince - 1
-			}
-		}
-		if !on && n.gating != nil {
-			s.rearmChecks(n.now)
-		}
-	}
-	if !on {
-		// Entering fast mode: the work bitmap was not maintained while
-		// scanning, so rebuild it from the ground truth.
-		for i := range n.niWorkBits {
-			n.niWorkBits[i] = 0
-		}
-		for node, ni := range n.nis {
-			if ni.Backlogged() {
-				n.niWorkBits[node>>6] |= 1 << (uint(node) & 63)
-			}
+		if n.gating != nil {
+			s.rearmChecks(0) // schedules sleep checks only when !on
 		}
 	}
 }
 
-// ReferenceScan reports whether the scan-based reference path is active.
+// ReferenceScan reports whether the scan-based reference path is selected.
 // A congestion detector over the network reads it every cycle to pick
 // its own scan or incremental sampling path.
 func (n *Network) ReferenceScan() bool { return n.refScan }

@@ -22,8 +22,9 @@ type SubnetSelector interface {
 // A nil GatingPolicy on the Network disables power gating entirely: all
 // routers stay active forever (the non-PG baselines).
 //
-// Stepping is sequential, so AllowSleep and WantWake run on the goroutine
-// calling Network.Step; implementations need no locking of their own.
+// Stepping is sequential, so AllowSleep, WantWake and PolicyEpoch run on
+// the goroutine calling Network.Step; implementations need no locking of
+// their own.
 type GatingPolicy interface {
 	// AllowSleep reports whether the router (subnet, node), whose buffers
 	// have been continuously empty for idleCycles cycles, may switch off
@@ -36,20 +37,18 @@ type GatingPolicy interface {
 	// regional congestion status of subnet h−1 turns on). Baseline
 	// policies return false and rely on look-ahead/NI wakeup signals.
 	WantWake(now int64, subnet, node int) bool
-}
 
-// EpochedPolicy is an optional interface a GatingPolicy may implement to
-// let the power phase skip steady-state routers. PolicyEpoch returns a
-// counter that must change whenever any AllowSleep or WantWake answer may
-// have changed; between equal epochs both answers must be pure functions
-// of (subnet, node) — independent of now and idleCycles. The substrate
-// then re-evaluates sleeping and sleep-blocked routers only when the
-// epoch moves (plus one poll right after each sleep), instead of polling
-// every router every cycle; the observable decision sequence is identical
-// because the skipped calls could only have repeated the previous answer.
-// Policies whose answers vary with time must not implement this; they are
-// polled every cycle as before.
-type EpochedPolicy interface {
+	// PolicyEpoch returns the policy's decision epoch: a counter that
+	// must change whenever any AllowSleep or WantWake answer may have
+	// changed. Between equal epochs both answers must be pure functions
+	// of (subnet, node), independent of now and idleCycles. The power
+	// phase re-evaluates sleeping and sleep-blocked routers only when the
+	// epoch moves (plus one poll right after each sleep), and idle
+	// fast-forward only jumps a span whose epoch is current; the
+	// observable decision sequence is identical to polling every router
+	// every cycle because the skipped calls could only repeat the
+	// previous answer. A policy whose answers vary with time returns a
+	// fresh epoch on each call, and is then polled every cycle.
 	PolicyEpoch() uint64
 }
 

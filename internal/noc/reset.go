@@ -21,9 +21,9 @@ import (
 //     routers are rebuilt over the pooled storage, NI queues and channels
 //     are cleared, counters and latency accumulators reset.
 //   - Installed hooks are removed: observers, sinks, the power tracer, and
-//     the gating policy are cleared, and the execution mode returns to the
-//     New default (incremental, recycling off, idle-skip off). Callers
-//     re-install what they need, exactly as they would after New.
+//     the gating policy are cleared, and the reference scan is deselected
+//     (the New default: the incremental path, idle fast-forward allowed).
+//     Callers re-install what they need, exactly as they would after New.
 //   - Deliberately retained across resets: the NI packet freelists
 //     (NewPacket overwrites every field of a recycled packet), warmed
 //     slice capacity, and each router's CSC tracker struct (its counters
@@ -54,7 +54,6 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.localPort = pc.topo.Radix() - 1
 	n.selector = selector
 	n.gating = nil
-	n.epochFn = nil
 	for i := range n.obs {
 		n.obs[i] = nil
 	}
@@ -76,12 +75,9 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 		n.netLatency.Reset()
 	}
 
-	// Execution mode back to the New default; Simulator/callers re-apply
-	// their SetExecMode after Reset exactly as they do after New. refScan
-	// is forced off directly (not via applyReferenceScan): the pristine
-	// state rebuilt below is already consistent with the incremental path.
+	// Back to the New default; callers re-select the reference scan after
+	// Reset exactly as they do after New.
 	n.refScan = false
-	n.idleSkip = false
 
 	// Surplus subnets and NIs beyond the new shape are retained in the
 	// backing arrays (reviveSlice shortens len, not cap) rather than

@@ -87,6 +87,7 @@ type covGating struct{}
 
 func (covGating) AllowSleep(now int64, subnet, node int, idle int64) bool { return true }
 func (covGating) WantWake(now int64, subnet, node int) bool               { return false }
+func (covGating) PolicyEpoch() uint64                                     { return 0 }
 
 // covObserver and covTracer dirty the hook slots.
 type covObserver struct{}

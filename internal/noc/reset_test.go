@@ -45,7 +45,7 @@ func dirtyReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.Netw
 func TestResetMatchesFreshNetwork(t *testing.T) {
 	const cycles = 2000
 	cfg := testConfig(8, 8, 4, 128)
-	for _, gating := range []string{"catnap", "opaque", "baseline", "none"} {
+	for _, gating := range []string{"catnap", "baseline", "none"} {
 		fresh := diffRunWith(t, diffOpts{gating: gating, sched: traffic.Fig12Bursts(), cycles: cycles})
 		reused := diffRunWith(t, diffOpts{
 			net:    dirtyReset(t, cfg, cfg, 700),
@@ -55,11 +55,12 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFreshExecModes repeats the reset differential across
-// the execution modes New defaults do not cover: idle fast-forward and
-// the reference scan. Reset must also rewind a network whose previous run
-// used a different exec mode (Reset returns the network to the New
-// default before the scenario re-applies its own mode).
+// TestResetMatchesFreshExecModes repeats the reset differential on the
+// two ways a run can execute besides plain incremental stepping: with
+// idle fast-forward and on the reference scan. Reset must also rewind a
+// network whose previous run used the reference scan (Reset returns the
+// network to the incremental default before the scenario selects its
+// own path).
 func TestResetMatchesFreshExecModes(t *testing.T) {
 	const cycles = 2000
 	cfg := testConfig(8, 8, 4, 128)
@@ -83,10 +84,9 @@ func TestResetMatchesFreshExecModes(t *testing.T) {
 	}
 }
 
-// dirtyModeReset dirties the network under a non-default execution mode
-// (the reference scan) before the Reset, so the reset path has a
-// scan-maintained idle-streak representation and a warmed packet
-// freelist to rewind.
+// dirtyModeReset dirties the network on the reference scan before the
+// Reset, so the reset path has a scan-maintained idle-streak
+// representation and a warmed packet freelist to rewind.
 func dirtyModeReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.Network {
 	t.Helper()
 	net, err := noc.New(warmCfg, core.NewRRSelector(warmCfg.Nodes()))
@@ -94,7 +94,7 @@ func dirtyModeReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.
 		t.Fatal(err)
 	}
 	net.SetGatingPolicy(core.BaselineGating{})
-	net.SetExecMode(noc.ExecMode{ReferenceScan: true})
+	net.SetReferenceScan(true)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.25), 11)
 	for i := 0; i < warmCycles; i++ {
 		gen.Tick(net.Now())
@@ -124,7 +124,7 @@ func TestResetHeterogeneousShapes(t *testing.T) {
 	})
 	compareFingerprints(t, "reset/grow", freshBig, grown)
 
-	// Shrink: dirty at 8x8/4 under a non-default exec mode, reset to 4x4/2.
+	// Shrink: dirty at 8x8/4 on the reference scan, reset to 4x4/2.
 	shrunkNet := dirtyModeReset(t, big, small, 600)
 	shrunk := runSmall(t, shrunkNet, cycles)
 	freshNet, err := noc.New(small, core.NewRRSelector(small.Nodes()))

@@ -333,8 +333,8 @@ func (r *Router) sleep(now, idle int64) {
 
 // completeWake finishes a Waking→Active transition at cycle now. Both idle
 // representations are reset (emptySince for the reference scan path,
-// lastBusy for the incremental path) so a mode switch stays consistent,
-// and the next sleep-eligibility check is scheduled.
+// lastBusy for the incremental path), and the next sleep-eligibility
+// check is scheduled.
 func (r *Router) completeWake(now int64) {
 	r.sub.pstate[r.node] = PowerActive
 	r.sub.onWakeDone(r.node)

@@ -32,7 +32,7 @@ type IdleSkipper interface {
 // Quiescent reports whether the network holds no work that requires
 // stepping cycles one at a time: no packet anywhere (in flight, queued,
 // or buffered), no router owed a wake-up poll, and — when a gating policy
-// is installed — an epoched policy whose last-observed epoch is current,
+// is installed — a policy epoch that every subnet has already observed,
 // so the power phase provably repeats its previous answers. Waking
 // routers and scheduled sleep checks do not break quiescence; they bound
 // the skip distance through NextEventCycle instead.
@@ -47,13 +47,9 @@ func (n *Network) Quiescent() bool {
 		return false
 	}
 	if n.gating != nil {
-		// A non-epoched policy is polled every cycle; a stale epoch means
-		// the next power phase re-evaluates asleep/blocked routers with
-		// possibly new answers. Either way, step normally.
-		if n.epochFn == nil {
-			return false
-		}
-		ep := n.epochFn()
+		// A stale epoch means the next power phase re-evaluates
+		// asleep/blocked routers with possibly new answers: step normally.
+		ep := n.gating.PolicyEpoch()
 		for _, s := range n.subnets {
 			if s.lastEpoch != ep {
 				return false
@@ -144,8 +140,8 @@ func (s *Subnet) nextEventCycle(now int64) int64 {
 
 // TrySkipIdle attempts to fast-forward the network from Now to target
 // without executing the intervening cycles, and returns how many cycles
-// it skipped (0 when skipping is off, the network is not quiescent, an
-// observer vetoed, or the next event is due immediately). The skipped
+// it skipped (0 on the reference scan, when the network is not quiescent,
+// an observer vetoed, or the next event is due immediately). The skipped
 // span is [Now, to) with to = min(target, NextEventCycle, every
 // observer's NextIdleEvent): the cycle at `to` is then executed normally
 // by the next Step. Power-state residency is bulk-accrued per subnet
@@ -156,7 +152,7 @@ func (s *Subnet) nextEventCycle(now int64) int64 {
 // Call it only between cycles, never from inside Step: it advances the
 // network clock.
 func (n *Network) TrySkipIdle(target int64) int64 {
-	if !n.idleSkip || target <= n.now || !n.Quiescent() {
+	if target <= n.now || !n.Quiescent() {
 		return 0
 	}
 	to := target
@@ -193,5 +189,6 @@ func (n *Network) TrySkipIdle(target int64) int64 {
 	return k
 }
 
-// IdleSkip reports whether idle fast-forward is armed (ExecMode.IdleSkip).
-func (n *Network) IdleSkip() bool { return n.idleSkip }
+// IdleSkip reports whether TrySkipIdle may fast-forward this network:
+// always, except on the reference scan.
+func (n *Network) IdleSkip() bool { return !n.refScan }

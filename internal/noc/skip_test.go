@@ -3,7 +3,7 @@ package noc_test
 import (
 	"testing"
 
-	"github.com/catnap-noc/catnap/internal/noc"
+	"github.com/catnap-noc/catnap/internal/core"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
@@ -12,7 +12,7 @@ import (
 // to its next event must be bit-identical to stepping every idle cycle —
 // same per-cycle state stream (the probe replays its hash over skipped
 // spans), same transition order, same power totals and CSC — under every
-// gating flavor, execution mode, and mid-run mode flip.
+// gating flavor.
 
 // gappedBursts is a bursty schedule whose zero-load gaps are long enough
 // (hundreds of cycles, versus TIdleDetect=4 and a checkWheel of 6 slots)
@@ -49,16 +49,16 @@ func TestIdleSkipMatchesReferenceScan(t *testing.T) {
 	}
 }
 
-// TestIdleSkipNonEpochedPolicyVetoes pins the safety default: a gating
-// policy that does not expose PolicyEpoch is re-polled every cycle, so
-// the network must never report quiescence — zero skipped cycles — while
-// still matching the reference exactly.
-func TestIdleSkipNonEpochedPolicyVetoes(t *testing.T) {
-	ref := diffRunWith(t, diffOpts{gating: "opaque", ref: true, sched: gappedBursts(0), cycles: skipCycles})
-	fast := diffRunWith(t, diffOpts{gating: "opaque", skip: true, sched: gappedBursts(0), cycles: skipCycles})
-	compareFingerprints(t, "opaque/skip", ref, fast)
+// TestIdleSkipFreshEpochPolicyVetoes pins the contract for policies whose
+// answers vary with time: one that returns a fresh epoch on every call is
+// re-polled every cycle, so the network must never report quiescence —
+// zero skipped cycles — while still matching the reference exactly.
+func TestIdleSkipFreshEpochPolicyVetoes(t *testing.T) {
+	ref := diffRunWith(t, diffOpts{gating: "churn", ref: true, sched: gappedBursts(0), cycles: skipCycles})
+	fast := diffRunWith(t, diffOpts{gating: "churn", skip: true, sched: gappedBursts(0), cycles: skipCycles})
+	compareFingerprints(t, "churn/skip", ref, fast)
 	if fast.skipped != 0 {
-		t.Errorf("opaque (non-epoched) gating: skipped %d cycles, want 0 — the every-cycle polling fallback was bypassed", fast.skipped)
+		t.Errorf("fresh-epoch gating: skipped %d cycles, want 0 — a moving epoch must veto fast-forward", fast.skipped)
 	}
 }
 
@@ -100,25 +100,6 @@ func TestIdleSkipDrainDeadline(t *testing.T) {
 	}
 }
 
-// TestIdleSkipFlipMidRun toggles execution modes through SetExecMode
-// while running: idle fast-forward off and back on, and the reference
-// scan on and back off (which force-disables skipping in between) — each
-// flip landing in a different traffic phase. The flipped run must land
-// exactly on the pure-reference trajectory.
-func TestIdleSkipFlipMidRun(t *testing.T) {
-	ref := diffRunWith(t, diffOpts{gating: "catnap", ref: true, sched: gappedBursts(0), cycles: skipCycles})
-	fast := diffRunWith(t, diffOpts{
-		gating: "catnap", skip: true,
-		sched: gappedBursts(0), cycles: skipCycles,
-		flipSkip: []int{500, 1700},  // off mid-gap, back on mid-burst's tail
-		flipRef:  []int{1200, 2700}, // reference scan through burst 2, back off mid-tail
-	})
-	compareFingerprints(t, "flip/skip", ref, fast)
-	if fast.skipped == 0 {
-		t.Error("no cycles skipped across the mode flips")
-	}
-}
-
 // plainObserver implements only CycleObserver — no IdleSkipper — and so
 // must veto fast-forward entirely.
 type plainObserver struct{ cycles int64 }
@@ -126,50 +107,60 @@ type plainObserver struct{ cycles int64 }
 func (p *plainObserver) AfterCycle(now int64) { p.cycles++ }
 
 // TestIdleSkipObserverVeto pins the correctness-by-default contract: an
-// observer without SkipIdle support blocks every skip, and disarmed or
-// reference-scan networks never skip regardless of observers.
+// observer without SkipIdle support blocks every skip, and a network on
+// the reference scan never skips regardless of observers.
 func TestIdleSkipObserverVeto(t *testing.T) {
 	cfg := testConfig(4, 4, 2, 128)
 
 	net := newNet(t, cfg)
-	net.SetExecMode(noc.ExecMode{IdleSkip: true})
 	if k := net.TrySkipIdle(1000); k == 0 {
 		t.Error("empty quiescent network with no observers refused to skip")
 	}
 
 	vetoed := newNet(t, cfg)
-	vetoed.SetExecMode(noc.ExecMode{IdleSkip: true})
 	vetoed.AddObserver(&plainObserver{})
 	if k := vetoed.TrySkipIdle(1000); k != 0 {
 		t.Errorf("per-cycle observer did not veto: skipped %d cycles", k)
 	}
 
-	disarmed := newNet(t, cfg)
-	if k := disarmed.TrySkipIdle(1000); k != 0 {
-		t.Errorf("disarmed network skipped %d cycles", k)
-	}
-
 	refScan := newNet(t, cfg)
-	refScan.SetExecMode(noc.ExecMode{IdleSkip: true, ReferenceScan: true})
+	refScan.SetReferenceScan(true)
 	if k := refScan.TrySkipIdle(1000); k != 0 {
 		t.Errorf("reference-scan network skipped %d cycles", k)
 	}
 }
 
-// TestExecModeRoundTrip covers the consolidated execution-mode surface:
-// SetExecMode applies, and ExecMode reads back, every combination of the
-// two knobs, including flips straight from one to another.
-func TestExecModeRoundTrip(t *testing.T) {
+// TestReferenceScanFixedBeforeFirstStep pins the one execution knob: the
+// reference scan can be selected and deselected at cycle 0, reads back
+// through ReferenceScan and IdleSkip, and is fixed for the run once the
+// network has stepped. Reset returns it to the incremental default and
+// makes it settable again.
+func TestReferenceScanFixedBeforeFirstStep(t *testing.T) {
 	cfg := testConfig(4, 4, 2, 128)
 	net := newNet(t, cfg)
-	for bits := 0; bits < 4; bits++ {
-		want := noc.ExecMode{
-			ReferenceScan: bits&1 != 0,
-			IdleSkip:      bits&2 != 0,
-		}
-		net.SetExecMode(want)
-		if got := net.ExecMode(); got != want {
-			t.Errorf("ExecMode round trip: got %+v, want %+v", got, want)
+	for _, on := range []bool{true, false, true} {
+		net.SetReferenceScan(on)
+		if net.ReferenceScan() != on || net.IdleSkip() == on {
+			t.Fatalf("SetReferenceScan(%v): ReferenceScan %v, IdleSkip %v", on, net.ReferenceScan(), net.IdleSkip())
 		}
 	}
+	net.Step()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetReferenceScan after a Step did not panic")
+			}
+		}()
+		net.SetReferenceScan(false)
+	}()
+	if !net.ReferenceScan() {
+		t.Error("the panicking SetReferenceScan changed the path")
+	}
+	if err := net.Reset(cfg, core.NewRRSelector(cfg.Nodes())); err != nil {
+		t.Fatal(err)
+	}
+	if net.ReferenceScan() {
+		t.Error("Reset kept the reference scan selected")
+	}
+	net.SetReferenceScan(true) // settable again at cycle 0
 }

@@ -70,9 +70,9 @@ type Subnet struct {
 	// below is written only from this subnet's deliver/router/power
 	// phases.
 	//
-	// refScan selects the retained O(nodes)-scan reference phases; the
-	// aggregates are maintained in both modes so observers read the same
-	// values either way.
+	// refScan mirrors Network.refScan: the retained O(nodes)-scan
+	// reference phases. The aggregates are maintained on both paths so
+	// observers read the same values either way.
 	refScan bool
 	// Bitmaps over node ids (bit n of word n/64).
 	occBits     []uint64 // routers with buffered flits
@@ -271,15 +271,9 @@ func (s *Subnet) powerPhase(now int64) {
 	pol := s.net.gating
 	evalAll := false
 	if pol != nil {
-		if fn := s.net.epochFn; fn != nil {
-			ep := fn()
-			evalAll = ep != s.lastEpoch
-			s.lastEpoch = ep
-		} else {
-			// Non-epoched policies are polled every cycle, as the
-			// reference path does.
-			evalAll = true
-		}
+		ep := pol.PolicyEpoch()
+		evalAll = ep != s.lastEpoch
+		s.lastEpoch = ep
 	}
 
 	// Drain this cycle's check slot. Checks are scheduled at most
@@ -448,7 +442,7 @@ func (s *Subnet) clearBlocked(n int) { s.blockedBits[n>>6] &^= 1 << (uint(n) & 6
 
 // onSleep records an Active→Asleep transition. The fresh sleeper is owed
 // one WantWake poll on the next power phase even if the policy epoch does
-// not move (a generic epoched policy may want it straight back up).
+// not move (a generic policy may want it straight back up).
 func (s *Subnet) onSleep(n int) {
 	s.stateCount[PowerActive]--
 	s.stateCount[PowerAsleep]++
@@ -499,7 +493,7 @@ func (s *Subnet) scheduleCheck(r *Router, now int64) {
 
 // rearmChecks schedules a sleep check for every active router and forces
 // a full policy re-evaluation at the next power phase. Called when a
-// gating policy is installed or the stepping mode changes.
+// gating policy is installed or the stepping path is chosen.
 func (s *Subnet) rearmChecks(now int64) {
 	s.lastEpoch = ^uint64(0)
 	for i := range s.blockedBits {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
 	"github.com/catnap-noc/catnap/internal/core"
@@ -63,9 +64,9 @@ func New(cfg Config) (*Simulator, error) {
 
 // Reset rewinds the simulator in place to the state New(cfg) would
 // produce: the network and congestion detector are reset in place
-// (reusing every shape-compatible allocation), the policies, idle
-// fast-forward and power model are rewired from cfg, and any attached
-// traffic generator or system model is detached.
+// (reusing every shape-compatible allocation), the policies and power
+// model are rewired from cfg, and any attached traffic generator or
+// system model is detached.
 // Configuration errors detectable before mutation leave the simulator
 // unchanged; a later wiring error (not reachable with validated configs)
 // leaves it in an undefined state and it must be discarded — SimPool.Get
@@ -76,7 +77,14 @@ func (s *Simulator) Reset(cfg Config) error {
 	needsDet := cfg.needsDetector()
 
 	// Pre-validate everything that only depends on cfg, so an invalid
-	// config cannot leave a half-reset simulator behind.
+	// config cannot leave a half-reset simulator behind or reach the
+	// selector and power-model constructors.
+	if err := ncfg.Validate(); err != nil {
+		return err
+	}
+	if !(cfg.VoltageV > 0) || math.IsInf(cfg.VoltageV, 1) {
+		return fmt.Errorf("catnap: supply voltage must be finite and positive, got %v V", cfg.VoltageV)
+	}
 	if needsDet && !congestion.ValidKind(cfg.Metric) {
 		return fmt.Errorf("catnap: unknown congestion metric %d", cfg.Metric)
 	}
@@ -151,10 +159,6 @@ func (s *Simulator) Reset(cfg Config) error {
 		s.Net.SetGatingPolicy(core.NewCatnapGating(s.Det))
 	}
 
-	// Idle fast-forward is always armed: Run jumps fully quiescent spans
-	// to the next staged event or traffic arrival, bit-identically to
-	// stepping them (the idle-skip differential suites assert it).
-	s.Net.SetExecMode(noc.ExecMode{IdleSkip: true})
 	s.Model = power.NewModel(power.DefaultParams(), s.Net.Config(), cfg.VoltageV)
 	return nil
 }

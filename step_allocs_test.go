@@ -51,7 +51,7 @@ func TestStepAllocs(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/burst%d", a.name, burst), func(t *testing.T) {
 				s := mustSim(a.cfg)
 				if a.refScan {
-					s.Net.SetExecMode(noc.ExecMode{ReferenceScan: true})
+					s.Net.SetReferenceScan(true)
 				}
 				if a.telemetry {
 					s.EnableTelemetry(telemetry.NewRecorder(telemetry.Options{}), a.name)
