@@ -77,12 +77,12 @@ experiments:
 	for e in fig2 table2 fig6 fig7 fig8 fig9 fig10 fig12 fig13 fig14 headline topology hetero profiles; do \
 		/tmp/catnapcli $$e > results/$$e.txt || exit 1; \
 	done
-	/tmp/catnapcli -pattern uniform-random fig11 > results/fig11-ur.txt
-	/tmp/catnapcli -pattern transpose fig11 > results/fig11-transpose.txt
-	/tmp/catnapcli -pattern bit-complement fig11 > results/fig11-bitcomp.txt
+	/tmp/catnapcli fig11 -pattern uniform-random > results/fig11-ur.txt
+	/tmp/catnapcli fig11 -pattern transpose > results/fig11-transpose.txt
+	/tmp/catnapcli fig11 -pattern bit-complement > results/fig11-bitcomp.txt
 
 quick-experiments:
-	$(GO) run ./cmd/catnap -quick headline
+	$(GO) run ./cmd/catnap headline -quick
 
 fmt:
 	gofmt -w .

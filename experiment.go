@@ -55,7 +55,8 @@ type ExperimentOpts struct {
 	// (fig12) in cycles; 0 means the paper's 3000.
 	Total int64
 	// Window is the time-series sampling window (fig12) and the
-	// telemetry series window, in cycles; 0 means the paper's 50.
+	// telemetry series window, in cycles; 0 means the paper's 50. fig12
+	// rejects a window longer than its run.
 	Window int64
 	// Explore parameterizes the "explore" design-space search (space,
 	// budget, sampling mode, cache directory); other experiments ignore
@@ -361,7 +362,10 @@ func init() {
 
 	registerExperiment(ExperimentInfo{"fig12", "bursty-traffic ramp-up and subnet utilization over time", "figure"},
 		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts := runFig12(opts)
+			pts, err := runFig12(opts)
+			if err != nil {
+				return nil, err
+			}
 			res := &ExperimentResult{
 				Name:   "fig12",
 				Header: []string{"cycle", "offered", "accepted", "subnet0", "subnet1", "subnet2", "subnet3"},

@@ -474,20 +474,28 @@ type Fig12Point struct {
 	SubnetShare []float64 // fraction of injected flits per subnet
 }
 
+// fig12Total is fig12's simulated length when ExperimentOpts.Total is 0,
+// the paper's 3000 cycles.
+const fig12Total = 3000
+
 // runFig12 runs the two-burst schedule on the Catnap design for
-// ExperimentOpts.Total cycles (3000 in the paper) and samples throughput
+// ExperimentOpts.Total cycles (fig12Total when 0) and samples throughput
 // and subnet utilization every ExperimentOpts.Window cycles (50 in the
-// paper). It is the one canned experiment that honors
-// ExperimentOpts.Telemetry directly: a non-nil recorder is attached to
-// the single simulated network, so its metrics carry the windowed
-// per-subnet power-state series the burst plots are built from.
-func runFig12(o ExperimentOpts) []Fig12Point {
+// paper). A window longer than the run would sample nothing, so it is
+// rejected before anything is simulated. It is the one canned experiment
+// that honors ExperimentOpts.Telemetry directly: a non-nil recorder is
+// attached to the single simulated network, so its metrics carry the
+// windowed per-subnet power-state series the burst plots are built from.
+func runFig12(o ExperimentOpts) ([]Fig12Point, error) {
 	total, window := o.Total, o.Window
 	if total == 0 {
-		total = 3000
+		total = fig12Total
 	}
 	if window == 0 {
 		window = 50
+	}
+	if window > total {
+		return nil, fmt.Errorf("catnap: ExperimentOpts.Window = %d, want <= fig12's %d-cycle total", window, total)
 	}
 	sim := mustSim(mustDesign("4NT-128b-PG"))
 	if o.Telemetry != nil {
@@ -535,7 +543,7 @@ func runFig12(o ExperimentOpts) []Fig12Point {
 		prevEjected = ejected
 		copy(prevFlits, cur)
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

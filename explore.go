@@ -15,9 +15,9 @@ import (
 // Catnap simulator: ExploreOpts carries the campaign knobs through
 // ExperimentOpts, evaluateSpec lowers an explore.Spec to a Config
 // and measures it, and the "explore" registry entry renders the Pareto
-// front as an experiment table. cmd/catnap-explore is the full-featured
-// shell (persistent cache, resume by rerun, frontier output) over
-// RunExplore.
+// front as an experiment table for RunExperiment callers. The catnap
+// explore command is the command-line shell (persistent cache, resume
+// by rerun, frontier output) over RunExplore.
 
 // ExploreSpace is the searched configuration grid; see explore.Space for
 // the axis semantics.

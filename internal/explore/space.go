@@ -1,5 +1,5 @@
 // Package explore is the design-space exploration engine behind
-// cmd/catnap-explore: it searches a discrete Catnap configuration space
+// catnap explore: it searches a discrete Catnap configuration space
 // (subnet count, link width, buffer depth, idle-detect window,
 // congestion metric, gating threshold) for the power/latency Pareto
 // front. Two layers make campaigns cheap to repeat, kill, and scale:
@@ -54,7 +54,7 @@ type Space struct {
 	Thresholds []float64 `json:"thresholds"`
 }
 
-// DefaultSpace is the space cmd/catnap-explore searches when no axis
+// DefaultSpace is the space catnap explore searches when no axis
 // flags are given: every paper-adjacent value of each knob. Its ~1.3k
 // points keep the default campaign tractable; axis flags scale it up.
 func DefaultSpace() Space {

@@ -117,6 +117,15 @@ func TestExperimentOptsValidate(t *testing.T) {
 	if _, err := RunExperiment(context.Background(), "fig6", ExperimentOpts{Loads: []float64{2}}); err == nil {
 		t.Error("RunExperiment accepted invalid options")
 	}
+	// fig12 never completes a window longer than its default 3000-cycle
+	// run, so it rejects one up front; other experiments keep accepting
+	// a long telemetry window.
+	if _, err := RunExperiment(context.Background(), "fig12", ExperimentOpts{Window: 5000}); err == nil || !strings.Contains(err.Error(), "ExperimentOpts.Window") {
+		t.Errorf("fig12 with Window 5000: err = %v, want an error naming ExperimentOpts.Window", err)
+	}
+	if _, err := RunExperiment(context.Background(), "table2", ExperimentOpts{Window: 5000}); err != nil {
+		t.Errorf("table2 with Window 5000: %v", err)
+	}
 }
 
 // TestRunExperimentFig12Telemetry exercises the acceptance path: fig12
