@@ -135,7 +135,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	case err != nil:
-		fmt.Fprintln(stderr, "catnap:", err)
+		// Library errors already carry the prefix; print it once.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "catnap: ") {
+			msg = "catnap: " + msg
+		}
+		fmt.Fprintln(stderr, msg)
 		return 1
 	}
 	return 0

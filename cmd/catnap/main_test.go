@@ -144,6 +144,22 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestErrorsPrefixedOnce: a failure names the program once, whether its
+// error comes from the library, whose errors already start with
+// "catnap: ", or from the command layer, whose errors do not.
+func TestErrorsPrefixedOnce(t *testing.T) {
+	for _, c := range []struct{ cmdline, line string }{
+		{"fig12 -window 5000", "catnap: ExperimentOpts.Window = 5000, want <= fig12's 3000-cycle total\n"},
+		{"sweep -design nope", `catnap: unknown design "nope" (available: [1NT-128b `},
+		{"sweep -loads 0.1,0.2 -trace t.jsonl", "catnap: -trace records one run's packets"},
+	} {
+		code, _, stderr := catnapRun(context.Background(), c.cmdline)
+		if code != 1 || !strings.HasPrefix(stderr, c.line) || strings.Contains(stderr, "catnap: catnap:") {
+			t.Errorf("catnap %s: exit %d, stderr:\n%s\nwant exit 1 and stderr starting %q", c.cmdline, code, stderr, c.line)
+		}
+	}
+}
+
 func TestParseLoads(t *testing.T) {
 	got, err := parseList("loads", "0.02, 0.5,0.10", parseLoad)
 	if err != nil {

@@ -80,6 +80,34 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 }
 
+// cancelAt is an observer that cancels its context at one cycle.
+type cancelAt struct {
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) AfterCycle(now int64) {
+	if now == c.at {
+		c.cancel()
+	}
+}
+
+// TestRunCtxCancelledInsideShortCall: a context cancelled inside a call
+// shorter than the polling interval must still fail that call, at the
+// latest when it returns.
+func TestRunCtxCancelledInsideShortCall(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sim := mustSim(mustDesign("4NT-128b-PG"))
+	sim.Net.AddObserver(cancelAt{at: 10, cancel: cancel})
+	if err := sim.RunCtx(ctx, 1000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx err = %v at cycle %d, want Canceled", err, sim.Net.Now())
+	}
+	if err := sim.RunCtx(context.Background(), 10); err != nil {
+		t.Fatalf("RunCtx with a live context: %v", err)
+	}
+}
+
 // TestRunAppCancellation covers the closed-loop entry point.
 func TestRunAppCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,7 +1,6 @@
 package cpusim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/catnap-noc/catnap/internal/noc"
@@ -101,23 +100,56 @@ const (
 	evComplete
 )
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// typed rather than built on container/heap so that pushing and popping
+// an event never boxes it in an interface (an allocation per event).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
+
+// push adds e, sifting it up to its place.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[0], true
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = event{} // drop the *txn reference
+	q = q[:last]
+	for i := 0; ; {
+		min, l := i, 2*i+1
+		if l < len(q) && q.less(l, min) {
+			min = l
+		}
+		if r := l + 1; r < len(q) && q.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q[i], q[min] = q[min], q[i]
+		i = min
+	}
+	*h = q
+	return top
 }
 
 // mc is one memory controller with channel-level parallelism.
@@ -160,6 +192,9 @@ type System struct {
 	events  eventHeap
 	evSeq   int64
 	pending int64
+	// free recycles txn records whose transaction has ended (miss
+	// completion, or ack or writeback delivery).
+	free []*txn
 
 	// Measurement baselines (set by StartMeasurement).
 	baseRetired []int64
@@ -242,7 +277,20 @@ func DefaultMCNodes(rows, cols int) []int {
 func (s *System) schedule(e event) {
 	e.seq = s.evSeq
 	s.evSeq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
+}
+
+// newTxn returns a transaction record, recycled when one is free.
+func (s *System) newTxn(core, missIdx, home int, stage txnStage) *txn {
+	var t *txn
+	if k := len(s.free) - 1; k >= 0 {
+		t = s.free[k]
+		s.free = s.free[:k]
+	} else {
+		t = new(txn)
+	}
+	*t = txn{core: core, missIdx: missIdx, home: home, stage: stage}
+	return t
 }
 
 // launchMiss starts the coherence transaction for core c's miss.
@@ -250,7 +298,7 @@ func (s *System) launchMiss(now int64, c *Core, missIdx int) {
 	s.missesIssued++
 	s.pending++
 	home := s.rng.Intn(s.net.Topo().Nodes())
-	t := &txn{core: c.id, missIdx: missIdx, home: home, stage: stageReqToHome}
+	t := s.newTxn(c.id, missIdx, home, stageReqToHome)
 	// The request leaves the core immediately (L1 miss detection folded
 	// into the L1 latency already modelled at fill).
 	p := s.net.NewPacket(c.node, home, noc.ClassRequest, s.cfg.ControlBits)
@@ -289,7 +337,7 @@ func (s *System) onPacket(now int64, p *noc.Packet) {
 	case stageFwdToOwner:
 		// Owner's L1 supplies the block: data to requester, ack to home.
 		ready := now + int64(s.cfg.L1FillLatency)
-		ack := &txn{core: t.core, missIdx: -1, home: t.home, stage: stageAckToHome}
+		ack := s.newTxn(t.core, -1, t.home, stageAckToHome)
 		s.schedule(event{at: ready, kind: evSend, t: ack, src: p.Dst, dst: t.home, class: noc.ClassAck, bits: s.cfg.ControlBits})
 		t.stage = stageDataToReq
 		s.schedule(event{at: ready, kind: evSend, t: t, src: p.Dst, dst: c.node, class: noc.ClassResponse, bits: s.cfg.DataBits})
@@ -308,14 +356,17 @@ func (s *System) onPacket(now int64, p *noc.Packet) {
 		s.schedule(event{at: now + int64(s.cfg.L1FillLatency), kind: evComplete, t: t})
 		// Dirty evictions write back to the victim block's home.
 		if s.rng.Bernoulli(c.prof.WriteFrac * 0.5) {
-			wb := &txn{core: t.core, missIdx: -1, home: -1, stage: stageWriteback}
+			wb := s.newTxn(t.core, -1, -1, stageWriteback)
 			victim := s.rng.Intn(s.net.Topo().Nodes())
 			q := s.net.NewPacket(c.node, victim, noc.ClassAck, s.cfg.DataBits)
 			q.Payload = wb
 		}
 
 	case stageAckToHome, stageWriteback:
-		// Terminal fire-and-forget messages.
+		// Terminal fire-and-forget messages: the record is done. The
+		// delivered packet keeps a stale Payload pointer until NewPacket
+		// reuses it, and nothing reads it.
+		s.free = append(s.free, t)
 	}
 }
 
@@ -340,12 +391,8 @@ func (s *System) SkipIdle(from, to int64) {}
 // AfterCycle implements noc.CycleObserver: fire due events, then step the
 // cores so their new packets enter NIs next cycle.
 func (s *System) AfterCycle(now int64) {
-	for {
-		e, ok := s.events.Peek()
-		if !ok || e.at > now {
-			break
-		}
-		heap.Pop(&s.events)
+	for len(s.events) > 0 && s.events[0].at <= now {
+		e := s.events.pop()
 		switch e.kind {
 		case evSend:
 			p := s.net.NewPacket(e.src, e.dst, e.class, e.bits)
@@ -355,6 +402,7 @@ func (s *System) AfterCycle(now int64) {
 			c.completeMiss(e.t.missIdx)
 			s.missesCompleted++
 			s.pending--
+			s.free = append(s.free, e.t)
 		}
 	}
 	for _, c := range s.cores {

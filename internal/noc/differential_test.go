@@ -151,6 +151,9 @@ func (p *diffProbe) scanCheck(now int64) {
 		if got, want := sub.MaxBFM(), sub.MaxBFMScan(); got != want {
 			p.t.Fatalf("cycle %d subnet %d: MaxBFM %d != scan %d", now, s, got, want)
 		}
+		if msg := sub.CheckAggregates(now); msg != "" {
+			p.t.Fatalf("cycle %d subnet %d: %s", now, s, msg)
+		}
 		for n := 0; n < p.net.Config().Nodes(); n++ {
 			r := sub.Router(n)
 			if r.TotalOccupancy() != r.TotalOccupancyScan() || r.MaxPortOccupancy() != r.MaxPortOccupancyScan() {

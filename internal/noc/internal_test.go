@@ -135,10 +135,11 @@ func TestWormholeStatePersistsAcrossEmptyBuffer(t *testing.T) {
 	}
 }
 
-// TestVCAllocateFillsRequestMasks: the incremental VA pass must set bit
-// p*VCs+v of req[o] for exactly the occupied slots whose front packet
-// holds output o and a downstream VC, latch the route of an unrouted head,
-// and never read the flit ring of a VC whose packet is already routed.
+// TestVCAllocateFillsRequestMasks: the incremental VA pass must add bit
+// p*VCs+v to ready and to req[o] for exactly the occupied slots whose
+// front packet wins a downstream VC on output o, latch the route of an
+// unrouted head, keep the bits of slots that were ready before, and never
+// visit a ready slot.
 func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	cfg := internalConfig()
 	cfg.Rows, cfg.Cols, cfg.RegionDim = 3, 3, 3
@@ -166,30 +167,32 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 			r.deliver(0, p, v, flit{pkt: pkts[p*cfg.VCs+v], nextPort: uint8(outOf(p, v))})
 		}
 	}
-	// Slot (2, 1) instead holds a body flit of a packet routed to its
-	// output in an earlier cycle, owning downstream VC 0. Its ring is
-	// detached so any front-flit read panics.
+	// Slot (2, 1) instead holds a body flit of a packet that won its route
+	// and downstream VC 0 in an earlier cycle, so it is already ready. Its
+	// ring is detached so any front-flit read panics, and a visit would
+	// hand it a second downstream VC.
 	const bp, bv = 2, 1
 	body := &r.in[bp].vcs[bv]
 	body.pop()
 	body.push(flit{pkt: pkts[bp*cfg.VCs+bv], seq: 1})
 	body.curPkt, body.outPort, body.outVC, body.routeSet = pkts[bp*cfg.VCs+bv], outOf(bp, bv), 0, true
 	r.out[outOf(bp, bv)].busy[0] = true
+	bodyBit := uint64(1) << uint(bp*cfg.VCs+bv)
+	r.ready = bodyBit
+	r.req[outOf(bp, bv)] = bodyBit
 	ring := body.q
 	body.q = nil
 
-	var req reqMasks
-	for o := range req {
-		req[o] = ^uint64(0) // stale bits from a previous router must be cleared
-	}
-	r.vcAllocate(&req)
+	r.vcAllocate()
 	body.q = ring
 
-	var want reqMasks
+	var want [maskPorts]uint64
+	var wantReady uint64
 	for p := 0; p < nports; p++ {
 		for v := 0; v < cfg.VCs; v++ {
 			if o := outOf(p, v); o != blocked {
 				want[o] |= 1 << uint(p*cfg.VCs+v)
+				wantReady |= 1 << uint(p*cfg.VCs+v)
 			}
 			if p == bp && v == bv {
 				continue
@@ -200,10 +203,20 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 			}
 		}
 	}
+	if body.outVC != 0 {
+		t.Errorf("VA visited the ready slot (%d,%d): outVC %d, want 0", bp, bv, body.outVC)
+	}
 	for o := 0; o < nports; o++ {
-		if req[o] != want[o] {
-			t.Errorf("req[%d] = %#x, want %#x", o, req[o], want[o])
+		if r.req[o] != want[o] {
+			t.Errorf("req[%d] = %#x, want %#x", o, r.req[o], want[o])
 		}
+	}
+	if r.ready != wantReady {
+		t.Errorf("ready = %#x, want %#x", r.ready, wantReady)
+	}
+	ready, req, _ := r.allocMasksScan(0)
+	if r.ready != ready || r.req != req {
+		t.Error("persistent masks disagree with allocMasksScan")
 	}
 }
 

@@ -22,6 +22,11 @@ func (n *Network) CheckQuiescent() error {
 				return fmt.Errorf("noc: subnet %d wheel slot %d not empty", si, w)
 			}
 		}
+		for w := range s.eligWheel {
+			if len(s.eligWheel[w]) != 0 {
+				return fmt.Errorf("noc: subnet %d eligibility wheel slot %d not empty", si, w)
+			}
+		}
 		for ni := range s.routers {
 			if s.occSlots[ni] != 0 {
 				return fmt.Errorf("noc: subnet %d router %d occupancy bitmask %#x not drained", si, ni, s.occSlots[ni])
@@ -58,7 +63,7 @@ func (n *Network) CheckQuiescent() error {
 		}
 	}
 	for si, s := range n.subnets {
-		if msg := s.checkAggregates(); msg != "" {
+		if msg := s.checkAggregates(n.now - 1); msg != "" {
 			return fmt.Errorf("noc: subnet %d incremental aggregates: %s", si, msg)
 		}
 		if s.bufferedFlits != 0 {

@@ -148,6 +148,7 @@ func (s *Subnet) reset() {
 	s.bfmHist = resetSlice(s.bfmHist, cfg.VCs*cfg.VCDepth+1)
 	s.bfmHist[0] = int32(nodes)
 	s.bfmMax = 0
+	s.eligWheel = resetWheel(s.eligWheel, cfg.RouterDelay+1)
 	s.checkWheel = resetWheel(s.checkWheel, cfg.TIdleDetect+2)
 	s.lastEpoch = ^uint64(0)
 

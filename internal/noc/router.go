@@ -111,6 +111,10 @@ type outputPort struct {
 	rr int
 }
 
+// maskPorts is the most ports a router may have and still allocate
+// through its per-output request masks (Router.req).
+const maskPorts = 16
+
 // Router is one input-buffered virtual-channel router in one subnet,
 // implementing a two-stage speculative pipeline with look-ahead routing.
 type Router struct {
@@ -153,13 +157,23 @@ type Router struct {
 	maxPortOcc int
 	// occ points at this router's word in Subnet.occSlots: the non-empty
 	// (input port, VC) slot bitmask, bit p*VCs+v. Maintained at deliver
-	// (push) and traverse (pop); the allocation stages consult it on the
-	// incremental path so empty slots cost one shift instead of a
-	// VC-state load. Usable only when every slot fits in the word
-	// (slotMask) and every output has a request mask (radix <= 16);
-	// other shapes fall back to the full scan.
+	// (push) and traverse (pop). Usable only when every slot fits in the
+	// word (slotMask) and every output has a request mask (radix <=
+	// maskPorts); other shapes fall back to the full scan.
 	occ      *uint64
 	slotMask bool
+	// Persistent allocation masks over the same slot bits, maintained on
+	// both paths whenever slotMask holds and read by the incremental one:
+	// ready marks slots whose front packet holds a route and a downstream
+	// VC, req[o] the part of ready routed to output o (both set when
+	// allocateOutVC succeeds, cleared when the slot's tail traverses), and
+	// elig the non-empty slots whose front flit has left the router
+	// pipeline (eligibleAt <= now). A flit that reaches the front before
+	// its eligibleAt is staged on Subnet.eligWheel, which sets its bit at
+	// the top of the router phase of that cycle; a pop clears the bit.
+	ready uint64
+	elig  uint64
+	req   [maskPorts]uint64
 
 	// Congestion-metric instrumentation (cumulative; readers take deltas).
 	blockedFlitCycles int64 // eligible-but-ungranted flit cycles
@@ -190,7 +204,7 @@ func (r *Router) wire(sub *Subnet, node int) {
 	r.out = sub.outPool[pb : pb+radix : pb+radix]
 	r.grantedInput = sub.grantPool[pb : pb+radix : pb+radix]
 	r.occ = &sub.occSlots[node]
-	r.slotMask = radix*cfg.VCs <= 64 && radix <= len(reqMasks{})
+	r.slotMask = radix*cfg.VCs <= 64 && radix <= maskPorts
 	local := radix - 1
 	for p := 0; p < radix; p++ {
 		ip := &r.in[p]
@@ -242,6 +256,9 @@ func (r *Router) rearm(cfg *Config) {
 	r.sleptAt = 0
 	r.totalOcc = 0
 	r.maxPortOcc = 0
+	r.ready = 0
+	r.elig = 0
+	clear(r.req[:])
 	r.blockedFlitCycles = 0
 	r.grantedFlits = 0
 	r.vaRR = 0
@@ -285,6 +302,28 @@ func (r *Router) TotalOccupancyScan() int {
 		t += r.in[p].occupancy
 	}
 	return t
+}
+
+// allocMasksScan rebuilds the ready, req and elig masks from the VC
+// states, with elig as the router phase of cycle now sees it. The
+// aggregate cross-checks and the switch-allocation differential compare
+// the persistent masks against it.
+func (r *Router) allocMasksScan(now int64) (ready uint64, req [maskPorts]uint64, elig uint64) {
+	vcs := r.sub.net.cfg.VCs
+	for p := range r.in {
+		for v := range r.in[p].vcs {
+			vc := &r.in[p].vcs[v]
+			bit := uint64(1) << uint(p*vcs+v)
+			if vc.routeSet && vc.outVC >= 0 {
+				ready |= bit
+				req[vc.outPort] |= bit
+			}
+			if !vc.empty() && vc.front().eligibleAt <= now {
+				elig |= bit
+			}
+		}
+	}
+	return ready, req, elig
 }
 
 // BlockingCounters returns the cumulative eligible-but-blocked flit cycles
@@ -361,8 +400,14 @@ func (r *Router) noteBusyEnd(now, busyCycle int64) {
 func (r *Router) deliver(now int64, p, v int, f flit) {
 	cfg := r.sub.net.cfg
 	f.eligibleAt = now + int64(cfg.RouterDelay)
-	r.in[p].vcs[v].push(f)
-	*r.occ |= 1 << uint(p*cfg.VCs+v) // no-op beyond 64 slots (slotMask off)
+	vc := &r.in[p].vcs[v]
+	vc.push(f)
+	slot := uint(p*cfg.VCs + v)
+	*r.occ |= 1 << slot // no-op beyond 64 slots (slotMask off)
+	if vc.count == 1 && r.slotMask {
+		// A new front flit; RouterDelay >= 1, so it is not eligible yet.
+		r.sub.stageElig(f.eligibleAt, r.node, slot)
+	}
 	occ := r.in[p].occupancy + 1
 	r.in[p].occupancy = occ
 	r.totalOcc++
@@ -387,56 +432,40 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 	}
 }
 
-// reqMasks holds one router's per-output switch request masks for one
-// cycle: bit p*VCs+v of [o] is set when input slot (p, v) is non-empty and
-// its front packet holds a route to output o and a downstream VC. The
-// router phase keeps it on its stack; routers with more than len(reqMasks)
-// ports take the scan path instead.
-type reqMasks [16]uint64
-
 // vcAllocate performs virtual-channel allocation: every input VC whose
 // front packet has a route but no downstream VC tries to acquire a free
 // downstream VC from the class's eligible set. It also latches the
-// look-ahead route of packets newly at the front of a FIFO. On the
-// incremental path it fills req for switchAllocate; the scan path
-// ignores req (nil is allowed there).
-func (r *Router) vcAllocate(req *reqMasks) {
+// look-ahead route of packets newly at the front of a FIFO.
+func (r *Router) vcAllocate() {
 	nports := len(r.in)
+	vcs := r.sub.net.cfg.VCs
 	if r.slotMask && !r.sub.refScan {
-		// Incremental path: iterate only the non-empty VCs, in the same
-		// rotated-port, ascending-VC order as the scan below. vcAllocate
-		// never changes slot occupancy, so the snapshot is exact. A VC
-		// with a latched route is mid-packet or at an already routed
-		// head, so the flit ring is read only to latch a new head.
-		vcs := r.sub.net.cfg.VCs
-		occ := *r.occ
-		clear(req[:nports])
-		for pi := 0; pi < nports; pi++ {
-			p := (pi + r.vaRR) % nports
-			ip := &r.in[p]
-			pm := occ >> uint(p*vcs) & (1<<uint(vcs) - 1)
-			for pm != 0 {
-				v := bits.TrailingZeros64(pm)
-				pm &= pm - 1
-				vc := &ip.vcs[v]
-				if !vc.routeSet {
-					f := vc.front()
-					if !f.head() {
-						continue
+		// Incremental path: visit only the occupied slots outside ready, in
+		// the same rotated-port, ascending-VC order as the scan below. A
+		// ready slot's packet already holds its route and downstream VC, so
+		// the scan passes over it untouched; vcAllocate never changes slot
+		// occupancy, so the snapshot is exact.
+		if todo := *r.occ &^ r.ready; todo != 0 {
+			for pi := 0; pi < nports; pi++ {
+				p := (pi + r.vaRR) % nports
+				pm := todo >> uint(p*vcs) & (1<<uint(vcs) - 1)
+				for pm != 0 {
+					v := bits.TrailingZeros64(pm)
+					pm &= pm - 1
+					vc := &r.in[p].vcs[v]
+					if !vc.routeSet {
+						f := vc.front()
+						if !f.head() {
+							continue
+						}
+						vc.curPkt = f.pkt
+						vc.outPort = int(f.nextPort)
+						vc.outVC = -1
+						vc.routeSet = true
+						vc.crossed = f.crossed
 					}
-					vc.curPkt = f.pkt
-					vc.outPort = int(f.nextPort)
-					vc.outVC = -1
-					vc.routeSet = true
-					vc.crossed = f.crossed
+					r.allocateOutVC(vc, p*vcs+v)
 				}
-				if vc.outVC < 0 {
-					r.allocateOutVC(vc)
-					if vc.outVC < 0 {
-						continue
-					}
-				}
-				req[vc.outPort] |= 1 << uint(p*vcs+v)
 			}
 		}
 		r.vaRR++
@@ -461,41 +490,34 @@ func (r *Router) vcAllocate(req *reqMasks) {
 			if !vc.routeSet || vc.outVC >= 0 {
 				continue
 			}
-			r.allocateOutVC(vc)
+			r.allocateOutVC(vc, p*vcs+v)
 		}
 	}
 	r.vaRR++
 }
 
-// allocateOutVC tries to grant vc's front packet a downstream virtual
-// channel on its output port.
-func (r *Router) allocateOutVC(vc *vcState) {
+// allocateOutVC tries to grant vc's front packet, at slot p*VCs+v, a
+// downstream virtual channel on its output port; on success the slot joins
+// ready and req[outPort].
+func (r *Router) allocateOutVC(vc *vcState, slot int) {
 	op := &r.out[vc.outPort]
-	mask := r.sub.net.cfg.vcMask(vc.curPkt.Class)
-	if vc.outPort == r.sub.net.localPort {
-		// Ejection: the sink is not credit-limited, but the downstream-VC
-		// ownership still serializes packets per ejection channel so that
-		// wormhole ordering holds at the NI.
-		for v := range op.busy {
-			if mask&(1<<uint(v)) == 0 || op.busy[v] {
-				continue
-			}
-			op.busy[v] = true
-			vc.outVC = int8(v)
-			return
-		}
-		return
-	}
-	if op.downstream < 0 {
-		panic("noc: route points off the mesh edge (routing bug)")
-	}
 	cfg := r.sub.net.cfg
-	if cfg.Torus {
-		// Dateline VC classes: the downstream buffer belongs to the ring
-		// of this link; a packet that has crossed (or is about to cross,
-		// if this link is the dateline) uses the upper class.
-		crossed := vc.crossed&dimBit(vc.outPort) != 0 || r.sub.net.topo.WrapsPort(r.node, vc.outPort)
-		mask &= cfg.datelineMask(crossed)
+	mask := cfg.vcMask(vc.curPkt.Class)
+	// Ejection (the local port) skips the checks below: the sink is not
+	// credit-limited, but the downstream-VC ownership still serializes
+	// packets per ejection channel so that wormhole ordering holds at the
+	// NI.
+	if vc.outPort != r.sub.net.localPort {
+		if op.downstream < 0 {
+			panic("noc: route points off the mesh edge (routing bug)")
+		}
+		if cfg.Torus {
+			// Dateline VC classes: the downstream buffer belongs to the
+			// ring of this link; a packet that has crossed (or is about to
+			// cross, if this link is the dateline) uses the upper class.
+			crossed := vc.crossed&dimBit(vc.outPort) != 0 || r.sub.net.topo.WrapsPort(r.node, vc.outPort)
+			mask &= cfg.datelineMask(crossed)
+		}
 	}
 	for v := range op.busy {
 		if mask&(1<<uint(v)) == 0 || op.busy[v] {
@@ -503,6 +525,10 @@ func (r *Router) allocateOutVC(vc *vcState) {
 		}
 		op.busy[v] = true
 		vc.outVC = int8(v)
+		if r.slotMask {
+			r.ready |= 1 << uint(slot)
+			r.req[vc.outPort] |= 1 << uint(slot)
+		}
 		return
 	}
 }
@@ -521,15 +547,13 @@ func dimBit(p int) uint8 {
 // output port, one flit is granted per cycle (round-robin over input VCs),
 // subject to one read per input port, downstream credit availability, and
 // the downstream router being awake. It returns the number of flits moved.
-// req is the request-mask set vcAllocate filled this cycle (unused, and
-// may be nil, on the scan path).
-func (r *Router) switchAllocate(now int64, req *reqMasks) int {
+func (r *Router) switchAllocate(now int64) int {
 	moved := 0
 	for p := range r.grantedInput {
 		r.grantedInput[p] = false
 	}
 	if r.slotMask && !r.sub.refScan {
-		return r.switchAllocateFast(now, req)
+		return r.switchAllocateFast(now)
 	}
 	nports := len(r.in)
 	local := r.sub.net.localPort
@@ -592,18 +616,22 @@ func (r *Router) switchAllocate(now int64, req *reqMasks) int {
 }
 
 // switchAllocateFast is the incremental-path switch allocation: identical
-// decisions and counters to the scan in switchAllocate — same circular
-// visit order, same round-robin pointer updates, including the reference
-// loop's re-read of op.rr after a grant shifts every later slot index —
-// but each output walks only its request mask req[o] in word-sized jumps
-// instead of loading and testing every slot. A slot outside req[o] is one
-// the scan would skip with no side effect, and it cannot start requesting
-// o mid-allocation: routes and downstream VCs are latched only in VA,
-// while a traverse can only pop a flit or, on a tail, clear the route.
-// Slots that stop requesting mid-allocation (emptied, or a tail popped)
-// keep a stale bit and are filtered by the same live check the scan
-// performs. grantedInput was reset by the caller.
-func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
+// decisions and counters to the scan in switchAllocate, but each output
+// walks only req[o] & elig — exactly the slots the scan's filter passes —
+// rotated so that bit j is the slot j positions past op.rr. Outputs cannot
+// disturb each other's candidates: a traverse pops a slot routed to its
+// own output, and routes and downstream VCs are latched only in VA. Up to
+// the grant, the walk visits the scan's candidates in the scan's order,
+// with the same taken-input, credit and downstream-awake checks and the
+// same single wake-up. grantedInput was reset by the caller.
+//
+// After a grant the scan only counts: each slot it still visits that
+// passes its filter is one blocked flit-cycle. With the winner K-1
+// positions past the origin, the scan re-reads op.rr (now origin+K), so
+// its remaining slots-K visits start 2K past the origin and end at the
+// winner. The count is therefore a popcount of the post-grant candidates
+// over that window, the winner included after its pop.
+func (r *Router) switchAllocateFast(now int64) int {
 	moved := 0
 	nports := len(r.in)
 	local := r.sub.net.localPort
@@ -614,49 +642,25 @@ func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 	for o := 0; o < nports; o++ {
 		// Unlinked ports never hold requests: allocateOutVC rejects
 		// routes off the topology edge.
-		rq := req[o]
-		if rq == 0 {
+		cand := r.req[o] & r.elig
+		if cand == 0 {
 			continue
 		}
 		op := &r.out[o]
-		granted := false
-		base := op.rr
-		for k := 0; k < slots; {
-			cur := base + k
-			if cur >= slots {
-				cur -= slots
+		origin := op.rr
+		for c := rotr(cand, origin, slots); c != 0; c &= c - 1 {
+			j := bits.TrailingZeros64(c)
+			idx := origin + j
+			if idx >= slots {
+				idx -= slots
 			}
-			// Window of contiguous slot indices: up to the wrap boundary
-			// and the remaining k budget.
-			span := slots - k
-			if l := slots - cur; l < span {
-				span = l
-			}
-			w := rq >> uint(cur)
-			if span < 64 {
-				w &= 1<<uint(span) - 1
-			}
-			if w == 0 {
-				k += span
-				continue
-			}
-			tz := bits.TrailingZeros64(w)
-			k += tz + 1
-			idx := cur + tz
 			p := idx / vcs
-			v := idx % vcs
-			vc := &r.in[p].vcs[v]
-			if vc.empty() || !vc.routeSet || vc.outPort != o || vc.outVC < 0 {
-				continue
-			}
-			f := vc.front()
-			if f.eligibleAt > now {
-				continue
-			}
-			if granted || r.grantedInput[p] {
+			if r.grantedInput[p] {
 				r.blockedFlitCycles++
 				continue
 			}
+			v := idx - p*vcs
+			vc := &r.in[p].vcs[v]
 			if o != local {
 				if op.credits[vc.outVC] <= 0 {
 					r.blockedFlitCycles++
@@ -672,23 +676,59 @@ func (r *Router) switchAllocateFast(now int64, req *reqMasks) int {
 				}
 			}
 			r.traverse(now, p, v, vc, o, op)
-			op.rr = (idx + 1) % slots
-			granted = true
 			moved++
-			base = op.rr // mirrors the scan's (op.rr + k) re-read
+			k := j + 1
+			op.rr = idx + 1
+			if op.rr == slots {
+				op.rr = 0
+			}
+			start := op.rr + k
+			if start >= slots {
+				start -= slots
+			}
+			rest := rotr(r.req[o]&r.elig, start, slots) & (1<<uint(slots-k) - 1)
+			r.blockedFlitCycles += int64(bits.OnesCount64(rest))
+			break
 		}
 	}
 	return moved
 }
 
+// rotr rotates the low n bits of m (n <= 64, s < n) right by s, so that
+// bit s lands on bit 0.
+func rotr(m uint64, s, n int) uint64 {
+	m = m>>uint(s) | m<<uint(n-s) // a shift by 64 yields 0
+	if n < 64 {
+		m &= 1<<uint(n) - 1
+	}
+	return m
+}
+
 // traverse moves the front flit of input (p, v) through the crossbar onto
-// output port o, updating credits, wormhole state, look-ahead routing and
-// the staged arrival/credit wheels.
+// output port o, updating credits, wormhole state, the allocation masks,
+// look-ahead routing and the staged arrival/credit wheels.
 func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort) {
 	cfg := r.sub.net.cfg
 	f := vc.pop()
+	slot := uint(p*cfg.VCs + v)
 	if vc.empty() {
-		*r.occ &^= 1 << uint(p*cfg.VCs+v)
+		*r.occ &^= 1 << slot
+	}
+	if r.slotMask {
+		r.elig &^= 1 << slot
+		if !vc.empty() {
+			// The next flit is now the front: eligible at once if its
+			// pipeline delay has passed, else staged for that cycle.
+			if at := vc.front().eligibleAt; at <= now {
+				r.elig |= 1 << slot
+			} else {
+				r.sub.stageElig(at, r.node, slot)
+			}
+		}
+		if f.tail() {
+			r.ready &^= 1 << slot
+			r.req[o] &^= 1 << slot
+		}
 	}
 	occ := r.in[p].occupancy - 1
 	r.in[p].occupancy = occ

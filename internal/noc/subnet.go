@@ -91,6 +91,12 @@ type Subnet struct {
 	// bfmMax is a lazily-tightened upper bound on the subnet MaxBFM.
 	bfmHist []int32
 	bfmMax  int
+	// eligWheel[c % len] holds the (node<<6 | slot) entries whose front
+	// flit becomes eligible for switch allocation at cycle c; the router
+	// phase of cycle c drains it into Router.elig. Sized RouterDelay+1:
+	// entries are staged 1 to RouterDelay cycles ahead, so none lands in
+	// the slot of the cycle being stepped.
+	eligWheel [][]int32
 	// checkWheel[c % len] holds nodes whose sleep-eligibility check is
 	// scheduled for cycle c; stale entries (router rescheduled or slept)
 	// are skipped via Router.checkAt. Sized TIdleDetect+2: no check is
@@ -182,6 +188,13 @@ func (s *Subnet) stageEject(at int64, node int, f flit) {
 	s.ejections[i] = append(s.ejections[i], ejection{node: node, f: f})
 }
 
+// stageElig schedules slot of router node to join its elig mask at cycle
+// at, the eligibleAt of the slot's new front flit.
+func (s *Subnet) stageElig(at int64, node int, slot uint) {
+	i := s.slotElig(at)
+	s.eligWheel[i] = append(s.eligWheel[i], int32(node)<<6|int32(slot))
+}
+
 // deliverPhase drains every event staged for cycle now: credits first (so
 // freed slots are usable this cycle), then flit arrivals, then ejections
 // into the NIs.
@@ -214,6 +227,12 @@ func (s *Subnet) deliverPhase(now int64) {
 
 // routerPhase runs allocation and traversal on every active router.
 func (s *Subnet) routerPhase(now int64) {
+	// Front flits whose router pipeline ends this cycle become eligible.
+	i := s.slotElig(now)
+	for _, e := range s.eligWheel[i] {
+		s.routers[e>>6].elig |= 1 << uint(e&63)
+	}
+	s.eligWheel[i] = s.eligWheel[i][:0]
 	if s.refScan {
 		s.routerPhaseScan(now)
 		return
@@ -221,9 +240,7 @@ func (s *Subnet) routerPhase(now int64) {
 	// Iterate the occupied-router work list in ascending node order (the
 	// same order the scan visits). Word snapshots are safe: traversal can
 	// only clear a router's own bit, never set one, so no occupied router
-	// is skipped and none is visited twice. req carries each router's
-	// switch requests from VA to SA; it is rebuilt per router.
-	var req reqMasks
+	// is skipped and none is visited twice.
 	for i, w := range s.occBits {
 		for w != 0 {
 			n := i<<6 + bits.TrailingZeros64(w)
@@ -232,8 +249,8 @@ func (s *Subnet) routerPhase(now int64) {
 				continue
 			}
 			r := &s.routers[n]
-			r.vcAllocate(&req)
-			r.switchAllocate(now, &req)
+			r.vcAllocate()
+			r.switchAllocate(now)
 		}
 	}
 }
@@ -249,8 +266,8 @@ func (s *Subnet) routerPhaseScan(now int64) {
 		if r.TotalOccupancyScan() == 0 {
 			continue
 		}
-		r.vcAllocate(nil)
-		r.switchAllocate(now, nil)
+		r.vcAllocate()
+		r.switchAllocate(now)
 	}
 }
 
@@ -469,6 +486,8 @@ func (s *Subnet) onWakeDone(n int) {
 
 func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.checkWheel))) }
 
+func (s *Subnet) slotElig(cycle int64) int { return int(cycle % int64(len(s.eligWheel))) }
+
 // scheduleCheck (re)schedules router r's next sleep-eligibility check at
 // max(lastBusy+TIdleDetect, now) — the first cycle its idle streak can
 // reach the detection threshold, clamped so a long-idle router (e.g. at
@@ -507,8 +526,10 @@ func (s *Subnet) rearmChecks(now int64) {
 }
 
 // checkAggregates cross-checks every incremental aggregate against its
-// scan-based reference; tests and invariant checks call it.
-func (s *Subnet) checkAggregates() string {
+// scan-based reference; tests and invariant checks call it. now is the
+// cycle whose router phase ran last: Now()-1 between cycles, the
+// observed cycle inside an observer.
+func (s *Subnet) checkAggregates(now int64) string {
 	if a, w, z := s.PowerStates(); true {
 		as, ws, zs := s.PowerStatesScan()
 		if a != as || w != ws || z != zs {
@@ -539,6 +560,17 @@ func (s *Subnet) checkAggregates() string {
 		}
 		if inState(s.wakingBits) != (s.pstate[n] == PowerWaking) {
 			return "wakingBits inconsistent with state"
+		}
+		if r.slotMask {
+			ready, req, elig := r.allocMasksScan(now)
+			switch {
+			case r.ready != ready:
+				return "router ready mask drifted from VC state"
+			case r.req != req:
+				return "router req masks drifted from VC state"
+			case r.elig != elig:
+				return "router elig mask drifted from VC state"
+			}
 		}
 	}
 	return ""

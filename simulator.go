@@ -304,7 +304,9 @@ const ctxCheckCycles = 4096
 
 // RunCtx advances n cycles with cooperative cancellation: ctx is checked
 // every ctxCheckCycles simulated cycles, and the run stops early with
-// ctx.Err() when it is cancelled. A context that can never be cancelled
+// ctx.Err() when it is cancelled. It is checked once more before RunCtx
+// returns, so a call shorter than ctxCheckCycles whose context is done by
+// its end still reports ctx.Err(). A context that can never be cancelled
 // (ctx.Done() is nil, as for context.Background) is never polled.
 func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 	done := ctx.Done()
@@ -322,6 +324,9 @@ func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 			break
 		}
 		s.Step()
+	}
+	if done != nil {
+		return ctx.Err()
 	}
 	return nil
 }

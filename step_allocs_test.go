@@ -27,7 +27,8 @@ const stepAllocPeriod = 840
 // exactly periodic and now and then grow a wheel slot to a new high-water
 // mark, so the bound is fewer than one allocation per 100 cycles rather
 // than zero; an allocation per flit hop, wake or injection exceeds it by
-// orders of magnitude.
+// orders of magnitude. Four more arms run the closed-loop core model
+// (Heavy and Light mixes) with a per-cycle bound of their own.
 func TestStepAllocs(t *testing.T) {
 	type arm struct {
 		name               string
@@ -77,6 +78,28 @@ func TestStepAllocs(t *testing.T) {
 				allocs := testing.AllocsPerRun(8, period)
 				if allocs*100 >= stepAllocPeriod {
 					t.Errorf("%.0f allocations per %d-cycle period, want fewer than one per 100 cycles", allocs, stepAllocPeriod)
+				}
+			})
+		}
+	}
+
+	// The closed-loop core model inside Step. Its traffic is not
+	// periodic, so event-heap, freelist and queue high-water marks keep
+	// creeping up long after warm-up: these arms warm up 20,000 cycles
+	// and allow fewer than 0.1 allocations per cycle (they measure at
+	// most 0.01). One allocation per miss would read 5 or more.
+	for _, d := range []string{"4NT-128b-PG", "1NT-512b"} {
+		for _, mix := range []string{"Heavy", "Light"} {
+			t.Run(d+"/"+mix, func(t *testing.T) {
+				s := mustSim(mustDesign(d))
+				if _, err := s.UseMix(mix); err != nil {
+					t.Fatal(err)
+				}
+				s.Run(20000)
+				const window = 1000
+				allocs := testing.AllocsPerRun(4, func() { s.Run(window) })
+				if perCycle := allocs / window; perCycle >= 0.1 {
+					t.Errorf("%.3f allocations per cycle, want fewer than 0.1", perCycle)
 				}
 			})
 		}
