@@ -130,26 +130,17 @@ func runAblation(ctx context.Context, o ExperimentOpts, study AblationStudy) ([]
 // AblationStudies entry, in that order.
 func registerAblations() {
 	for _, study := range AblationStudies {
-		name := "ablation-" + study.Name
-		registerExperiment(ExperimentInfo{name, study.Doc, "study"},
-			func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-				pts, err := runAblation(ctx, opts, study)
-				if err != nil {
-					return nil, err
+		registerTable(ExperimentInfo{"ablation-" + study.Name, study.Doc, "study"}, "",
+			[]string{"variant", "offered", "power (W)", "CSC (%)", "latency (cyc)", "accepted"},
+			func(ctx context.Context, o ExperimentOpts) ([]AblationPoint, error) {
+				return runAblation(ctx, o, study)
+			},
+			func(p AblationPoint) []string {
+				return []string{
+					p.Variant, fcell(p.Offered, 2),
+					fcell(p.Results.Power.Total, 1), fcell(p.Results.CSCPercent, 1),
+					fcell(p.Results.AvgLatency, 1), fcell(p.Results.AcceptedThroughput, 3),
 				}
-				res := &ExperimentResult{
-					Name:   name,
-					Header: []string{"variant", "offered", "power (W)", "CSC (%)", "latency (cyc)", "accepted"},
-					Data:   pts,
-				}
-				for _, p := range pts {
-					res.Rows = append(res.Rows, []string{
-						p.Variant, fcell(p.Offered, 2),
-						fcell(p.Results.Power.Total, 1), fcell(p.Results.CSCPercent, 1),
-						fcell(p.Results.AvgLatency, 1), fcell(p.Results.AcceptedThroughput, 3),
-					})
-				}
-				return res, nil
 			})
 	}
 }

@@ -266,7 +266,9 @@ func runExploreCachedScenario(t *testing.T, reps int) coreBenchRow {
 // per-point provisioning overhead, which is what the pool optimizes, not
 // stepping cost (campaign-scale points amortize construction; explore
 // and quick-mode campaigns with many short points do not). Both arms run
-// the same seeded traffic, so their Results must match exactly.
+// the same seeded traffic, so their Results must match exactly. One pass
+// over the grid takes a few milliseconds, too short to time reliably, so
+// the guard repeats it sweepReusePasses times inside each timed arm.
 var (
 	sweepReuseDesigns = []string{"1NT-512b", "2NT-256b", "4NT-128b", "4NT-128b-PG"}
 	sweepReuseLoads   = []float64{0, 0.002, 0.004}
@@ -275,28 +277,37 @@ var (
 const (
 	sweepReuseWarmup  = 10
 	sweepReuseMeasure = 30
+	// sweepReusePasses makes the faster (reuse) arm take about 50 ms on a
+	// 2-vCPU x86 host, where one pass takes under 2 ms.
+	sweepReusePasses = 32
 )
 
-// runSweepReuseArm evaluates the whole grid once and returns the wall
-// clock, allocated bytes, and every point's Results in grid order.
-func runSweepReuseArm(reuse bool) (time.Duration, uint64, []Results, error) {
-	var pool *SimPool
-	if reuse {
-		pool = NewSimPool()
-	}
-	out := make([]Results, 0, len(sweepReuseDesigns)*len(sweepReuseLoads))
+// runSweepReuseArm evaluates the whole grid passes times and returns the
+// wall clock, allocated bytes, and every point's Results of the last pass
+// in grid order. Each pass of the reuse arm starts from an empty pool, as
+// a sweep worker does, so every pass repeats the same work.
+func runSweepReuseArm(reuse bool, passes int) (time.Duration, uint64, []Results, error) {
+	out := make([]Results, len(sweepReuseDesigns)*len(sweepReuseLoads))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	for _, d := range sweepReuseDesigns {
-		cfg := mustDesign(d)
-		for _, load := range sweepReuseLoads {
-			// A nil pool degrades to plain New — the fresh-construction arm.
-			sim, err := pool.Get(cfg)
-			if err != nil {
-				return 0, 0, nil, err
+	for p := 0; p < passes; p++ {
+		var pool *SimPool
+		if reuse {
+			pool = NewSimPool()
+		}
+		i := 0
+		for _, d := range sweepReuseDesigns {
+			cfg := mustDesign(d)
+			for _, load := range sweepReuseLoads {
+				// A nil pool degrades to plain New — the fresh-construction arm.
+				sim, err := pool.Get(cfg)
+				if err != nil {
+					return 0, 0, nil, err
+				}
+				out[i] = sim.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(load), sweepReuseWarmup, sweepReuseMeasure)
+				i++
 			}
-			out = append(out, sim.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(load), sweepReuseWarmup, sweepReuseMeasure))
 		}
 	}
 	elapsed := time.Since(start)
@@ -304,30 +315,41 @@ func runSweepReuseArm(reuse bool) (time.Duration, uint64, []Results, error) {
 	return elapsed, ms1.TotalAlloc - ms0.TotalAlloc, out, nil
 }
 
-// runSweepReuseScenario measures both arms interleaved min-of-reps and
-// asserts per-point bit-identity: simulator reuse is only a win if every
-// reused point reports exactly what a fresh simulator would.
-func runSweepReuseScenario(t *testing.T, reps int) coreBenchRow {
+// runSweepReuseScenario measures both arms min-of-reps, each arm passes
+// grid passes long, and alternates which arm runs first so that a drift
+// in machine speed cannot favour one arm. It asserts per-point
+// bit-identity: simulator reuse is only a win if every reused point
+// reports exactly what a fresh simulator would.
+func runSweepReuseScenario(t *testing.T, reps, passes int) coreBenchRow {
 	t.Helper()
-	points := len(sweepReuseDesigns) * len(sweepReuseLoads)
+	points := len(sweepReuseDesigns) * len(sweepReuseLoads) * passes
 	totalCycles := float64(points * (sweepReuseWarmup + sweepReuseMeasure))
 	// One untimed pass per arm warms the precompute cache, freelists, and
 	// allocator before the measured reps.
 	for _, reuse := range []bool{false, true} {
-		if _, _, _, err := runSweepReuseArm(reuse); err != nil {
+		if _, _, _, err := runSweepReuseArm(reuse, 1); err != nil {
 			t.Fatalf("sweep-reuse warmup: %v", err)
 		}
 	}
 	freshNs, reuseNs := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	freshBytes, reuseBytes := uint64(1<<64-1), uint64(1<<64-1)
 	for r := 0; r < reps; r++ {
-		fe, fb, fres, err := runSweepReuseArm(false)
-		if err != nil {
-			t.Fatalf("sweep-reuse fresh arm: %v", err)
+		var fe, re time.Duration
+		var fb, rb uint64
+		var fres, rres []Results
+		var ferr, rerr error
+		if r%2 == 0 {
+			fe, fb, fres, ferr = runSweepReuseArm(false, passes)
+			re, rb, rres, rerr = runSweepReuseArm(true, passes)
+		} else {
+			re, rb, rres, rerr = runSweepReuseArm(true, passes)
+			fe, fb, fres, ferr = runSweepReuseArm(false, passes)
 		}
-		re, rb, rres, err := runSweepReuseArm(true)
-		if err != nil {
-			t.Fatalf("sweep-reuse reuse arm: %v", err)
+		if ferr != nil {
+			t.Fatalf("sweep-reuse fresh arm: %v", ferr)
+		}
+		if rerr != nil {
+			t.Fatalf("sweep-reuse reuse arm: %v", rerr)
 		}
 		for i := range fres {
 			if !reflect.DeepEqual(fres[i], rres[i]) {
@@ -373,7 +395,7 @@ func runSweepReuseScenario(t *testing.T, reps int) coreBenchRow {
 // points/sec guard lives in TestCoreBenchGuard behind CORE_BENCH=1 like
 // every other wall-clock assertion.
 func TestSweepReuseSmoke(t *testing.T) {
-	runSweepReuseScenario(t, 1)
+	runSweepReuseScenario(t, 1, 1)
 }
 
 // coreBenchRow is one scenario's entry in BENCH_core.json. The ref
@@ -490,7 +512,7 @@ func TestCoreBenchGuard(t *testing.T) {
 	}
 
 	report.Scenarios["explore-cached"] = runExploreCachedScenario(t, reps)
-	report.Scenarios["sweep-reuse"] = runSweepReuseScenario(t, reps)
+	report.Scenarios["sweep-reuse"] = runSweepReuseScenario(t, reps, sweepReusePasses)
 
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -3,8 +3,10 @@ package catnap
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
+	"github.com/catnap-noc/catnap/internal/power"
 	"github.com/catnap-noc/catnap/internal/runner"
 	"github.com/catnap-noc/catnap/internal/telemetry"
 	"github.com/catnap-noc/catnap/internal/traffic"
@@ -210,212 +212,112 @@ func RunExperiment(ctx context.Context, name string, opts ExperimentOpts) (*Expe
 	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(ExperimentNames(), " "))
 }
 
+// registerTable registers an experiment whose table has one row per
+// element run returns, rendered by cells; the elements are the result's
+// Data. Each result gets its own copy of header.
+func registerTable[T any](info ExperimentInfo, note string, header []string, run func(context.Context, ExperimentOpts) ([]T, error), cells func(T) []string) {
+	registerExperiment(info, func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
+		rows, err := run(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		res := &ExperimentResult{Name: info.Name, Header: slices.Clone(header), Note: note, Data: rows}
+		for _, r := range rows {
+			res.Rows = append(res.Rows, cells(r))
+		}
+		return res, nil
+	})
+}
+
 // fcell formats one numeric table cell.
 func fcell(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 
 func init() {
-	registerExperiment(ExperimentInfo{"fig2", "performance of 128b vs 512b Single-NoC on Light/Heavy workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runFig2(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig2",
-				Header: []string{"workload", "design", "system IPC", "normalized"},
-				Note:   "paper: Heavy loses ~41% on the under-provisioned 128-bit Single-NoC; Light barely changes",
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{r.Workload, r.Design, fcell(r.SystemIPC, 1), fcell(r.Normalized, 3)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig2", "performance of 128b vs 512b Single-NoC on Light/Heavy workloads", "figure"},
+		"paper: Heavy loses ~41% on the under-provisioned 128-bit Single-NoC; Light barely changes",
+		[]string{"workload", "design", "system IPC", "normalized"}, runFig2,
+		func(r Fig2Row) []string {
+			return []string{r.Workload, r.Design, fcell(r.SystemIPC, 1), fcell(r.Normalized, 3)}
 		})
 
-	registerExperiment(ExperimentInfo{"table2", "router width -> frequency/voltage pairs", "table"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows := runTable2()
-			res := &ExperimentResult{
-				Name:   "table2",
-				Header: []string{"design", "router width (bits)", "frequency (GHz)", "voltage (V)"},
-				Note:   "paper Table 2: 512b{2.0GHz@0.750V, 1.4GHz@0.625V}  128b{2.9GHz@0.750V, 2.0GHz@0.625V}",
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{r.Design, fmt.Sprint(r.WidthBits), fcell(r.FreqGHz, 1), fcell(r.VoltV, 3)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"table2", "router width -> frequency/voltage pairs", "table"},
+		"paper Table 2: 512b{2.0GHz@0.750V, 1.4GHz@0.625V}  128b{2.9GHz@0.750V, 2.0GHz@0.625V}",
+		[]string{"design", "router width (bits)", "frequency (GHz)", "voltage (V)"}, runTable2,
+		func(r power.Table2Row) []string {
+			return []string{r.Design, fmt.Sprint(r.WidthBits), fcell(r.FreqGHz, 1), fcell(r.VoltV, 3)}
 		})
 
-	registerExperiment(ExperimentInfo{"fig6", "throughput & latency of 1/2/4/8-subnet designs (uniform random)", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig6(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig6",
-				Header: []string{"design", "offered", "accepted (pkts/node/cyc)", "avg latency (cyc)"},
-				Note:   "paper: >4 subnets loses throughput; latency grows a few cycles per halving of width",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Design, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig6", "throughput & latency of 1/2/4/8-subnet designs (uniform random)", "figure"},
+		"paper: >4 subnets loses throughput; latency grows a few cycles per halving of width",
+		[]string{"design", "offered", "accepted (pkts/node/cyc)", "avg latency (cyc)"}, runFig6,
+		func(p Fig6Point) []string {
+			return []string{p.Design, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1)}
 		})
 
-	registerExperiment(ExperimentInfo{"fig7", "analytic network power breakdown at near saturation", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows := runFig7()
-			res := &ExperimentResult{
-				Name:   "fig7",
-				Header: []string{"config", "NI", "link", "clock", "control", "crossbar", "buffer", "static", "total (W)"},
-				Note:   "paper Fig 7: Single-NoC ~70W; voltage-scaled Multi-NoC substantially lower",
-				Data:   rows,
+	registerTable(ExperimentInfo{"fig7", "analytic network power breakdown at near saturation", "figure"},
+		"paper Fig 7: Single-NoC ~70W; voltage-scaled Multi-NoC substantially lower",
+		[]string{"config", "NI", "link", "clock", "control", "crossbar", "buffer", "static", "total (W)"}, runFig7,
+		func(r Fig7Row) []string {
+			b := r.Breakdown
+			return []string{
+				r.Label, fcell(b.NI, 1), fcell(b.Link, 1), fcell(b.Clock, 1), fcell(b.Control, 1),
+				fcell(b.Crossbar, 1), fcell(b.Buffer, 1), fcell(b.Static, 1), fcell(b.Total, 1),
 			}
-			for _, r := range rows {
-				b := r.Breakdown
-				res.Rows = append(res.Rows, []string{
-					r.Label, fcell(b.NI, 1), fcell(b.Link, 1), fcell(b.Clock, 1), fcell(b.Control, 1),
-					fcell(b.Crossbar, 1), fcell(b.Buffer, 1), fcell(b.Static, 1), fcell(b.Total, 1),
-				})
-			}
-			return res, nil
 		})
 
-	registerExperiment(ExperimentInfo{"fig8", "network power and normalized performance, app workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runAppWorkloads(ctx, opts)
-			if err != nil {
-				return nil, err
+	registerTable(ExperimentInfo{"fig8", "network power and normalized performance, app workloads", "figure"},
+		"paper Fig 8: Multi-NoC-PG ~20W avg vs Single-NoC ~36W; ~5% avg performance cost",
+		[]string{"workload", "design", "dynamic (W)", "static (W)", "total (W)", "norm. perf"}, runAppWorkloads,
+		func(r AppRow) []string {
+			return []string{
+				r.Workload, r.Design,
+				fcell(r.Results.Power.Dynamic, 1), fcell(r.Results.Power.Static, 1), fcell(r.Results.Power.Total, 1),
+				fcell(r.NormalizedPerf, 3),
 			}
-			res := &ExperimentResult{
-				Name:   "fig8",
-				Header: []string{"workload", "design", "dynamic (W)", "static (W)", "total (W)", "norm. perf"},
-				Note:   "paper Fig 8: Multi-NoC-PG ~20W avg vs Single-NoC ~36W; ~5% avg performance cost",
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{
-					r.Workload, r.Design,
-					fcell(r.Results.Power.Dynamic, 1), fcell(r.Results.Power.Static, 1), fcell(r.Results.Power.Total, 1),
-					fcell(r.NormalizedPerf, 3),
-				})
-			}
-			return res, nil
 		})
 
-	registerExperiment(ExperimentInfo{"fig9", "compensated sleep cycles, app workloads", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runAppWorkloads(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig9",
-				Header: []string{"workload", "design", "CSC (%)"},
-				Note:   "paper Fig 9: ~70% CSC for Multi-NoC-PG on Light; negligible for Single-NoC-PG",
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{r.Workload, r.Design, fcell(r.Results.CSCPercent, 1)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig9", "compensated sleep cycles, app workloads", "figure"},
+		"paper Fig 9: ~70% CSC for Multi-NoC-PG on Light; negligible for Single-NoC-PG",
+		[]string{"workload", "design", "CSC (%)"}, runAppWorkloads,
+		func(r AppRow) []string { return []string{r.Workload, r.Design, fcell(r.Results.CSCPercent, 1)} })
+
+	registerTable(ExperimentInfo{"fig10", "power/CSC/throughput/latency vs offered load, with/without PG", "figure"},
+		"paper Fig 10: at 0.03 load Multi-NoC-PG 7.8W/74% CSC vs Single-NoC-PG 24.1W/10% CSC",
+		[]string{"design", "offered", "power (W)", "CSC (%)", "accepted", "latency (cyc)"}, runFig10,
+		func(p Fig10Point) []string {
+			return []string{p.Design, fcell(p.Offered, 2), fcell(p.PowerW, 1), fcell(p.CSCPercent, 1), fcell(p.Accepted, 3), fcell(p.Latency, 1)}
 		})
 
-	registerExperiment(ExperimentInfo{"fig10", "power/CSC/throughput/latency vs offered load, with/without PG", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig10(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig10",
-				Header: []string{"design", "offered", "power (W)", "CSC (%)", "accepted", "latency (cyc)"},
-				Note:   "paper Fig 10: at 0.03 load Multi-NoC-PG 7.8W/74% CSC vs Single-NoC-PG 24.1W/10% CSC",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Design, fcell(p.Offered, 2), fcell(p.PowerW, 1), fcell(p.CSCPercent, 1), fcell(p.Accepted, 3), fcell(p.Latency, 1)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig11", "congestion-metric policy comparison (takes a traffic pattern)", "figure"},
+		"paper Fig 11: BFM and Delay win; RR has much higher latency; BFA/IQOcc lose throughput",
+		[]string{"policy", "offered", "accepted", "latency (cyc)", "CSC (%)"}, runFig11,
+		func(p Fig11Point) []string {
+			return []string{p.Policy, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1), fcell(p.CSCPercent, 1)}
 		})
 
-	registerExperiment(ExperimentInfo{"fig11", "congestion-metric policy comparison (takes a traffic pattern)", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig11(ctx, opts)
-			if err != nil {
-				return nil, err
+	registerTable(ExperimentInfo{"fig12", "bursty-traffic ramp-up and subnet utilization over time", "figure"},
+		"paper Fig 12: accepted catches offered within ~200 cycles; burst1 opens all subnets, burst2 only two",
+		[]string{"cycle", "offered", "accepted", "subnet0", "subnet1", "subnet2", "subnet3"}, runFig12,
+		func(p Fig12Point) []string {
+			row := []string{fmt.Sprint(p.Cycle), fcell(p.Offered, 3), fcell(p.Accepted, 3)}
+			for _, s := range p.SubnetShare {
+				row = append(row, fcell(s, 2))
 			}
-			res := &ExperimentResult{
-				Name:   "fig11",
-				Header: []string{"policy", "offered", "accepted", "latency (cyc)", "CSC (%)"},
-				Note:   "paper Fig 11: BFM and Delay win; RR has much higher latency; BFA/IQOcc lose throughput",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Policy, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1), fcell(p.CSCPercent, 1)})
-			}
-			return res, nil
+			return row
 		})
 
-	registerExperiment(ExperimentInfo{"fig12", "bursty-traffic ramp-up and subnet utilization over time", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig12(opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig12",
-				Header: []string{"cycle", "offered", "accepted", "subnet0", "subnet1", "subnet2", "subnet3"},
-				Note:   "paper Fig 12: accepted catches offered within ~200 cycles; burst1 opens all subnets, burst2 only two",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				row := []string{fmt.Sprint(p.Cycle), fcell(p.Offered, 3), fcell(p.Accepted, 3)}
-				for _, s := range p.SubnetShare {
-					row = append(row, fcell(s, 2))
-				}
-				res.Rows = append(res.Rows, row)
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig13", "injection-rate threshold sweep (uniform random + transpose)", "figure"},
+		"paper Fig 13: UR tolerates thresholds up to 0.20; transpose needs <=0.08 — no single threshold works",
+		[]string{"pattern", "IR threshold", "offered", "accepted", "latency (cyc)"}, runFig13,
+		func(p Fig13Point) []string {
+			return []string{p.Pattern, fcell(p.Threshold, 2), fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1)}
 		})
 
-	registerExperiment(ExperimentInfo{"fig13", "injection-rate threshold sweep (uniform random + transpose)", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig13(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig13",
-				Header: []string{"pattern", "IR threshold", "offered", "accepted", "latency (cyc)"},
-				Note:   "paper Fig 13: UR tolerates thresholds up to 0.20; transpose needs <=0.08 — no single threshold works",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Pattern, fcell(p.Threshold, 2), fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1)})
-			}
-			return res, nil
-		})
-
-	registerExperiment(ExperimentInfo{"fig14", "64-core study: CSC and latency", "figure"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runFig14(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "fig14",
-				Header: []string{"design", "offered", "CSC (%)", "latency (cyc)", "accepted"},
-				Note:   "paper Fig 14: 64-core Multi-NoC reaches ~50% CSC at low load vs ~17% for Single-NoC",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Design, fcell(p.Offered, 2), fcell(p.CSCPercent, 1), fcell(p.Latency, 1), fcell(p.Accepted, 3)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"fig14", "64-core study: CSC and latency", "figure"},
+		"paper Fig 14: 64-core Multi-NoC reaches ~50% CSC at low load vs ~17% for Single-NoC",
+		[]string{"design", "offered", "CSC (%)", "latency (cyc)", "accepted"}, runFig14,
+		func(p Fig14Point) []string {
+			return []string{p.Design, fcell(p.Offered, 2), fcell(p.CSCPercent, 1), fcell(p.Latency, 1), fcell(p.Accepted, 3)}
 		})
 
 	registerExperiment(ExperimentInfo{"headline", "the paper's headline: 44% power saving at ~5% performance cost", "summary"},
@@ -438,60 +340,27 @@ func init() {
 			}, nil
 		})
 
-	registerExperiment(ExperimentInfo{"profiles", "per-benchmark characterization of all 35 application profiles", "study"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runProfiles(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "profiles",
-				Header: []string{"benchmark", "suite", "MPKI", "IPC/core", "pkts/node/cyc", "latency"},
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{r.Benchmark, r.Suite, fcell(r.MPKI, 1), fcell(r.IPC, 2), fcell(r.PacketsPerNodeCycle, 3), fcell(r.AvgLatency, 1)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"profiles", "per-benchmark characterization of all 35 application profiles", "study"}, "",
+		[]string{"benchmark", "suite", "MPKI", "IPC/core", "pkts/node/cyc", "latency"}, runProfiles,
+		func(r ProfileRow) []string {
+			return []string{r.Benchmark, r.Suite, fcell(r.MPKI, 1), fcell(r.IPC, 2), fcell(r.PacketsPerNodeCycle, 3), fcell(r.AvgLatency, 1)}
 		})
 
-	registerExperiment(ExperimentInfo{"hetero", "Heavy-west/Light-east split chip: regional vs local detection", "study"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			rows, err := runHetero(ctx, opts)
-			if err != nil {
-				return nil, err
+	registerTable(ExperimentInfo{"hetero", "Heavy-west/Light-east split chip: regional vs local detection", "study"},
+		"§3.2.1's motivation: with non-uniform placement, regional detection reacts before local back-pressure does",
+		[]string{"detection", "avg latency", "p99", "system IPC", "power (W)", "CSC (%)"}, runHetero,
+		func(r HeteroRow) []string {
+			return []string{
+				r.Variant, fcell(r.Results.AvgLatency, 1), fcell(r.Results.P99Latency, 0),
+				fcell(r.Results.SystemIPC, 1), fcell(r.Results.Power.Total, 1), fcell(r.Results.CSCPercent, 1),
 			}
-			res := &ExperimentResult{
-				Name:   "hetero",
-				Header: []string{"detection", "avg latency", "p99", "system IPC", "power (W)", "CSC (%)"},
-				Note:   "§3.2.1's motivation: with non-uniform placement, regional detection reacts before local back-pressure does",
-				Data:   rows,
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, []string{
-					r.Variant, fcell(r.Results.AvgLatency, 1), fcell(r.Results.P99Latency, 0),
-					fcell(r.Results.SystemIPC, 1), fcell(r.Results.Power.Total, 1), fcell(r.Results.CSCPercent, 1),
-				})
-			}
-			return res, nil
 		})
 
-	registerExperiment(ExperimentInfo{"topology", "Catnap on mesh vs torus vs flattened butterfly (§8 future work)", "study"},
-		func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
-			pts, err := runTopology(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := &ExperimentResult{
-				Name:   "topology",
-				Header: []string{"design", "offered", "accepted", "latency (cyc)", "power (W)", "CSC (%)"},
-				Note:   "§8 future work: the Catnap benefits carry over to the torus and flattened butterfly",
-				Data:   pts,
-			}
-			for _, p := range pts {
-				res.Rows = append(res.Rows, []string{p.Design, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1), fcell(p.PowerW, 1), fcell(p.CSCPercent, 1)})
-			}
-			return res, nil
+	registerTable(ExperimentInfo{"topology", "Catnap on mesh vs torus vs flattened butterfly (§8 future work)", "study"},
+		"§8 future work: the Catnap benefits carry over to the torus and flattened butterfly",
+		[]string{"design", "offered", "accepted", "latency (cyc)", "power (W)", "CSC (%)"}, runTopology,
+		func(p TopologyPoint) []string {
+			return []string{p.Design, fcell(p.Offered, 2), fcell(p.Accepted, 3), fcell(p.Latency, 1), fcell(p.PowerW, 1), fcell(p.CSCPercent, 1)}
 		})
 
 	// The studies defined in other files register here, last, so the

@@ -196,6 +196,21 @@ func TestRunExperimentFig6(t *testing.T) {
 	}
 }
 
+// TestFig12HonorsCancellation: fig12 steps one simulator outside the
+// sweep engine, so it must poll the context itself rather than run its
+// whole schedule and report success.
+func TestFig12HonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunExperiment(ctx, "fig12", ExperimentOpts{Total: 20000})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fig12 err = %v, want Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("cancelled fig12 returned %d rows, want none", len(res.Rows))
+	}
+}
+
 // TestSweepPanicIsReported: a panicking sweep point surfaces as an error
 // naming the point instead of killing the sweep goroutines.
 func TestSweepPanicIsReported(t *testing.T) {

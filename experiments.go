@@ -3,10 +3,8 @@ package catnap
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
-	"github.com/catnap-noc/catnap/internal/cpusim"
 	"github.com/catnap-noc/catnap/internal/power"
 	"github.com/catnap-noc/catnap/internal/runner"
 	"github.com/catnap-noc/catnap/internal/traffic"
@@ -32,41 +30,58 @@ type SweepProgress = runner.Progress
 // SweepEvent is one sweep progress notification.
 type SweepEvent = runner.Event
 
-// SweepOptions configures how a grid runner executes its points.
-type SweepOptions struct {
-	// Jobs is the worker count; <= 0 selects GOMAXPROCS.
-	Jobs int
-	// Timeout bounds each point's wall-clock time; 0 means no limit.
-	Timeout time.Duration
-	// Progress receives per-point events; nil disables reporting.
-	Progress SweepProgress
-	// WorkerState builds one per-worker state value (see
-	// runner.Options.WorkerState). RunExperiment installs a SimPool
-	// builder here by default so consecutive points on a worker recycle
-	// one simulator; leave nil for fresh construction per point.
-	WorkerState func() any
-}
-
-func (o SweepOptions) runnerOptions() runner.Options {
-	return runner.Options{Jobs: o.Jobs, Timeout: o.Timeout, Progress: o.Progress, WorkerState: o.WorkerState}
-}
+// SweepOptions configures how a grid runner executes its points: the
+// worker count (<= 0 selects GOMAXPROCS), the per-point timeout (0 means
+// no limit), progress reporting, and the per-worker state. RunExperiment
+// installs a SimPool builder as the worker state by default so
+// consecutive points on a worker recycle one simulator; leave it nil for
+// fresh construction per point.
+type SweepOptions = runner.Options
 
 // sweep executes the points and unwraps the ordered results,
 // surfacing the first point failure as the sweep's error.
 func sweep[T any](ctx context.Context, pts []runner.Point[T], opts SweepOptions) ([]T, error) {
-	return runner.Values(runner.Run(ctx, pts, opts.runnerOptions()))
+	return runner.Values(runner.Run(ctx, pts, opts))
 }
 
 // simForCtx builds (or, on a reuse-pool worker, recycles) a simulator for
 // cfg: when the running sweep installed a SimPool as its worker state the
-// pool's instance is reset in place to cfg, otherwise a fresh simulator
-// is constructed. Point closures route their construction through here so
-// SweepOptions.WorkerState is the only reuse switch.
+// pool's instance is reset in place to cfg; otherwise the nil pool
+// constructs a fresh simulator. Point closures route their construction
+// through here so SweepOptions.WorkerState is the only reuse switch.
 func simForCtx(ctx context.Context, cfg Config) (*Simulator, error) {
-	if p, ok := runner.WorkerState(ctx).(*SimPool); ok {
-		return p.Get(cfg)
+	p, _ := runner.WorkerState(ctx).(*SimPool)
+	return p.Get(cfg)
+}
+
+// simPoint is the one simulated sweep point: it builds the config (inside
+// the point, so a builder that errors or panics is reported against that
+// point), takes a simulator from simForCtx, attaches its traffic source,
+// runs the measurement window at sc, and reports row of the Results.
+func simPoint[T any](label string, sc Scale, config func() (Config, error), attach func(*Simulator) error, row func(Results) T) runner.Point[T] {
+	return runner.Point[T]{
+		Label:  label,
+		Cycles: sc.Warmup + sc.Measure,
+		Run: func(ctx context.Context) (T, error) {
+			var zero T
+			cfg, err := config()
+			if err != nil {
+				return zero, err
+			}
+			sim, err := simForCtx(ctx, cfg)
+			if err != nil {
+				return zero, err
+			}
+			if err := attach(sim); err != nil {
+				return zero, err
+			}
+			res, err := sim.measure(ctx, sc.Warmup, sc.Measure)
+			if err != nil {
+				return zero, err
+			}
+			return row(res), nil
+		},
 	}
-	return New(cfg)
 }
 
 // loadCase is one curve of a synthetic load sweep: the progress label
@@ -82,8 +97,7 @@ type loadCase[T any] struct {
 // loadSweep runs every case at every load of o.Loads (DefaultLoads when
 // nil) on the sweep engine, case by case, each point an open-loop
 // synthetic measurement at o.Scale (DefaultSyntheticScale for zero
-// fields). The config builder runs inside the point, so a builder that
-// errors or panics is reported against that point.
+// fields).
 func loadSweep[T any](ctx context.Context, o ExperimentOpts, cases []loadCase[T]) ([]T, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -93,26 +107,12 @@ func loadSweep[T any](ctx context.Context, o ExperimentOpts, cases []loadCase[T]
 	var pts []runner.Point[T]
 	for _, c := range cases {
 		for _, load := range loads {
-			pts = append(pts, runner.Point[T]{
-				Label:  fmt.Sprintf("%s @ %.2f", c.label, load),
-				Cycles: sc.Warmup + sc.Measure,
-				Run: func(ctx context.Context) (T, error) {
-					var zero T
-					cfg, err := c.config()
-					if err != nil {
-						return zero, err
-					}
-					sim, err := simForCtx(ctx, cfg)
-					if err != nil {
-						return zero, err
-					}
-					res, err := sim.RunSyntheticCtx(ctx, c.pattern, traffic.Constant(load), sc.Warmup, sc.Measure)
-					if err != nil {
-						return zero, err
-					}
-					return c.row(load, res), nil
+			pts = append(pts, simPoint(fmt.Sprintf("%s @ %.2f", c.label, load), sc, c.config,
+				func(sim *Simulator) error {
+					sim.UseSynthetic(c.pattern, traffic.Constant(load), 0)
+					return nil
 				},
-			})
+				func(res Results) T { return c.row(load, res) }))
 		}
 	}
 	return sweep(ctx, pts, o.Sweep)
@@ -213,9 +213,9 @@ func runFig2(ctx context.Context, o ExperimentOpts) ([]Fig2Row, error) {
 
 // runTable2 reproduces Table 2 from the crossbar critical-path model.
 // The registry's "table2" entry is the sole public route to it.
-func runTable2() []power.Table2Row {
+func runTable2(context.Context, ExperimentOpts) ([]power.Table2Row, error) {
 	p := power.DefaultParams()
-	return p.Table2()
+	return p.Table2(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ type Fig7Row struct {
 // runFig7 computes the three Figure 7 bars at per-port load factor 0.5 and
 // bit switching factor 0.15. The registry's "fig7" entry is the sole
 // public route to it.
-func runFig7() []Fig7Row {
+func runFig7(context.Context, ExperimentOpts) ([]Fig7Row, error) {
 	mk := func(label, design string, volt float64) Fig7Row {
 		cfg := mustDesign(design)
 		cfg.VoltageV = volt
@@ -265,7 +265,7 @@ func runFig7() []Fig7Row {
 		mk("1NT-512b 0.750V", "1NT-512b", 0.750),
 		mk("4NT-128b 0.750V", "4NT-128b", 0.750),
 		mk("4NT-128b 0.625V", "4NT-128b", 0.625),
-	}
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -303,26 +303,20 @@ func runAppWorkloads(ctx context.Context, o ExperimentOpts) ([]AppRow, error) {
 		designs = Fig8Designs
 	}
 	appPoint := func(mix, design string) runner.Point[AppRow] {
-		return runner.Point[AppRow]{
-			Label:  mix + "/" + design,
-			Cycles: sc.Warmup + sc.Measure,
-			Run: func(ctx context.Context) (AppRow, error) {
+		return simPoint(mix+"/"+design, sc,
+			func() (Config, error) {
 				cfg, err := Design(design)
 				if err != nil {
-					return AppRow{}, err
+					return Config{}, err
 				}
 				cfg.AppTraffic = true
-				sim, err := simForCtx(ctx, cfg)
-				if err != nil {
-					return AppRow{}, err
-				}
-				res, err := sim.RunApp(ctx, mix, sc.Warmup, sc.Measure)
-				if err != nil {
-					return AppRow{}, err
-				}
-				return AppRow{Workload: mix, Design: design, Results: res}, nil
+				return cfg, nil
 			},
-		}
+			func(sim *Simulator) error {
+				_, err := sim.UseMix(mix)
+				return err
+			},
+			func(res Results) AppRow { return AppRow{Workload: mix, Design: design, Results: res} })
 	}
 	hasBase := false
 	for _, d := range designs {
@@ -486,7 +480,8 @@ const fig12Total = 3000
 // that honors ExperimentOpts.Telemetry directly: a non-nil recorder is
 // attached to the single simulated network, so its metrics carry the
 // windowed per-subnet power-state series the burst plots are built from.
-func runFig12(o ExperimentOpts) ([]Fig12Point, error) {
+// Cancellation of ctx is checked once per window.
+func runFig12(ctx context.Context, o ExperimentOpts) ([]Fig12Point, error) {
 	total, window := o.Total, o.Window
 	if total == 0 {
 		total = fig12Total
@@ -515,6 +510,9 @@ func runFig12(o ExperimentOpts) ([]Fig12Point, error) {
 		now := sim.Net.Now()
 		if now%window != 0 {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		_, _, ejected := sim.Net.Counts()
 		cur := make([]int64, subnets)
@@ -638,54 +636,36 @@ type ProfileRow struct {
 // scale), one sweep point per benchmark profile.
 func runProfiles(ctx context.Context, o ExperimentOpts) ([]ProfileRow, error) {
 	sc := o.Scale.or(3000, 10000)
+	cfg := BaseConfig()
+	cfg.Name = "64c-1NT-256b"
+	cfg.Rows, cfg.Cols, cfg.RegionDim = 4, 4, 2
+	cfg.Subnets, cfg.LinkWidthBits = 1, 256
+	cfg.AppTraffic = true
+	cfg.ApplyDefaults()
+	nodes := cfg.Rows * cfg.Cols
+	cores := nodes * cfg.TilesPerNode
 	var pts []runner.Point[ProfileRow]
 	for i := range workload.Profiles {
 		prof := &workload.Profiles[i]
-		pts = append(pts, runner.Point[ProfileRow]{
-			Label:  prof.Name,
-			Cycles: sc.Warmup + sc.Measure,
-			Run: func(ctx context.Context) (ProfileRow, error) {
-				cfg := BaseConfig()
-				cfg.Name = "64c-1NT-256b"
-				cfg.Rows, cfg.Cols, cfg.RegionDim = 4, 4, 2
-				cfg.Subnets, cfg.LinkWidthBits = 1, 256
-				cfg.AppTraffic = true
-				cfg.ApplyDefaults()
-				sim, err := simForCtx(ctx, cfg)
-				if err != nil {
-					return ProfileRow{}, err
-				}
-				assign := make([]*workload.Profile, sim.Net.Topo().Tiles())
+		pts = append(pts, simPoint(prof.Name, sc, func() (Config, error) { return cfg, nil },
+			func(sim *Simulator) error {
+				assign := make([]*workload.Profile, cores)
 				for t := range assign {
 					assign[t] = prof
 				}
-				scfg := cpusim.DefaultConfig()
-				scfg.Seed = cfg.Seed
-				sys, err := cpusim.NewWithAssignment(sim.Net, scfg, assign)
-				if err != nil {
-					return ProfileRow{}, err
-				}
-				sim.sys = sys
-				if err := sim.RunCtx(ctx, sc.Warmup); err != nil {
-					return ProfileRow{}, err
-				}
-				sim.StartMeasure()
-				if err := sim.RunCtx(ctx, sc.Measure); err != nil {
-					return ProfileRow{}, err
-				}
-				res := sim.StopMeasure()
-				nodes := float64(sim.Net.Topo().Nodes())
-				cores := float64(len(assign))
+				_, err := sim.useAssignment(assign)
+				return err
+			},
+			func(res Results) ProfileRow {
 				return ProfileRow{
 					Benchmark:           prof.Name,
 					Suite:               prof.Suite,
 					MPKI:                prof.MPKI(),
-					IPC:                 res.SystemIPC / cores,
-					PacketsPerNodeCycle: float64(res.PacketsDelivered) / float64(res.Cycles) / nodes,
+					IPC:                 res.SystemIPC / float64(cores),
+					PacketsPerNodeCycle: float64(res.PacketsDelivered) / float64(res.Cycles) / float64(nodes),
 					AvgLatency:          res.AvgLatency,
-				}, nil
-			},
-		})
+				}
+			}))
 	}
 	return sweep(ctx, pts, o.Sweep)
 }
@@ -743,34 +723,22 @@ func runHetero(ctx context.Context, o ExperimentOpts) ([]HeteroRow, error) {
 		if localOnly {
 			label = "local-only"
 		}
-		pts = append(pts, runner.Point[HeteroRow]{
-			Label:  "hetero/" + label,
-			Cycles: sc.Warmup + sc.Measure,
-			Run: func(ctx context.Context) (HeteroRow, error) {
+		pts = append(pts, simPoint("hetero/"+label, sc,
+			func() (Config, error) {
 				cfg, err := Design("4NT-128b-PG")
 				if err != nil {
-					return HeteroRow{}, err
+					return Config{}, err
 				}
 				cfg.AppTraffic = true
 				cfg.LocalOnly = localOnly
 				cfg.Name = "4NT-128b-PG-" + label
-				sim, err := simForCtx(ctx, cfg)
-				if err != nil {
-					return HeteroRow{}, err
-				}
-				if _, err := sim.UseSplitMix("Heavy", "Light"); err != nil {
-					return HeteroRow{}, err
-				}
-				if err := sim.RunCtx(ctx, sc.Warmup); err != nil {
-					return HeteroRow{}, err
-				}
-				sim.StartMeasure()
-				if err := sim.RunCtx(ctx, sc.Measure); err != nil {
-					return HeteroRow{}, err
-				}
-				return HeteroRow{Variant: label, Results: sim.StopMeasure()}, nil
+				return cfg, nil
 			},
-		})
+			func(sim *Simulator) error {
+				_, err := sim.UseSplitMix("Heavy", "Light")
+				return err
+			},
+			func(res Results) HeteroRow { return HeteroRow{Variant: label, Results: res} }))
 	}
 	return sweep(ctx, pts, o.Sweep)
 }

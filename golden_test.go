@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -61,15 +62,38 @@ func marshalGolden(t *testing.T, v any) []byte {
 	return append(b, '\n')
 }
 
+// exploreWall matches the wall time in the explore note, the one part of
+// a rendered table that varies from run to run.
+var exploreWall = regexp.MustCompile(`rounds \([^)]*\)`)
+
+// renderGolden renders res as `catnap <name> -csv` prints it: the header
+// and rows joined by commas, then a blank line and the note, if any.
+func renderGolden(res *ExperimentResult) []byte {
+	var b strings.Builder
+	b.WriteString(strings.Join(res.Header, ",") + "\n")
+	for _, r := range res.Rows {
+		b.WriteString(strings.Join(r, ",") + "\n")
+	}
+	if res.Note != "" {
+		b.WriteString("\n" + res.Note + "\n")
+	}
+	return []byte(exploreWall.ReplaceAllString(b.String(), "rounds (<wall>)"))
+}
+
 // checkGoldenExperiment runs registry experiment name at goldenOpts and
-// compares its typed result with testdata/golden/<name>.json.
+// compares its typed result with testdata/golden/<name>.json and its
+// rendered table with testdata/golden/<name>.csv.
 func checkGoldenExperiment(t *testing.T, name string) {
 	t.Helper()
 	res, err := RunExperiment(context.Background(), name, goldenOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Name != name {
+		t.Errorf("result named %q, want %q", res.Name, name)
+	}
 	checkGolden(t, name+".json", marshalGolden(t, res.Data))
+	checkGolden(t, name+".csv", renderGolden(res))
 	if r, ok := res.Data.(*ExploreResult); ok {
 		// The front's fields are unexported, so Data marshals it as {}:
 		// pin its own serialization as well.

@@ -104,6 +104,19 @@ const (
 	PaperDelayThreshold = 1.5
 )
 
+// Detector timing, fixed for every metric.
+const (
+	// RCSPeriod is the OR-network latch period in cycles (6 from SPICE).
+	RCSPeriod = 6
+	// holdCycles keeps the LCS set for at least this long after the last
+	// cycle the metric exceeded the threshold ("once a subnet is declared
+	// congested, it remains in that status for a few cycles").
+	holdCycles = 8
+	// windowCycles is the sampling window of the rate-based metrics (IR,
+	// Delay).
+	windowCycles = 64
+)
+
 // Config parameterizes a Detector. Thresholds default (via Default) to the
 // best-performing values for this router model: BFM 6 flits (the paper's
 // 9 re-tuned, see above), BFA 2 flits, Delay 1.5 cycles, IQOcc 4 flits;
@@ -114,21 +127,9 @@ type Config struct {
 	Metric MetricKind
 	// Threshold is the set-threshold in the metric's native unit (flits,
 	// packets/node/cycle, or cycles); defaults to the metric's Default
-	// when zero or negative.
+	// when zero or negative. The LCS sets above it and clears below it
+	// once holdCycles have passed.
 	Threshold float64
-	// ClearThreshold is the value the metric must drop below to clear the
-	// LCS; defaults to Threshold when zero or negative. A gap between the
-	// two adds hysteresis.
-	ClearThreshold float64
-	// HoldCycles keeps the LCS set for at least this long after the last
-	// cycle the metric exceeded the threshold ("once a subnet is declared
-	// congested, it remains in that status for a few cycles").
-	HoldCycles int64
-	// WindowCycles is the sampling window of the rate-based metrics (IR,
-	// Delay).
-	WindowCycles int64
-	// RCSPeriod is the OR-network latch period in cycles (6 from SPICE).
-	RCSPeriod int64
 	// UseRCS enables regional detection. False models the BFM-local /
 	// IQOcc-local variants of Figure 11, where a node sees only its own
 	// router's status.
@@ -137,13 +138,7 @@ type Config struct {
 
 // Default returns the paper's configuration for the given metric.
 func Default(kind MetricKind) Config {
-	c := Config{
-		Metric:       kind,
-		HoldCycles:   8,
-		WindowCycles: 64,
-		RCSPeriod:    6,
-		UseRCS:       true,
-	}
+	c := Config{Metric: kind, UseRCS: true}
 	switch kind {
 	case BFM:
 		c.Threshold = DefaultBFMThreshold
@@ -221,8 +216,8 @@ type RCSEnergy struct {
 	Toggles int64
 }
 
-// NewDetector builds a detector over net with cfg. Zero-valued cfg fields
-// fall back to Default(cfg.Metric) semantics. Like noc.New, it is a thin
+// NewDetector builds a detector over net with cfg. A non-positive
+// threshold falls back to the metric's Default. Like noc.New, it is a thin
 // shell over Reset, so a reset detector and a fresh one run identical
 // construction code.
 func NewDetector(net *noc.Network, cfg Config) *Detector {
@@ -238,21 +233,8 @@ func NewDetector(net *noc.Network, cfg Config) *Detector {
 // counts zeroed. net may be the same network after its own Reset, or a
 // different one.
 func (d *Detector) Reset(net *noc.Network, cfg Config) {
-	def := Default(cfg.Metric)
 	if cfg.Threshold <= 0 {
-		cfg.Threshold = def.Threshold
-	}
-	if cfg.ClearThreshold <= 0 {
-		cfg.ClearThreshold = cfg.Threshold
-	}
-	if cfg.HoldCycles <= 0 {
-		cfg.HoldCycles = def.HoldCycles
-	}
-	if cfg.WindowCycles <= 0 {
-		cfg.WindowCycles = def.WindowCycles
-	}
-	if cfg.RCSPeriod <= 0 {
-		cfg.RCSPeriod = def.RCSPeriod
+		cfg.Threshold = Default(cfg.Metric).Threshold
 	}
 
 	mesh := net.Topo()
@@ -367,7 +349,7 @@ func (d *Detector) Congested(subnet, node int) bool {
 // with its LCS already clear: a no-op in the reference scan too, so the
 // latched sequences are identical.
 func (d *Detector) AfterCycle(now int64) {
-	windowEnd := now-d.winStart >= d.cfg.WindowCycles
+	windowEnd := now-d.winStart >= windowCycles
 	if windowEnd {
 		d.closeWindow(now)
 		d.winStart = now
@@ -404,7 +386,7 @@ func (d *Detector) AfterCycle(now int64) {
 		}
 	}
 
-	if d.cfg.UseRCS && now%d.cfg.RCSPeriod == 0 {
+	if d.cfg.UseRCS && now%RCSPeriod == 0 {
 		d.latchRCS(now)
 	}
 }
@@ -440,7 +422,7 @@ func (d *Detector) NextIdleEvent(now int64) (int64, bool) {
 		}
 	}
 	if (d.cfg.Metric == IR || d.cfg.Metric == Delay) && !d.windowDeltasZero() {
-		return d.winStart + d.cfg.WindowCycles, true
+		return d.winStart + windowCycles, true
 	}
 	return noc.SkipHorizon, true
 }
@@ -477,8 +459,8 @@ func (d *Detector) windowDeltasZero() bool {
 // only the window clock, the rates, and the unconditional RCS latch count
 // need patching; no LCS/RCS/epoch movement was possible.
 func (d *Detector) SkipIdle(from, to int64) {
-	if closes := (to - 1 - d.winStart) / d.cfg.WindowCycles; closes > 0 {
-		d.winStart += closes * d.cfg.WindowCycles
+	if closes := (to - 1 - d.winStart) / windowCycles; closes > 0 {
+		d.winStart += closes * windowCycles
 		if d.cfg.Metric == IR || d.cfg.Metric == Delay {
 			for i := range d.rate {
 				d.rate[i] = 0
@@ -488,7 +470,7 @@ func (d *Detector) SkipIdle(from, to int64) {
 	if d.cfg.UseRCS {
 		// Latches fire at every multiple of RCSPeriod regardless of state;
 		// count the multiples inside [from, to).
-		p := d.cfg.RCSPeriod
+		const p = RCSPeriod
 		d.rcsE.Latches += (to+p-1)/p - (from+p-1)/p
 	}
 }
@@ -507,7 +489,7 @@ func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 		}
 		d.lcs[idx] = true
 		d.lastHot[idx] = now
-	} else if d.lcs[idx] && raw < d.cfg.ClearThreshold && now-d.lastHot[idx] >= d.cfg.HoldCycles {
+	} else if d.lcs[idx] && raw < d.cfg.Threshold && now-d.lastHot[idx] >= holdCycles {
 		d.lcs[idx] = false
 		d.lcsBits[s][n>>6] &^= 1 << (uint(n) & 63)
 		d.epoch++

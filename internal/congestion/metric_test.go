@@ -31,15 +31,15 @@ func TestDefaults(t *testing.T) {
 		if c.Threshold <= 0 {
 			t.Errorf("%v: non-positive default threshold", k)
 		}
-		if c.RCSPeriod != 6 {
-			t.Errorf("%v: RCS period %d, want 6 (SPICE H-tree delay)", k, c.RCSPeriod)
-		}
 		if !c.UseRCS {
 			t.Errorf("%v: RCS should default on", k)
 		}
 	}
 	if congestion.Default(congestion.BFM).Threshold != congestion.DefaultBFMThreshold {
 		t.Error("BFM default threshold mismatch")
+	}
+	if congestion.RCSPeriod != 6 {
+		t.Errorf("RCS period %d, want 6 (SPICE H-tree delay)", congestion.RCSPeriod)
 	}
 }
 
@@ -108,8 +108,7 @@ func TestSaturationTripsBFM(t *testing.T) {
 // cycles), modelling the H-tree propagation delay.
 func TestRCSLatchPeriod(t *testing.T) {
 	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.BFM)
-	det := congestion.NewDetector(net, cfg)
+	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.8), 7)
 
@@ -120,7 +119,7 @@ func TestRCSLatchPeriod(t *testing.T) {
 		now := net.Now() - 1 // the cycle just executed
 		for r := 0; r < 4; r++ {
 			cur := det.RCS(0, r)
-			if cur != prev[r] && now%cfg.RCSPeriod != 0 {
+			if cur != prev[r] && now%congestion.RCSPeriod != 0 {
 				t.Fatalf("RCS changed off-latch at cycle %d", now)
 			}
 			prev[r] = cur
@@ -151,13 +150,11 @@ func TestLocalOnlyMode(t *testing.T) {
 	}
 }
 
-// TestHysteresis: once set, LCS must persist for HoldCycles after the
+// TestHysteresis: once set, LCS must persist for the hold time after the
 // metric drops ("remains in that status for a few cycles").
 func TestHysteresis(t *testing.T) {
 	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.BFM)
-	cfg.HoldCycles = 50
-	det := congestion.NewDetector(net, cfg)
+	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
 	net.AddObserver(det)
 
 	// Saturate briefly, then stop offering traffic entirely.
@@ -189,43 +186,6 @@ func TestHysteresis(t *testing.T) {
 	for n := 0; n < 64; n++ {
 		if det.LCS(0, n) {
 			t.Fatalf("LCS stuck at node %d after drain", n)
-		}
-	}
-}
-
-// TestClearThresholdGap: with a clear threshold below the set threshold,
-// the status must persist while the metric sits between the two.
-func TestClearThresholdGap(t *testing.T) {
-	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.BFM)
-	cfg.Threshold = 6
-	cfg.ClearThreshold = 2
-	cfg.HoldCycles = 1
-	det := congestion.NewDetector(net, cfg)
-	net.AddObserver(det)
-
-	// Saturate to trip LCS, then let the load fall to a level that keeps
-	// buffers in the hysteresis band.
-	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.8), 21)
-	for i := 0; i < 1000; i++ {
-		gen.Tick(net.Now())
-		net.Step()
-	}
-	hotBefore := 0
-	for n := 0; n < 64; n++ {
-		if det.LCS(0, n) {
-			hotBefore++
-		}
-	}
-	if hotBefore == 0 {
-		t.Skip("saturation did not trip LCS at this seed")
-	}
-	// Drain completely: everything must clear once below ClearThreshold.
-	net.Drain(200000)
-	net.Run(50)
-	for n := 0; n < 64; n++ {
-		if det.LCS(0, n) {
-			t.Fatalf("LCS stuck at node %d after full drain", n)
 		}
 	}
 }

@@ -24,9 +24,6 @@ type Config struct {
 	// MCConcurrency is the number of concurrent accesses each memory
 	// controller sustains (channel-level parallelism).
 	MCConcurrency int
-	// MCNodes places the eight memory controllers; nil derives the
-	// paper's edge placement from the mesh.
-	MCNodes []int
 
 	// BurstPhaseCycles and LowPhaseCycles are the mean lengths of the
 	// high- and low-MPKI application phases.
@@ -234,11 +231,7 @@ func newSystem(net *noc.Network, cfg Config, assign []*workload.Profile) (*Syste
 	mesh := net.Topo()
 	s := &System{cfg: cfg, net: net, rng: sim.NewRNG(cfg.Seed), mcOf: map[int]*mc{}}
 
-	mcNodes := cfg.MCNodes
-	if mcNodes == nil {
-		mcNodes = DefaultMCNodes(mesh.Rows(), mesh.Cols())
-	}
-	for _, n := range mcNodes {
+	for _, n := range DefaultMCNodes(mesh.Rows(), mesh.Cols()) {
 		m := &mc{node: n, busyUntil: make([]int64, cfg.MCConcurrency)}
 		s.mcs = append(s.mcs, m)
 		s.mcOf[n] = m

@@ -783,9 +783,12 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	op.credits[outVC]--
 	ev.LinkTraversals++
 	if f.head() {
-		// Look-ahead routing: compute the output port the flit must
-		// request at the downstream router and carry it in the head flit.
-		f.nextPort = uint8(r.sub.net.topo.LookAheadPort(op.downstream, f.pkt.Dst))
+		// Look-ahead routing (Galles' SGI Spider scheme, used by the
+		// paper's two-stage router): compute the output port the flit
+		// must request at the downstream router and carry it in the head
+		// flit, which takes route computation off the critical path and
+		// tells this router which downstream router to wake.
+		f.nextPort = uint8(r.sub.net.topo.RoutePort(op.downstream, f.pkt.Dst))
 		if cfg.Torus && r.sub.net.topo.WrapsPort(r.node, o) {
 			f.crossed |= dimBit(o)
 		}

@@ -136,9 +136,6 @@ func (f *FBfly) RoutePort(at, dst int) int {
 	}
 }
 
-// LookAheadPort implements Topology.
-func (f *FBfly) LookAheadPort(next, dst int) int { return f.RoutePort(next, dst) }
-
 // Hops implements Topology: at most one row and one column hop.
 func (f *FBfly) Hops(a, b int) int {
 	ax, ay := f.XY(a)

@@ -217,26 +217,6 @@ func (m *Mesh) Route(at, dst int) Port {
 	}
 }
 
-// NextHop returns the node reached by following Route(at, dst), or `at`
-// itself when the flit ejects locally.
-func (m *Mesh) NextHop(at, dst int) int {
-	p := m.Route(at, dst)
-	if p == Local {
-		return at
-	}
-	return m.Neighbor(at, p)
-}
-
-// LookAheadRoute implements look-ahead routing (Galles' SGI Spider scheme,
-// used by the paper's two-stage router): given that a flit is about to be
-// sent to node `next` en route to `dst`, it returns the output port the
-// flit must request at `next`. Carrying this pre-computed port in the head
-// flit removes route computation from the critical path and — crucially for
-// Catnap — tells the current router which downstream router to wake up.
-func (m *Mesh) LookAheadRoute(next, dst int) Port {
-	return m.Route(next, dst)
-}
-
 // Hops returns the minimal hop count between two nodes (Manhattan
 // distance, ring distance on a torus); used by zero-load latency checks
 // in tests.

@@ -102,24 +102,6 @@ func TestXYDimensionOrder(t *testing.T) {
 	}
 }
 
-// TestLookAheadConsistency: the look-ahead route carried to the next hop
-// must equal the route that node would compute itself.
-func TestLookAheadConsistency(t *testing.T) {
-	m := paper()
-	f := func(a, b uint8) bool {
-		at := int(a) % m.Nodes()
-		dst := int(b) % m.Nodes()
-		if at == dst {
-			return true
-		}
-		next := m.NextHop(at, dst)
-		return m.LookAheadRoute(next, dst) == m.Route(next, dst)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRegionsPartition(t *testing.T) {
 	m := paper()
 	seen := make([]int, m.Nodes())

@@ -36,11 +36,9 @@ type Topology interface {
 	Link(node, port int) (peer, peerPort int, ok bool)
 
 	// RoutePort returns the output port a packet at `at` destined to
-	// `dst` must take; LookAheadPort is the same computation used for
-	// look-ahead routing at the upstream router. Both return the local
-	// port at the destination.
+	// `dst` must take, and the local port at the destination. The
+	// upstream router calls it for look-ahead routing.
 	RoutePort(at, dst int) int
-	LookAheadPort(next, dst int) int
 
 	// Hops is the minimal router-to-router hop count.
 	Hops(a, b int) int
@@ -87,9 +85,6 @@ func (m *Mesh) Link(node, port int) (peer, peerPort int, ok bool) {
 
 // RoutePort implements Topology.
 func (m *Mesh) RoutePort(at, dst int) int { return int(m.Route(at, dst)) }
-
-// LookAheadPort implements Topology.
-func (m *Mesh) LookAheadPort(next, dst int) int { return int(m.LookAheadRoute(next, dst)) }
 
 // WrapsPort implements Topology.
 func (m *Mesh) WrapsPort(node, port int) bool { return m.Wraps(node, Port(port)) }

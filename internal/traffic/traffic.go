@@ -217,8 +217,6 @@ type Generator struct {
 	pattern  Pattern
 	schedule Schedule
 	rngs     []*sim.RNG
-	class    noc.MsgClass
-	bits     int
 
 	// Offered counts packets generated (offered load realized); the
 	// network's own counters give accepted load.
@@ -235,18 +233,11 @@ func NewGenerator(net *noc.Network, pattern Pattern, schedule Schedule, seed uin
 		pattern:  pattern,
 		schedule: schedule,
 		rngs:     make([]*sim.RNG, nodes),
-		class:    noc.ClassSynthetic,
-		bits:     SyntheticPacketBits,
 	}
 	for i := range g.rngs {
 		g.rngs[i] = root.SplitN(i)
 	}
 	return g
-}
-
-// SetPacket overrides the class and size of generated packets.
-func (g *Generator) SetPacket(class noc.MsgClass, bits int) {
-	g.class, g.bits = class, bits
 }
 
 // NextArrival returns the earliest cycle >= now at which the generator
@@ -271,7 +262,7 @@ func (g *Generator) Tick(now int64) {
 			continue
 		}
 		dst := g.pattern.Dest(g.rngs[src], src, rows, cols)
-		g.net.NewPacket(src, dst, g.class, g.bits)
+		g.net.NewPacket(src, dst, noc.ClassSynthetic, SyntheticPacketBits)
 		g.Offered++
 	}
 }

@@ -242,15 +242,3 @@ func TestGeneratorDeterminism(t *testing.T) {
 		t.Errorf("non-deterministic generator: %d vs %d", a, b)
 	}
 }
-
-func TestSetPacket(t *testing.T) {
-	net := newTestNet(t)
-	gen := NewGenerator(net, UniformRandom{}, Constant(1), 5)
-	gen.SetPacket(noc.ClassRequest, 72)
-	gen.Tick(0)
-	net.Step()
-	created, _, _ := net.Counts()
-	if created == 0 {
-		t.Fatal("no packets at load 1")
-	}
-}

@@ -248,6 +248,12 @@ func (s *Simulator) UseSplitMix(westMix, eastMix string) (*cpusim.System, error)
 			eIdx++
 		}
 	}
+	return s.useAssignment(assign)
+}
+
+// useAssignment attaches the closed-loop system model with an explicit
+// per-tile profile assignment.
+func (s *Simulator) useAssignment(assign []*workload.Profile) (*cpusim.System, error) {
 	scfg := cpusim.DefaultConfig()
 	scfg.Seed = s.Cfg.Seed
 	sys, err := cpusim.NewWithAssignment(s.Net, scfg, assign)
@@ -434,14 +440,7 @@ func (s *Simulator) RunSynthetic(pattern traffic.Pattern, sched traffic.Schedule
 // ctx's error and zero Results.
 func (s *Simulator) RunSyntheticCtx(ctx context.Context, pattern traffic.Pattern, sched traffic.Schedule, warmup, measure int64) (Results, error) {
 	s.UseSynthetic(pattern, sched, 0)
-	if err := s.RunCtx(ctx, warmup); err != nil {
-		return Results{}, err
-	}
-	s.StartMeasure()
-	if err := s.RunCtx(ctx, measure); err != nil {
-		return Results{}, err
-	}
-	return s.StopMeasure(), nil
+	return s.measure(ctx, warmup, measure)
 }
 
 // RunApp is the common closed-loop experiment shape: attach the named
@@ -450,6 +449,13 @@ func (s *Simulator) RunApp(ctx context.Context, mixName string, warmup, measure 
 	if _, err := s.UseMix(mixName); err != nil {
 		return Results{}, err
 	}
+	return s.measure(ctx, warmup, measure)
+}
+
+// measure is the measurement window every canned run shares: warmup
+// cycles, then a measure-cycle window whose Results it returns. The
+// traffic source must already be attached. Cancellation follows RunCtx.
+func (s *Simulator) measure(ctx context.Context, warmup, measure int64) (Results, error) {
 	if err := s.RunCtx(ctx, warmup); err != nil {
 		return Results{}, err
 	}
