@@ -76,12 +76,22 @@ type Config struct {
 	TBreakeven int
 }
 
+// maxMeshDim bounds Rows and Cols so that every narrowed hot-path field
+// holds any value a valid Config produces: node ids stay below 2^24, so
+// they fit the int32 nodes of staged records and the node<<6|slot
+// entries of the eligibility wheel, and the largest radix (a flattened
+// butterfly's Rows+Cols-1) fits the uint16 ports of flits and staged
+// records. VCs (at most 32) fit their uint16 fields too.
+const maxMeshDim = 1 << 12
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
 func (c *Config) Validate() error {
 	switch {
 	case c.Rows <= 0 || c.Cols <= 0:
 		return fmt.Errorf("noc: invalid mesh %dx%d", c.Rows, c.Cols)
+	case c.Rows > maxMeshDim || c.Cols > maxMeshDim:
+		return fmt.Errorf("noc: a %dx%d mesh exceeds %d routers per side", c.Rows, c.Cols, maxMeshDim)
 	case c.Rows*c.Cols < 2:
 		return fmt.Errorf("noc: a %dx%d mesh has no destination for traffic; need at least 2 nodes", c.Rows, c.Cols)
 	case c.TilesPerNode <= 0:

@@ -119,24 +119,31 @@ func FlitsForWidth(sizeBits, widthBits int) int {
 // simulator; the public surface deals in Packets. The head flit carries
 // the look-ahead route (the output port to request at the *current*
 // router, pre-computed by the upstream router per Galles' scheme).
+//
+// Fields are ordered for a 24-byte flit: every hop copies one through a
+// VC ring and a staged arrival.
 type flit struct {
 	pkt *Packet
+	// eligibleAt is the first cycle this flit may win switch allocation at
+	// its current router, modelling the router pipeline depth.
+	eligibleAt int64
 	// seq is the flit index within the packet, 0-based.
 	seq int32
 	// nextPort is the look-ahead-computed output port at the router this
 	// flit currently occupies (meaningful on the head flit; body/tail flits
-	// follow the wormhole path allocated by the head).
-	nextPort uint8
-	// eligibleAt is the first cycle this flit may win switch allocation at
-	// its current router, modelling the router pipeline depth.
-	eligibleAt int64
+	// follow the wormhole path allocated by the head). Every radix a valid
+	// Config builds fits (see maxMeshDim).
+	nextPort uint16
 	// crossed records torus dateline crossings (bit 0 = X ring, bit 1 =
 	// Y ring). A packet that has crossed a ring's dateline must use the
 	// upper dateline VC class in that ring, breaking the ring's cyclic
 	// buffer dependency.
 	crossed uint8
+	// last marks the packet's tail flit (seq == NumFlits-1), set when the
+	// NI streams it, so tail checks load no *Packet.
+	last bool
 }
 
 func (f *flit) head() bool { return f.seq == 0 }
 
-func (f *flit) tail() bool { return int(f.seq) == f.pkt.NumFlits-1 }
+func (f *flit) tail() bool { return f.last }

@@ -7,6 +7,7 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/catnap-noc/catnap/internal/topology"
 )
@@ -19,6 +20,13 @@ func internalConfig() Config {
 		RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
 		TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
 	}
+}
+
+// testFlit builds flit seq of pkt as NI.streamFlit does, the tail flag
+// included, with port as its look-ahead route. Every test that makes
+// flits by hand goes through it, so tails stay tails.
+func testFlit(pkt *Packet, seq, port int) flit {
+	return flit{pkt: pkt, seq: int32(seq), nextPort: uint16(port), last: seq == pkt.NumFlits-1}
 }
 
 type firstReady struct{}
@@ -39,7 +47,7 @@ func TestVCRingBuffer(t *testing.T) {
 	}
 	p := &Packet{NumFlits: 8}
 	for i := 0; i < 4; i++ {
-		vc.push(flit{pkt: p, seq: int32(i)})
+		vc.push(testFlit(p, i, 0))
 	}
 	if vc.empty() || vc.count != 4 {
 		t.Fatalf("count = %d", vc.count)
@@ -50,8 +58,8 @@ func TestVCRingBuffer(t *testing.T) {
 			t.Fatalf("pop %d: seq %d", i, f.seq)
 		}
 	}
-	vc.push(flit{pkt: p, seq: 4})
-	vc.push(flit{pkt: p, seq: 5})
+	vc.push(testFlit(p, 4, 0))
+	vc.push(testFlit(p, 5, 0))
 	for i := 2; i < 6; i++ {
 		if f := vc.pop(); f.seq != int32(i) {
 			t.Fatalf("pop: want seq %d got %d", i, f.seq)
@@ -65,14 +73,14 @@ func TestVCRingBuffer(t *testing.T) {
 func TestVCOverflowPanics(t *testing.T) {
 	vc := vcState{q: make([]flit, 2)}
 	p := &Packet{NumFlits: 4}
-	vc.push(flit{pkt: p})
-	vc.push(flit{pkt: p, seq: 1})
+	vc.push(testFlit(p, 0, 0))
+	vc.push(testFlit(p, 1, 0))
 	defer func() {
 		if recover() == nil {
 			t.Error("overflow should panic (credit accounting bug)")
 		}
 	}()
-	vc.push(flit{pkt: p, seq: 2})
+	vc.push(testFlit(p, 2, 0))
 }
 
 // TestVCPopClearsPacketRef: popped slots must not retain the packet (GC
@@ -80,7 +88,7 @@ func TestVCOverflowPanics(t *testing.T) {
 func TestVCPopClearsPacketRef(t *testing.T) {
 	vc := vcState{q: make([]flit, 2)}
 	p := &Packet{NumFlits: 1}
-	vc.push(flit{pkt: p})
+	vc.push(testFlit(p, 0, 0))
 	vc.pop()
 	if vc.q[0].pkt != nil {
 		t.Error("pop retained the packet reference")
@@ -99,7 +107,7 @@ func TestWheelWrap(t *testing.T) {
 	net.Run(int64(s.wheelSize*3 - 2))
 	base := net.Now()
 	p := &Packet{ID: 1, Dst: 0, NumFlits: 1}
-	s.stageArrival(base+2, 0, int(topology.North), 0, flit{pkt: p, nextPort: uint8(topology.Local)})
+	s.stageArrival(base+2, 0, int(topology.North), 0, testFlit(p, 0, int(topology.Local)))
 	net.Step() // base: nothing arrives
 	if got := s.routers[0].TotalOccupancy(); got != 0 {
 		t.Fatalf("early arrival: occupancy %d", got)
@@ -164,7 +172,7 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	for p := 0; p < nports; p++ {
 		for v := 0; v < cfg.VCs; v++ {
 			pkts[p*cfg.VCs+v] = &Packet{NumFlits: 3}
-			r.deliver(0, p, v, flit{pkt: pkts[p*cfg.VCs+v], nextPort: uint8(outOf(p, v))})
+			r.deliver(0, p, v, testFlit(pkts[p*cfg.VCs+v], 0, outOf(p, v)))
 		}
 	}
 	// Slot (2, 1) instead holds a body flit of a packet that won its route
@@ -172,9 +180,9 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	// ring is detached so any front-flit read panics, and a visit would
 	// hand it a second downstream VC.
 	const bp, bv = 2, 1
-	body := &r.in[bp].vcs[bv]
+	body := &r.vcs[bp*cfg.VCs+bv]
 	body.pop()
-	body.push(flit{pkt: pkts[bp*cfg.VCs+bv], seq: 1})
+	body.push(testFlit(pkts[bp*cfg.VCs+bv], 1, 0))
 	body.curPkt, body.outPort, body.outVC, body.routeSet = pkts[bp*cfg.VCs+bv], outOf(bp, bv), 0, true
 	r.out[outOf(bp, bv)].busy[0] = true
 	bodyBit := uint64(1) << uint(bp*cfg.VCs+bv)
@@ -197,7 +205,7 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 			if p == bp && v == bv {
 				continue
 			}
-			vc := &r.in[p].vcs[v]
+			vc := &r.vcs[p*cfg.VCs+v]
 			if !vc.routeSet || vc.outPort != outOf(p, v) || vc.curPkt != pkts[p*cfg.VCs+v] {
 				t.Errorf("slot (%d,%d): head route not latched (routeSet=%v outPort=%d)", p, v, vc.routeSet, vc.outPort)
 			}
@@ -275,21 +283,70 @@ func TestFlitsForWidthProperty(t *testing.T) {
 	}
 }
 
+// TestFlitHeadTail: the NI marks exactly each packet's last flit as its
+// tail (tail() reads that flag, not the packet), and testFlit agrees.
 func TestFlitHeadTail(t *testing.T) {
-	p := &Packet{NumFlits: 3}
-	cases := []struct {
-		seq        int32
-		head, tail bool
-	}{{0, true, false}, {1, false, false}, {2, false, true}}
-	for _, c := range cases {
-		f := flit{pkt: p, seq: c.seq}
-		if f.head() != c.head || f.tail() != c.tail {
-			t.Errorf("seq %d: head=%v tail=%v", c.seq, f.head(), f.tail())
+	net, err := New(internalConfig(), firstReady{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := net.subnets[0]
+	for _, nf := range []int{1, 3} {
+		p := net.NewPacket(0, 3, ClassSynthetic, nf*net.cfg.LinkWidthBits)
+		// The NI streams one flit per cycle onto node 0's local port.
+		var got []arrival
+		for k := 0; k < nf; k++ {
+			now := net.Now()
+			net.Step()
+			for _, a := range s.arrivals[s.slot(now+int64(net.cfg.LinkDelay))] {
+				if a.node == 0 && int(a.port) == net.localPort {
+					got = append(got, a)
+				}
+			}
+		}
+		if len(got) != nf {
+			t.Fatalf("%d-flit packet: NI streamed %d flits", nf, len(got))
+		}
+		for i, a := range got {
+			f := a.f
+			if f.pkt != p || int(f.seq) != i {
+				t.Fatalf("%d-flit packet: flit %d is seq %d of another packet", nf, i, f.seq)
+			}
+			if f.head() != (i == 0) || f.tail() != (i == nf-1) || f.last != (i == nf-1) {
+				t.Errorf("%d-flit packet, seq %d: head=%v tail=%v last=%v", nf, i, f.head(), f.tail(), f.last)
+			}
+			if tf := testFlit(p, i, 0); tf.head() != f.head() || tf.tail() != f.tail() {
+				t.Errorf("%d-flit packet, seq %d: testFlit disagrees with the NI", nf, i)
+			}
+		}
+		if !net.Drain(200) {
+			t.Fatalf("%d-flit packet did not drain", nf)
 		}
 	}
-	single := flit{pkt: &Packet{NumFlits: 1}}
-	if !single.head() || !single.tail() {
-		t.Error("single-flit packet must be head and tail")
+	if err := net.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotRecordSizes pins the layouts every hop copies: the flit through
+// a VC ring and the staged records that carry flits and credits.
+func TestHotRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layouts are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"flit", unsafe.Sizeof(flit{}), 24},
+		{"arrival", unsafe.Sizeof(arrival{}), 32},
+		{"credit", unsafe.Sizeof(credit{}), 8},
+		{"niCredit", unsafe.Sizeof(niCredit{}), 8},
+		{"ejection", unsafe.Sizeof(ejection{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -313,6 +370,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WakeupHidden = c.TWakeup + 1 },
 		func(c *Config) { c.TBreakeven = -1 },
 		func(c *Config) { c.Rows, c.Cols, c.RegionDim = 1, 1, 1 },     // one node: no destination
+		func(c *Config) { c.Rows, c.RegionDim = maxMeshDim+2, 1 },     // node ids past the narrowed fields
 		func(c *Config) { c.ClassVCMask[ClassResponse] = 1 << c.VCs }, // no VC below VCs
 	}
 	for i, m := range mutations {
@@ -353,31 +411,50 @@ func TestPowerStateString(t *testing.T) {
 // slot the next deliver phase drains). Such an event's slot index wraps
 // below the current cycle's slot, and it must survive every intermediate
 // drain and fire exactly at its scheduled cycle — not a revolution early.
+// It runs at the paper's delays and at slower ones whose bounds are not
+// powers of two (a 16-slot staging wheel for a bound of 10).
 func TestWheelDelayCrossesWheelSize(t *testing.T) {
-	net, err := New(internalConfig(), firstReady{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := net.subnets[0]
-	// Land mid-wheel so slot(at) < slot(base): the index computation has
-	// to wrap across a wheelSize multiple.
-	net.Run(int64(s.wheelSize*5 - 3))
-	base := net.Now()
-	at := base + int64(s.wheelSize) - 1
-	if s.slot(at) >= s.slot(base) {
-		t.Fatalf("fixture lost its wrap: slot(at)=%d slot(base)=%d", s.slot(at), s.slot(base))
-	}
-	p := &Packet{ID: 7, Dst: 0, NumFlits: 1}
-	s.stageArrival(at, 0, int(topology.North), 0, flit{pkt: p, nextPort: uint8(topology.Local)})
-	for now := base; now < at; now++ {
-		net.Step()
-		if got := s.routers[0].TotalOccupancy(); got != 0 {
-			t.Fatalf("cycle %d: flit arrived %d cycles early (occupancy %d)", now, at-now-1, got)
+	slow := internalConfig()
+	slow.RouterDelay, slow.LinkDelay, slow.CreditDelay, slow.TIdleDetect = 3, 2, 2, 7
+	for _, cfg := range []Config{internalConfig(), slow} {
+		net, err := New(cfg, firstReady{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	net.Step() // cycle == at: the slot comes around again and drains
-	if got := s.routers[0].TotalOccupancy(); got != 1 {
-		t.Fatalf("flit lost across wheel wrap: occupancy %d", got)
+		s := net.subnets[0]
+		// Every wheel is the least power of two covering its delay bound.
+		for _, w := range []struct {
+			name        string
+			size, bound int
+		}{
+			{"staging", s.wheelSize, cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4},
+			{"eligibility", len(s.eligWheel), cfg.RouterDelay + 1},
+			{"check", len(s.checkWheel), cfg.TIdleDetect + 2},
+		} {
+			if w.size&(w.size-1) != 0 || w.size < w.bound || w.size >= 2*w.bound {
+				t.Errorf("delays %d/%d/%d: %s wheel has %d slots for bound %d", cfg.RouterDelay, cfg.LinkDelay, cfg.CreditDelay, w.name, w.size, w.bound)
+			}
+		}
+		// Land mid-wheel so slot(at) < slot(base): the index computation
+		// has to wrap across a wheelSize multiple.
+		net.Run(int64(s.wheelSize*5 - 3))
+		base := net.Now()
+		at := base + int64(s.wheelSize) - 1
+		if s.slot(at) >= s.slot(base) {
+			t.Fatalf("fixture lost its wrap: slot(at)=%d slot(base)=%d", s.slot(at), s.slot(base))
+		}
+		p := &Packet{ID: 7, Dst: 0, NumFlits: 1}
+		s.stageArrival(at, 0, int(topology.North), 0, testFlit(p, 0, int(topology.Local)))
+		for now := base; now < at; now++ {
+			net.Step()
+			if got := s.routers[0].TotalOccupancy(); got != 0 {
+				t.Fatalf("cycle %d: flit arrived %d cycles early (occupancy %d)", now, at-now-1, got)
+			}
+		}
+		net.Step() // cycle == at: the slot comes around again and drains
+		if got := s.routers[0].TotalOccupancy(); got != 1 {
+			t.Fatalf("wheel of %d slots: flit lost across the wrap: occupancy %d", s.wheelSize, got)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ func (n *Network) CheckQuiescent() error {
 				if ip.occupancy != 0 {
 					return fmt.Errorf("noc: subnet %d router %d port %d holds %d flits", si, ni, p, ip.occupancy)
 				}
-				for v := range ip.vcs {
-					vc := &ip.vcs[v]
+				for v := 0; v < n.cfg.VCs; v++ {
+					vc := &r.vcs[p*n.cfg.VCs+v]
 					if !vc.empty() {
 						return fmt.Errorf("noc: subnet %d router %d port %d vc %d not empty", si, ni, p, v)
 					}

@@ -25,14 +25,20 @@ func (q *pktQueue) push(p *Packet) {
 		q.buf = grown
 		q.head = 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = p
 	q.n++
 }
 
 func (q *pktQueue) pop() *Packet {
 	p := q.buf[q.head]
 	q.buf[q.head] = nil // do not retain packets past their dequeue
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 	return p
 }
@@ -228,14 +234,16 @@ func (ni *NI) injectPhase(now int64) {
 			continue
 		}
 		n := len(ch.streams)
-		for k := 0; k < n; k++ {
-			i := (ch.rr + k) % n
+		for k, i := 0, ch.rr; k < n; k++ {
 			st := &ch.streams[i]
+			if i++; i == n {
+				i = 0
+			}
 			if st.pkt == nil || ch.credits[st.vc] <= 0 {
 				continue
 			}
 			ni.streamFlit(now, s, ch, st)
-			ch.rr = (i + 1) % n
+			ch.rr = i
 			break
 		}
 	}
@@ -266,9 +274,9 @@ func (ni *NI) injectPhase(now int64) {
 func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	cfg := ni.net.cfg
 	p := st.pkt
-	f := flit{pkt: p, seq: int32(st.nextSeq)}
+	f := flit{pkt: p, seq: int32(st.nextSeq), last: st.nextSeq == p.NumFlits-1}
 	if f.head() {
-		f.nextPort = uint8(ni.net.topo.RoutePort(ni.node, p.Dst))
+		f.nextPort = uint16(ni.net.topo.RoutePort(ni.node, p.Dst))
 		p.InjectTime = now
 		ni.PacketsInjected++
 		ni.net.injectedPkts++

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"sync"
 
 	"github.com/catnap-noc/catnap/internal/topology"
@@ -116,3 +117,7 @@ func resetWheel[T any](w [][]T, size int) [][]T {
 	}
 	return w
 }
+
+// pow2Ceil returns the least power of two >= n, for n >= 1. Wheels take
+// this size so that a cycle's slot is a mask, not a division.
+func pow2Ceil(n int) int { return 1 << bits.Len(uint(n-1)) }

@@ -127,7 +127,7 @@ func (s *Subnet) reset() {
 	*s.events = PowerEvents{}
 	s.feeder = net.pre.feeder
 
-	s.wheelSize = cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4
+	s.wheelSize = pow2Ceil(cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4)
 	s.arrivals = resetWheel(s.arrivals, s.wheelSize)
 	s.credits = resetWheel(s.credits, s.wheelSize)
 	s.niCredits = resetWheel(s.niCredits, s.wheelSize)
@@ -148,11 +148,14 @@ func (s *Subnet) reset() {
 	s.bfmHist = resetSlice(s.bfmHist, cfg.VCs*cfg.VCDepth+1)
 	s.bfmHist[0] = int32(nodes)
 	s.bfmMax = 0
-	s.eligWheel = resetWheel(s.eligWheel, cfg.RouterDelay+1)
-	s.checkWheel = resetWheel(s.checkWheel, cfg.TIdleDetect+2)
+	s.eligWheel = resetWheel(s.eligWheel, pow2Ceil(cfg.RouterDelay+1))
+	s.checkWheel = resetWheel(s.checkWheel, pow2Ceil(cfg.TIdleDetect+2))
 	s.lastEpoch = ^uint64(0)
 
 	s.radix = radix
+	for i := range s.slotPort {
+		s.slotPort[i] = uint8(i / cfg.VCs)
+	}
 	s.pstate = resetSlice(s.pstate, nodes)
 	s.occSlots = resetSlice(s.occSlots, nodes)
 	s.lastBusy = resetSlice(s.lastBusy, nodes)

@@ -64,7 +64,11 @@ func (v *vcState) push(f flit) {
 	if v.count == len(v.q) {
 		panic("noc: VC buffer overflow (credit accounting bug)")
 	}
-	v.q[(v.head+v.count)%len(v.q)] = f
+	i := v.head + v.count
+	if i >= len(v.q) {
+		i -= len(v.q)
+	}
+	v.q[i] = f
 	v.count++
 }
 
@@ -75,14 +79,16 @@ func (v *vcState) pop() flit {
 	// same-shape reset sweep only the live ring spans instead of
 	// bulk-clearing the subnet's entire flit pool.
 	v.q[v.head] = flit{}
-	v.head = (v.head + 1) % len(v.q)
+	if v.head++; v.head == len(v.q) {
+		v.head = 0
+	}
 	v.count--
 	return f
 }
 
-// inputPort is one of a router's five input ports.
+// inputPort is one of a router's input ports. Its VCs live in the
+// router's slot-indexed Router.vcs.
 type inputPort struct {
-	vcs []vcState
 	// occupancy is the total buffered flits across the port's VCs; the BFM
 	// and BFA congestion metrics read it every cycle, so it is maintained
 	// incrementally.
@@ -127,6 +133,9 @@ type Router struct {
 	// lines. See the struct-of-arrays layout notes on Subnet.
 	in  []inputPort
 	out []outputPort
+	// vcs holds every input VC, indexed by slot p*VCs+v (the bit order of
+	// the slot masks below): a subslice of the subnet's vcPool.
+	vcs []vcState
 
 	// Power gating state. The state itself lives in Subnet.pstate (flat,
 	// indexed by node) so phase loops and downstream-awake checks never
@@ -179,10 +188,12 @@ type Router struct {
 	blockedFlitCycles int64 // eligible-but-ungranted flit cycles
 	grantedFlits      int64 // flits that won switch allocation
 
-	// Per-cycle scratch: which input ports already granted a flit this
-	// cycle (one buffer read port per input port).
+	// Per-cycle scratch of the reference scan: which input ports already
+	// granted a flit this cycle (one buffer read port per input port).
+	// The fast path keeps the same set in a local mask.
 	grantedInput []bool
-	vaRR         int
+	// vaRR is the port VC allocation starts from, in [0, radix).
+	vaRR int
 }
 
 // wire builds the router's shape-pure state: the slice views carved out
@@ -205,15 +216,15 @@ func (r *Router) wire(sub *Subnet, node int) {
 	r.grantedInput = sub.grantPool[pb : pb+radix : pb+radix]
 	r.occ = &sub.occSlots[node]
 	r.slotMask = radix*cfg.VCs <= 64 && radix <= maskPorts
+	sb := pb * cfg.VCs // the router's first slot in the per-slot pools
+	r.vcs = sub.vcPool[sb : sb+radix*cfg.VCs : sb+radix*cfg.VCs]
+	for i := range r.vcs {
+		qb := (sb + i) * cfg.VCDepth
+		r.vcs[i].q = sub.flitPool[qb : qb+cfg.VCDepth : qb+cfg.VCDepth]
+	}
 	local := radix - 1
 	for p := 0; p < radix; p++ {
-		ip := &r.in[p]
 		vb := (pb + p) * cfg.VCs
-		ip.vcs = sub.vcPool[vb : vb+cfg.VCs : vb+cfg.VCs]
-		for v := range ip.vcs {
-			qb := (vb + v) * cfg.VCDepth
-			ip.vcs[v].q = sub.flitPool[qb : qb+cfg.VCDepth : qb+cfg.VCDepth]
-		}
 		op := &r.out[p]
 		op.downstream = -1
 		if p != local {
@@ -311,8 +322,8 @@ func (r *Router) TotalOccupancyScan() int {
 func (r *Router) allocMasksScan(now int64) (ready uint64, req [maskPorts]uint64, elig uint64) {
 	vcs := r.sub.net.cfg.VCs
 	for p := range r.in {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
+		for v := 0; v < vcs; v++ {
+			vc := &r.vcs[p*vcs+v]
 			bit := uint64(1) << uint(p*vcs+v)
 			if vc.routeSet && vc.outVC >= 0 {
 				ready |= bit
@@ -400,9 +411,9 @@ func (r *Router) noteBusyEnd(now, busyCycle int64) {
 func (r *Router) deliver(now int64, p, v int, f flit) {
 	cfg := r.sub.net.cfg
 	f.eligibleAt = now + int64(cfg.RouterDelay)
-	vc := &r.in[p].vcs[v]
-	vc.push(f)
 	slot := uint(p*cfg.VCs + v)
+	vc := &r.vcs[slot]
+	vc.push(f)
 	*r.occ |= 1 << slot // no-op beyond 64 slots (slotMask off)
 	if vc.count == 1 && r.slotMask {
 		// A new front flit; RouterDelay >= 1, so it is not eligible yet.
@@ -446,13 +457,13 @@ func (r *Router) vcAllocate() {
 		// the scan passes over it untouched; vcAllocate never changes slot
 		// occupancy, so the snapshot is exact.
 		if todo := *r.occ &^ r.ready; todo != 0 {
+			p := r.vaRR
 			for pi := 0; pi < nports; pi++ {
-				p := (pi + r.vaRR) % nports
 				pm := todo >> uint(p*vcs) & (1<<uint(vcs) - 1)
 				for pm != 0 {
 					v := bits.TrailingZeros64(pm)
 					pm &= pm - 1
-					vc := &r.in[p].vcs[v]
+					vc := &r.vcs[p*vcs+v]
 					if !vc.routeSet {
 						f := vc.front()
 						if !f.head() {
@@ -466,16 +477,18 @@ func (r *Router) vcAllocate() {
 					}
 					r.allocateOutVC(vc, p*vcs+v)
 				}
+				if p++; p == nports {
+					p = 0
+				}
 			}
 		}
-		r.vaRR++
+		r.advanceVARR(nports)
 		return
 	}
 	for pi := 0; pi < nports; pi++ {
 		p := (pi + r.vaRR) % nports
-		ip := &r.in[p]
-		for v := range ip.vcs {
-			vc := &ip.vcs[v]
+		for v := 0; v < vcs; v++ {
+			vc := &r.vcs[p*vcs+v]
 			if vc.empty() {
 				continue
 			}
@@ -493,7 +506,16 @@ func (r *Router) vcAllocate() {
 			r.allocateOutVC(vc, p*vcs+v)
 		}
 	}
-	r.vaRR++
+	r.advanceVARR(nports)
+}
+
+// advanceVARR moves VC allocation's starting port on by one, wrapping at
+// nports. The scan reads vaRR only mod nports, so wrapping leaves its
+// visit order unchanged.
+func (r *Router) advanceVARR(nports int) {
+	if r.vaRR++; r.vaRR == nports {
+		r.vaRR = 0
+	}
 }
 
 // allocateOutVC tries to grant vc's front packet, at slot p*VCs+v, a
@@ -548,12 +570,12 @@ func dimBit(p int) uint8 {
 // subject to one read per input port, downstream credit availability, and
 // the downstream router being awake. It returns the number of flits moved.
 func (r *Router) switchAllocate(now int64) int {
+	if r.slotMask && !r.sub.refScan {
+		return r.switchAllocateFast(now)
+	}
 	moved := 0
 	for p := range r.grantedInput {
 		r.grantedInput[p] = false
-	}
-	if r.slotMask && !r.sub.refScan {
-		return r.switchAllocateFast(now)
 	}
 	nports := len(r.in)
 	local := r.sub.net.localPort
@@ -571,7 +593,7 @@ func (r *Router) switchAllocate(now int64) int {
 			idx := (op.rr + k) % slots
 			p := idx / vcs
 			v := idx % vcs
-			vc := &r.in[p].vcs[v]
+			vc := &r.vcs[idx]
 			if vc.empty() || !vc.routeSet || vc.outPort != o || vc.outVC < 0 {
 				continue
 			}
@@ -607,6 +629,7 @@ func (r *Router) switchAllocate(now int64) int {
 				}
 			}
 			r.traverse(now, p, v, vc, o, op)
+			r.grantedInput[p] = true
 			op.rr = (idx + 1) % slots
 			granted = true
 			moved++
@@ -623,7 +646,7 @@ func (r *Router) switchAllocate(now int64) int {
 // own output, and routes and downstream VCs are latched only in VA. Up to
 // the grant, the walk visits the scan's candidates in the scan's order,
 // with the same taken-input, credit and downstream-awake checks and the
-// same single wake-up. grantedInput was reset by the caller.
+// same single wake-up; the scan's grantedInput is the local mask granted.
 //
 // After a grant the scan only counts: each slot it still visits that
 // passes its filter is one blocked flit-cycle. With the winner K-1
@@ -636,8 +659,9 @@ func (r *Router) switchAllocateFast(now int64) int {
 	nports := len(r.in)
 	local := r.sub.net.localPort
 	cfg := r.sub.net.cfg
-	vcs := cfg.VCs
-	slots := nports * vcs
+	slots := nports * cfg.VCs
+	slotPort := &r.sub.slotPort
+	var granted uint32 // input ports that sent a flit this cycle
 
 	for o := 0; o < nports; o++ {
 		// Unlinked ports never hold requests: allocateOutVC rejects
@@ -654,13 +678,13 @@ func (r *Router) switchAllocateFast(now int64) int {
 			if idx >= slots {
 				idx -= slots
 			}
-			p := idx / vcs
-			if r.grantedInput[p] {
+			p := int(slotPort[idx])
+			if granted&(1<<uint(p)) != 0 {
 				r.blockedFlitCycles++
 				continue
 			}
-			v := idx - p*vcs
-			vc := &r.in[p].vcs[v]
+			v := idx - p*cfg.VCs
+			vc := &r.vcs[idx]
 			if o != local {
 				if op.credits[vc.outVC] <= 0 {
 					r.blockedFlitCycles++
@@ -676,6 +700,7 @@ func (r *Router) switchAllocateFast(now int64) int {
 				}
 			}
 			r.traverse(now, p, v, vc, o, op)
+			granted |= 1 << uint(p)
 			moved++
 			k := j + 1
 			op.rr = idx + 1
@@ -748,7 +773,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		r.sub.clearOccupied(r.node)
 		r.noteBusyEnd(now, now-1)
 	}
-	r.grantedInput[p] = true
 	r.grantedFlits++
 	ev := r.sub.events
 	ev.BufferReads++
@@ -788,7 +812,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		// must request at the downstream router and carry it in the head
 		// flit, which takes route computation off the critical path and
 		// tells this router which downstream router to wake.
-		f.nextPort = uint8(r.sub.net.topo.RoutePort(op.downstream, f.pkt.Dst))
+		f.nextPort = uint16(r.sub.net.topo.RoutePort(op.downstream, f.pkt.Dst))
 		if cfg.Torus && r.sub.net.topo.WrapsPort(r.node, o) {
 			f.crossed |= dimBit(o)
 		}

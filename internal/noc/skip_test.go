@@ -15,7 +15,7 @@ import (
 // gating flavor.
 
 // gappedBursts is a bursty schedule whose zero-load gaps are long enough
-// (hundreds of cycles, versus TIdleDetect=4 and a checkWheel of 6 slots)
+// (hundreds of cycles, versus TIdleDetect=4 and a checkWheel of 8 slots)
 // for every router to sleep and the network to fall fully quiescent, so
 // skipped spans cross both staging-wheel and check-wheel wraparounds many
 // times. offset shifts every phase boundary, sliding where skips begin

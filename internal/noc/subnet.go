@@ -6,20 +6,24 @@ import (
 	"github.com/catnap-noc/catnap/internal/topology"
 )
 
+// Staged records are kept small, because every hop appends one or two
+// of them: node ids are int32 and ports and VCs uint16, which holds every
+// value a valid Config produces (see maxMeshDim).
+
 // arrival is a flit staged on a link, due to be written into a router's
-// input buffer at a specific cycle.
+// input buffer at a specific cycle (32 bytes).
 type arrival struct {
-	node int
-	port int
-	vc   int
 	f    flit
+	node int32
+	port uint16
+	vc   uint16
 }
 
-// credit is a staged credit return to a router's output port.
+// credit is a staged credit return to a router's output port (8 bytes).
 type credit struct {
-	node int
-	port int
-	vc   int
+	node int32
+	port uint16
+	vc   uint16
 }
 
 // feederLink identifies the upstream router output that feeds one of a
@@ -30,16 +34,17 @@ type feederLink struct {
 }
 
 // niCredit is a staged credit return to a node's NI for one of the local
-// input port's VCs.
+// input port's VCs (8 bytes).
 type niCredit struct {
-	node int
-	vc   int
+	node int32
+	vc   uint16
 }
 
-// ejection is a flit staged for delivery into the destination NI.
+// ejection is a flit staged for delivery into the destination NI (32
+// bytes).
 type ejection struct {
-	node int
 	f    flit
+	node int32
 }
 
 // Subnet is one physical subnetwork: a full mesh of routers plus the
@@ -58,8 +63,9 @@ type Subnet struct {
 	// subnet and every same-shape network, read-only after construction.
 	feeder [][]feederLink
 
-	// Staged-event wheels, indexed by cycle % wheelSize. All delays are
-	// small constants, so a fixed ring suffices.
+	// Staged-event wheels, indexed by cycle & (wheelSize-1). All delays
+	// are small constants, so a fixed ring suffices; its size is a power
+	// of two so that the slot is a mask, not a division.
 	wheelSize int
 	arrivals  [][]arrival
 	credits   [][]credit
@@ -91,16 +97,18 @@ type Subnet struct {
 	// bfmMax is a lazily-tightened upper bound on the subnet MaxBFM.
 	bfmHist []int32
 	bfmMax  int
-	// eligWheel[c % len] holds the (node<<6 | slot) entries whose front
-	// flit becomes eligible for switch allocation at cycle c; the router
-	// phase of cycle c drains it into Router.elig. Sized RouterDelay+1:
-	// entries are staged 1 to RouterDelay cycles ahead, so none lands in
-	// the slot of the cycle being stepped.
+	// eligWheel[c & (len-1)] holds the (node<<6 | slot) entries whose
+	// front flit becomes eligible for switch allocation at cycle c; the
+	// router phase of cycle c drains it into Router.elig. Sized to the
+	// power of two at or above RouterDelay+1: entries are staged 1 to
+	// RouterDelay cycles ahead, so none lands in the slot of the cycle
+	// being stepped.
 	eligWheel [][]int32
-	// checkWheel[c % len] holds nodes whose sleep-eligibility check is
-	// scheduled for cycle c; stale entries (router rescheduled or slept)
-	// are skipped via Router.checkAt. Sized TIdleDetect+2: no check is
-	// ever scheduled more than TIdleDetect+1 cycles ahead.
+	// checkWheel[c & (len-1)] holds nodes whose sleep-eligibility check
+	// is scheduled for cycle c; stale entries (router rescheduled or
+	// slept) are skipped via Router.checkAt. Sized to the power of two at
+	// or above TIdleDetect+2: no check is ever scheduled more than
+	// TIdleDetect+1 cycles ahead.
 	checkWheel [][]int32
 	// lastEpoch is the gating-policy epoch observed at the previous power
 	// phase; a change triggers re-evaluation of asleep/blocked routers.
@@ -113,6 +121,10 @@ type Subnet struct {
 	// ~500-byte Router structs. Routers hold views into these arrays
 	// (Router.occ, outputPort.credits).
 	radix int
+	// slotPort[i] is the input port of slot bit i (i / VCs), filled at
+	// reset, so switch allocation maps a slot to its port without a
+	// division.
+	slotPort [64]uint8
 	// pstate[n] is router n's power state (zero value == PowerActive).
 	pstate []PowerState
 	// occSlots[n] is router n's non-empty (port,VC) slot bitmask.
@@ -163,29 +175,29 @@ func (s *Subnet) Router(n int) *Router { return &s.routers[n] }
 // Events returns the subnet's switching-activity counters.
 func (s *Subnet) Events() *PowerEvents { return s.events }
 
-func (s *Subnet) slot(cycle int64) int { return int(cycle % int64(s.wheelSize)) }
+func (s *Subnet) slot(cycle int64) int { return int(cycle) & (s.wheelSize - 1) }
 
 // stageArrival and its siblings append to wheel slots, which keep their
 // capacity, so staging stops allocating once every slot has reached its
 // high-water mark.
 func (s *Subnet) stageArrival(at int64, node, port, vc int, f flit) {
 	i := s.slot(at)
-	s.arrivals[i] = append(s.arrivals[i], arrival{node: node, port: port, vc: vc, f: f})
+	s.arrivals[i] = append(s.arrivals[i], arrival{f: f, node: int32(node), port: uint16(port), vc: uint16(vc)})
 }
 
 func (s *Subnet) stageCredit(at int64, node, port, vc int) {
 	i := s.slot(at)
-	s.credits[i] = append(s.credits[i], credit{node: node, port: port, vc: vc})
+	s.credits[i] = append(s.credits[i], credit{node: int32(node), port: uint16(port), vc: uint16(vc)})
 }
 
 func (s *Subnet) stageNICredit(at int64, node, vc int) {
 	i := s.slot(at)
-	s.niCredits[i] = append(s.niCredits[i], niCredit{node: node, vc: vc})
+	s.niCredits[i] = append(s.niCredits[i], niCredit{node: int32(node), vc: uint16(vc)})
 }
 
 func (s *Subnet) stageEject(at int64, node int, f flit) {
 	i := s.slot(at)
-	s.ejections[i] = append(s.ejections[i], ejection{node: node, f: f})
+	s.ejections[i] = append(s.ejections[i], ejection{f: f, node: int32(node)})
 }
 
 // stageElig schedules slot of router node to join its elig mask at cycle
@@ -205,22 +217,24 @@ func (s *Subnet) deliverPhase(now int64) {
 	// struct, port slice, or subslice header is touched.
 	vcs := s.net.cfg.VCs
 	for _, c := range s.credits[i] {
-		s.outCredits[(c.node*s.radix+c.port)*vcs+c.vc]++
+		s.outCredits[(int(c.node)*s.radix+int(c.port))*vcs+int(c.vc)]++
 	}
 	s.credits[i] = s.credits[i][:0]
 
 	for _, c := range s.niCredits[i] {
-		s.net.nis[c.node].creditReturn(s.index, c.vc)
+		s.net.nis[c.node].creditReturn(s.index, int(c.vc))
 	}
 	s.niCredits[i] = s.niCredits[i][:0]
 
-	for _, a := range s.arrivals[i] {
-		s.routers[a.node].deliver(now, a.port, a.vc, a.f)
+	for k := range s.arrivals[i] {
+		a := &s.arrivals[i][k]
+		s.routers[a.node].deliver(now, int(a.port), int(a.vc), a.f)
 	}
 	s.arrivals[i] = s.arrivals[i][:0]
 
-	for _, e := range s.ejections[i] {
-		s.net.eject(now, e.node, e.f)
+	for k := range s.ejections[i] {
+		e := &s.ejections[i][k]
+		s.net.eject(now, int(e.node), e.f)
 	}
 	s.ejections[i] = s.ejections[i][:0]
 }
@@ -484,9 +498,9 @@ func (s *Subnet) onWakeDone(n int) {
 	s.wakingBits[n>>6] &^= 1 << (uint(n) & 63)
 }
 
-func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.checkWheel))) }
+func (s *Subnet) slotCheck(cycle int64) int { return int(cycle) & (len(s.checkWheel) - 1) }
 
-func (s *Subnet) slotElig(cycle int64) int { return int(cycle % int64(len(s.eligWheel))) }
+func (s *Subnet) slotElig(cycle int64) int { return int(cycle) & (len(s.eligWheel) - 1) }
 
 // scheduleCheck (re)schedules router r's next sleep-eligibility check at
 // max(lastBusy+TIdleDetect, now) — the first cycle its idle streak can

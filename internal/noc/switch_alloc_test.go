@@ -52,6 +52,7 @@ func TestSwitchAllocateDifferential(t *testing.T) {
 				t.Fatal("router takes the scan fallback")
 			}
 			rng := rand.New(rand.NewPCG(1, uint64(c.node)))
+			tails := 0 // trials in which a tail flit traversed
 			for trial := 0; trial < c.trials; trial++ {
 				seed := rng.Uint64()
 				for _, net := range []*Network{scan, fast} {
@@ -62,6 +63,7 @@ func TestSwitchAllocateDifferential(t *testing.T) {
 				}
 				scan.subnets[0].refScan = true
 				const now = 100
+				ready := fast.subnets[0].routers[c.node].ready
 				ms := scan.subnets[0].routers[c.node].switchAllocate(now)
 				mf := fast.subnets[0].routers[c.node].switchAllocate(now)
 				if ms != mf {
@@ -70,6 +72,12 @@ func TestSwitchAllocateDifferential(t *testing.T) {
 				if d := diffAllocOutcome(scan.subnets[0], fast.subnets[0], c.node, now); d != "" {
 					t.Fatalf("trial %d: %s", trial, d)
 				}
+				if ready&^fast.subnets[0].routers[c.node].ready != 0 {
+					tails++ // only a tail's traverse leaves ready
+				}
+			}
+			if tails == 0 {
+				t.Fatal("no trial traversed a tail flit: the fixtures build no tails")
 			}
 		})
 	}
@@ -99,8 +107,8 @@ func randomAllocState(t *testing.T, net *Network, node int, rng *rand.Rand) {
 		}
 	}
 	for p := range r.in {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
+		for v := 0; v < cfg.VCs; v++ {
+			vc := &r.vcs[p*cfg.VCs+v]
 			n := 0
 			if rng.IntN(4) != 0 {
 				n = 1 + rng.IntN(cfg.VCDepth)
@@ -122,7 +130,7 @@ func randomAllocState(t *testing.T, net *Network, node int, rng *rand.Rand) {
 				if seq == pkt.NumFlits {
 					pkt, seq = &Packet{NumFlits: 1 + rng.IntN(4)}, 0
 				}
-				r.deliver(now-3, p, v, flit{pkt: pkt, seq: int32(seq), nextPort: uint8(linked[rng.IntN(len(linked))])})
+				r.deliver(now-3, p, v, testFlit(pkt, seq, linked[rng.IntN(len(linked))]))
 				seq++
 			}
 			at := int64(now - 3 + rng.IntN(5))
@@ -189,12 +197,10 @@ func diffAllocOutcome(a, b *Subnet, node int, now int64) string {
 				o, oa.rr, oa.credits, oa.busy, ob.rr, ob.credits, ob.busy)
 		}
 	}
-	for p := range ra.in {
-		for v := range ra.in[p].vcs {
-			va, vb := &ra.in[p].vcs[v], &rb.in[p].vcs[v]
-			if va.count != vb.count || va.head != vb.head || va.routeSet != vb.routeSet || va.outVC != vb.outVC {
-				return fmt.Sprintf("slot (%d,%d) state differs", p, v)
-			}
+	for i := range ra.vcs {
+		va, vb := &ra.vcs[i], &rb.vcs[i]
+		if va.count != vb.count || va.head != vb.head || va.routeSet != vb.routeSet || va.outVC != vb.outVC {
+			return fmt.Sprintf("slot %d state differs", i)
 		}
 	}
 	if !reflect.DeepEqual(a.pstate, b.pstate) {

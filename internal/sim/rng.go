@@ -9,7 +9,10 @@
 // the benchmark harness relies on run-to-run stability to compare policies.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** seeded via splitmix64). It is not safe for concurrent use;
@@ -50,22 +53,33 @@ func (r *RNG) Split() *RNG {
 // advancing the parent more than once per call. It is used to give each of
 // the 256 cores (or 64 nodes) its own stream from one experiment seed.
 func (r *RNG) SplitN(i int) *RNG {
-	return NewRNG(r.Uint64() + uint64(i)*0x9e3779b97f4a7c15)
+	c := &RNG{}
+	r.SplitNInto(i, c)
+	return c
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// SplitNInto seeds child in place with the state SplitN(i) would give a
+// new generator, advancing r exactly as SplitN does. Callers that keep a
+// family of generators by value in one slice seed them without one
+// allocation per child.
+func (r *RNG) SplitNInto(i int, child *RNG) {
+	child.Reseed(r.Uint64() + uint64(i)*0x9e3779b97f4a7c15)
+}
 
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits. The state is worked on
+// in locals so that the function stays within the inlining budget: the
+// traffic generator draws once per node per cycle.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return result
 }
 
@@ -75,13 +89,11 @@ func (r *RNG) Intn(n int) int {
 		panic("sim: Intn with non-positive n")
 	}
 	// Lemire's multiply-shift rejection method.
-	v := r.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(r.Uint64(), uint64(n))
 	if lo < uint64(n) {
 		thresh := -uint64(n) % uint64(n)
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(r.Uint64(), uint64(n))
 		}
 	}
 	return int(hi)
@@ -101,6 +113,35 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// BernoulliThreshold reduces Bernoulli(p) to an integer compare, for
+// callers that make many trials with one p (the traffic generator makes
+// one per node per cycle). With draw true, Bernoulli(p) draws once and
+// fires iff Uint64()>>11 < thr; with draw false it draws nothing and
+// fires iff thr != 0. The three cases of Bernoulli carry over exactly:
+//
+//   - p <= 0 draws nothing and never fires; p >= 1 draws nothing and
+//     always fires;
+//   - NaN fails both compares, so Bernoulli draws once and never fires;
+//   - otherwise Bernoulli fires iff k/2^53 < p for the 53-bit k =
+//     Uint64()>>11. Scaling by 2^53 is exact for every float64 in (0, 1),
+//     subnormals included, so that holds iff k < p·2^53, and for an
+//     integer k iff k < ceil(p·2^53) <= 2^53.
+//
+// The compare stays at the call site: Uint64 inlines only when called
+// directly.
+func BernoulliThreshold(p float64) (thr uint64, draw bool) {
+	switch {
+	case p <= 0:
+		return 0, false
+	case p >= 1:
+		return 1, false
+	case math.IsNaN(p):
+		// uint64(NaN) is implementation-defined; pin "draw, never fire".
+		return 0, true
+	}
+	return uint64(math.Ceil(p * (1 << 53))), true
 }
 
 // Geometric returns a sample from the geometric distribution with success
@@ -125,30 +166,4 @@ func (r *RNG) Geometric(p float64) int {
 		n = 0
 	}
 	return n
-}
-
-// Perm fills dst with a pseudo-random permutation of [0, len(dst)).
-func (r *RNG) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }

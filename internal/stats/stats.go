@@ -8,7 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Latency accumulates a distribution of integer cycle latencies. It keeps
@@ -25,9 +25,11 @@ type Latency struct {
 	every   int64 // record one of every `every` observations
 	// sorted caches the sorted reservoir between Observe calls; the sweep
 	// progress path queries several percentiles per point, so sorting once
-	// per quiescent state instead of once per query matters. Nil means
-	// stale; Observe invalidates.
-	sorted []int32
+	// per quiescent state instead of once per query matters. Observe and
+	// Reset clear sortedOK; the buffer is kept across Reset so a reused
+	// accumulator sorts into warm memory.
+	sorted   []int32
+	sortedOK bool
 }
 
 // NewLatency returns an empty accumulator that reservoir-samples at most
@@ -50,7 +52,8 @@ func (l *Latency) Reset() {
 	l.max = 0
 	l.samples = l.samples[:0]
 	l.every = 1
-	l.sorted = nil
+	l.sorted = l.sorted[:0]
+	l.sortedOK = false
 }
 
 // Observe records one latency in cycles.
@@ -66,7 +69,7 @@ func (l *Latency) Observe(cycles int64) {
 		l.max = cycles
 	}
 	if l.count%l.every == 0 {
-		l.sorted = nil
+		l.sortedOK = false
 		if len(l.samples) == cap(l.samples) {
 			// Decimate: keep every other sample and double the stride. This
 			// keeps a uniform systematic sample without per-observation RNG.
@@ -122,12 +125,12 @@ func (l *Latency) Percentile(p float64) int64 {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	if l.sorted == nil {
+	if !l.sortedOK {
 		// Copy rather than sort in place: samples is a systematic sample
 		// whose append order the decimation pass in Observe relies on.
-		l.sorted = make([]int32, len(l.samples))
-		copy(l.sorted, l.samples)
-		sort.Slice(l.sorted, func(i, j int) bool { return l.sorted[i] < l.sorted[j] })
+		l.sorted = append(l.sorted[:0], l.samples...)
+		slices.Sort(l.sorted)
+		l.sortedOK = true
 	}
 	s := l.sorted
 	idx := int(p / 100 * float64(len(s)-1))

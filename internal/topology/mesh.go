@@ -71,6 +71,11 @@ type Mesh struct {
 	regionRows   int // region height in routers
 	regionCols   int // region width in routers
 	torus        bool
+	// xy[id] is node id's (x, y), built once by New: routing reads both
+	// nodes' coordinates on every head-flit hop, and a table load costs
+	// less than the division it replaces. Node ids and coordinates fit
+	// int32 for every mesh a valid network config builds.
+	xy [][2]int32
 }
 
 // New returns a concentrated mesh with the given dimensions. regionDim is
@@ -88,7 +93,12 @@ func New(rows, cols, tilesPerNode, regionDim int) *Mesh {
 	if regionDim <= 0 || rows%regionDim != 0 || cols%regionDim != 0 {
 		panic(fmt.Sprintf("topology: region dim %d does not tile %dx%d mesh", regionDim, rows, cols))
 	}
-	return &Mesh{rows: rows, cols: cols, tilesPerNode: tilesPerNode, regionRows: regionDim, regionCols: regionDim}
+	m := &Mesh{rows: rows, cols: cols, tilesPerNode: tilesPerNode, regionRows: regionDim, regionCols: regionDim}
+	m.xy = make([][2]int32, rows*cols)
+	for id := range m.xy {
+		m.xy[id] = [2]int32{int32(id % cols), int32(id / cols)}
+	}
+	return m
 }
 
 // NewTorus returns a concentrated 2-D torus: the same grid as New but
@@ -125,7 +135,10 @@ func (m *Mesh) Tiles() int { return m.Nodes() * m.tilesPerNode }
 func (m *Mesh) NodeOfTile(tile int) int { return tile / m.tilesPerNode }
 
 // XY returns the grid coordinates of node id.
-func (m *Mesh) XY(id int) (x, y int) { return id % m.cols, id / m.cols }
+func (m *Mesh) XY(id int) (x, y int) {
+	c := m.xy[id]
+	return int(c[0]), int(c[1])
+}
 
 // ID returns the node at grid coordinates (x, y).
 func (m *Mesh) ID(x, y int) int { return y*m.cols + x }

@@ -213,10 +213,12 @@ func Fig12Bursts() Schedule {
 // Generator drives open-loop synthetic traffic into a network. Call Tick
 // once per cycle before Network.Step.
 type Generator struct {
-	net      *noc.Network
-	pattern  Pattern
-	schedule Schedule
-	rngs     []*sim.RNG
+	net        *noc.Network
+	pattern    Pattern
+	schedule   Schedule
+	rows, cols int
+	// rngs holds one generator per node by value, in one allocation.
+	rngs []sim.RNG
 
 	// Offered counts packets generated (offered load realized); the
 	// network's own counters give accepted load.
@@ -227,15 +229,17 @@ type Generator struct {
 // RNG split from seed, so traffic is independent of node iteration order.
 func NewGenerator(net *noc.Network, pattern Pattern, schedule Schedule, seed uint64) *Generator {
 	root := sim.NewRNG(seed)
-	nodes := net.Topo().Nodes()
+	topo := net.Topo()
 	g := &Generator{
 		net:      net,
 		pattern:  pattern,
 		schedule: schedule,
-		rngs:     make([]*sim.RNG, nodes),
+		rows:     topo.Rows(),
+		cols:     topo.Cols(),
+		rngs:     make([]sim.RNG, topo.Nodes()),
 	}
 	for i := range g.rngs {
-		g.rngs[i] = root.SplitN(i)
+		root.SplitNInto(i, &g.rngs[i])
 	}
 	return g
 }
@@ -250,18 +254,23 @@ func (g *Generator) NextArrival(now int64) (int64, bool) {
 }
 
 // Tick injects this cycle's new packets: each node flips a Bernoulli coin
-// with the schedule's current load.
+// with the schedule's current load, as an integer compare against the
+// cycle's threshold (sim.BernoulliThreshold: the same draws and outcomes
+// as RNG.Bernoulli).
 func (g *Generator) Tick(now int64) {
 	load := g.schedule.Load(now)
 	if load <= 0 {
 		return
 	}
-	rows, cols := g.net.Topo().Rows(), g.net.Topo().Cols()
-	for src := range g.rngs {
-		if !g.rngs[src].Bernoulli(load) {
+	// With load > 0, a threshold that takes no draw always fires (load >= 1).
+	thr, draw := sim.BernoulliThreshold(load)
+	rngs := g.rngs
+	for src := range rngs {
+		r := &rngs[src]
+		if draw && r.Uint64()>>11 >= thr {
 			continue
 		}
-		dst := g.pattern.Dest(g.rngs[src], src, rows, cols)
+		dst := g.pattern.Dest(r, src, g.rows, g.cols)
 		g.net.NewPacket(src, dst, noc.ClassSynthetic, SyntheticPacketBits)
 		g.Offered++
 	}

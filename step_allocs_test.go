@@ -12,9 +12,10 @@ import (
 )
 
 // stepAllocPeriod is one traffic period in cycles: a multiple of every
-// staged-wheel size (RouterDelay+LinkDelay+CreditDelay+4) and of the
-// gating check wheel (TIdleDetect+2), so every period lands its events in
-// the same wheel slots.
+// wheel size (the powers of two at or above RouterDelay+LinkDelay+
+// CreditDelay+4, RouterDelay+1 and TIdleDetect+2: 8, 4 and 8 at the
+// paper's timing), so every period lands its events in the same wheel
+// slots.
 const stepAllocPeriod = 840
 
 // TestStepAllocs pins the zero-allocation contract of Network.Step: once
