@@ -20,6 +20,7 @@ package catnap
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
 	"github.com/catnap-noc/catnap/internal/noc"
@@ -240,11 +241,16 @@ func (c *Config) needsDetector() bool {
 	return c.Selector == SelectorCatnap || c.Gating == GatingCatnap
 }
 
-// designs is the registry of named paper configurations.
+// designs is the registry of named paper configurations. Each entry
+// builds its config on first use and returns that same value afterwards:
+// sweep builders look a design up once per point, and the Table 2
+// voltage solve in ApplyDefaults (a 5 mV scan, about 9 µs) would
+// otherwise run for every one. Config holds no reference types, so every
+// caller gets an independent copy.
 var designs = map[string]func() Config{}
 
 func registerDesign(name string, f func() Config) {
-	designs[name] = f
+	designs[name] = sync.OnceValue(f)
 }
 
 func init() {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/catnap-noc/catnap/internal/runner"
 )
 
 // synthEval is a deterministic pure-function evaluator: objectives are
@@ -140,6 +142,42 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 		} else if !bytes.Equal(ref, b) {
 			t.Fatalf("front differs at jobs=%d", jobs)
 		}
+	}
+}
+
+// TestEngineReusesWorkerStates pins that worker states outlive their
+// round: a four-round campaign on two workers makes at most two states,
+// every point sees one, and no state is held by two workers at once.
+func TestEngineReusesWorkerStates(t *testing.T) {
+	type state struct{ busy atomic.Bool }
+	var made atomic.Int32
+	opts := testOptions(testSpace())
+	opts.Jobs = 2
+	opts.Budget = 32
+	opts.WorkerState = func() any {
+		made.Add(1)
+		return &state{}
+	}
+	eval := func(ctx context.Context, spec Spec) (Sample, error) {
+		st, ok := runner.WorkerState(ctx).(*state)
+		if !ok {
+			return Sample{}, errors.New("point ran without a worker state")
+		}
+		if !st.busy.CompareAndSwap(false, true) {
+			return Sample{}, errors.New("worker state held by two workers at once")
+		}
+		defer st.busy.Store(false)
+		return synthEval(ctx, spec)
+	}
+	r, err := Run(context.Background(), eval, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rounds != 4 || r.Failures != 0 {
+		t.Fatalf("rounds = %d, failures = %d; want 4 rounds, no failures", r.Rounds, r.Failures)
+	}
+	if n := made.Load(); n > 2 {
+		t.Errorf("WorkerState called %d times over %d rounds on 2 workers, want at most 2", n, r.Rounds)
 	}
 }
 

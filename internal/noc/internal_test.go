@@ -329,7 +329,8 @@ func TestFlitHeadTail(t *testing.T) {
 }
 
 // TestHotRecordSizes pins the layouts every hop copies: the flit through
-// a VC ring and the staged records that carry flits and credits.
+// a VC ring, the staged records that carry flits and credits, and the
+// feeder entry a credit return reads.
 func TestHotRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layouts are pinned for 64-bit platforms")
@@ -343,6 +344,7 @@ func TestHotRecordSizes(t *testing.T) {
 		{"credit", unsafe.Sizeof(credit{}), 8},
 		{"niCredit", unsafe.Sizeof(niCredit{}), 8},
 		{"ejection", unsafe.Sizeof(ejection{}), 32},
+		{"feederLink", unsafe.Sizeof(feederLink{}), 8},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

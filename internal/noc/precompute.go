@@ -28,10 +28,10 @@ type precompKey struct {
 // precomp holds one shape's shared immutable build products.
 type precomp struct {
 	topo topology.Topology
-	// feeder[node][inPort] is the upstream (router, output port) feeding
-	// that input port; ports with no feeder hold node == -1. One backing
-	// slab, read-only after construction.
-	feeder [][]feederLink
+	// feeder[node*radix+inPort] is the upstream (router, output port)
+	// feeding that input port; ports with no feeder hold node == -1.
+	// Read-only after construction.
+	feeder []feederLink
 }
 
 var precompCache sync.Map // precompKey -> *precomp
@@ -59,20 +59,16 @@ func sharedPrecomp(cfg *Config) *precomp {
 
 // buildFeeder builds the reverse link table: for every router input port,
 // the upstream (router, output port) that feeds it.
-func buildFeeder(topo topology.Topology, nodes int) [][]feederLink {
+func buildFeeder(topo topology.Topology, nodes int) []feederLink {
 	radix := topo.Radix()
-	flat := make([]feederLink, nodes*radix)
-	for i := range flat {
-		flat[i] = feederLink{node: -1}
-	}
-	feeder := make([][]feederLink, nodes)
-	for n := range feeder {
-		feeder[n] = flat[n*radix : (n+1)*radix : (n+1)*radix]
+	feeder := make([]feederLink, nodes*radix)
+	for i := range feeder {
+		feeder[i] = feederLink{node: -1}
 	}
 	for n := 0; n < nodes; n++ {
 		for p := 0; p < radix-1; p++ {
 			if peer, peerPort, ok := topo.Link(n, p); ok {
-				feeder[peer][peerPort] = feederLink{node: n, port: p}
+				feeder[peer*radix+peerPort] = feederLink{node: int32(n), port: uint16(p)}
 			}
 		}
 	}

@@ -794,8 +794,8 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	if p == r.sub.net.localPort {
 		r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
 	} else {
-		up := r.sub.feeder[r.node][p]
-		r.sub.stageCredit(now+int64(cfg.CreditDelay), up.node, up.port, v)
+		up := r.sub.feeder[r.node*r.sub.radix+p]
+		r.sub.stageCredit(now+int64(cfg.CreditDelay), int(up.node), int(up.port), v)
 	}
 
 	if o == r.sub.net.localPort {

@@ -27,10 +27,10 @@ type credit struct {
 }
 
 // feederLink identifies the upstream router output that feeds one of a
-// router's input ports (credit returns flow back along it).
+// router's input ports (credit returns flow back along it; 8 bytes).
 type feederLink struct {
-	node int
-	port int
+	node int32
+	port uint16
 }
 
 // niCredit is a staged credit return to a node's NI for one of the local
@@ -56,12 +56,12 @@ type Subnet struct {
 
 	routers []Router
 
-	// feeder[node][inPort] is the upstream (router, output port) feeding
-	// that input port; input ports with no feeder (local, edges) hold
-	// node == -1. Points into the shared immutable precompute for the
+	// feeder[node*radix+inPort] is the upstream (router, output port)
+	// feeding that input port; input ports with no feeder (local, edges)
+	// hold node == -1. Points into the shared immutable precompute for the
 	// network's topology shape (precompute.go): identical for every
 	// subnet and every same-shape network, read-only after construction.
-	feeder [][]feederLink
+	feeder []feederLink
 
 	// Staged-event wheels, indexed by cycle & (wheelSize-1). All delays
 	// are small constants, so a fixed ring suffices; its size is a power

@@ -16,12 +16,16 @@ import (
 // sizes the experiments produce (≤ a few million packets) the reservoir is
 // effectively exact.
 type Latency struct {
-	count   int64
-	sum     float64
-	sumSq   float64
-	min     int64
-	max     int64
+	count int64
+	sum   float64
+	sumSq float64
+	min   int64
+	max   int64
+	// samples is the reservoir. It starts empty and grows with the
+	// observations up to limit, so a short run pays for the samples it
+	// takes rather than for the limit.
 	samples []int32
+	limit   int
 	every   int64 // record one of every `every` observations
 	// sorted caches the sorted reservoir between Observe calls; the sweep
 	// progress path queries several percentiles per point, so sorting once
@@ -39,7 +43,7 @@ func NewLatency(maxSamples int) *Latency {
 	if maxSamples <= 0 {
 		maxSamples = 1 << 16
 	}
-	return &Latency{min: math.MaxInt64, samples: make([]int32, 0, maxSamples), every: 1}
+	return &Latency{min: math.MaxInt64, limit: maxSamples, every: 1}
 }
 
 // Reset empties the accumulator in place, keeping the reservoir's backing
@@ -70,15 +74,23 @@ func (l *Latency) Observe(cycles int64) {
 	}
 	if l.count%l.every == 0 {
 		l.sortedOK = false
-		if len(l.samples) == cap(l.samples) {
+		if len(l.samples) >= l.limit {
 			// Decimate: keep every other sample and double the stride. This
 			// keeps a uniform systematic sample without per-observation RNG.
+			// (Only a limit of 1 ever reaches past the limit: halving one
+			// sample keeps it.)
 			keep := l.samples[:0]
 			for i := 0; i < len(l.samples); i += 2 {
 				keep = append(keep, l.samples[i])
 			}
 			l.samples = keep
 			l.every *= 2
+		} else if len(l.samples) == cap(l.samples) {
+			// Grow by doubling, but exactly up to the limit: append's own
+			// growth would overshoot it.
+			grown := make([]int32, len(l.samples), min(max(2*cap(l.samples), 64), l.limit))
+			copy(grown, l.samples)
+			l.samples = grown
 		}
 		l.samples = append(l.samples, int32(cycles))
 	}
