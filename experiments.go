@@ -515,12 +515,7 @@ func runFig12(ctx context.Context, o ExperimentOpts) ([]Fig12Point, error) {
 			return nil, err
 		}
 		_, _, ejected := sim.Net.Counts()
-		cur := make([]int64, subnets)
-		for n := 0; n < int(nodes); n++ {
-			for s, c := range sim.Net.NI(n).FlitsPerSubnet {
-				cur[s] += c
-			}
-		}
+		cur := sim.Net.FlitsPerSubnet()
 		var totalFlits int64
 		share := make([]float64, subnets)
 		for s := range cur {

@@ -177,9 +177,6 @@ func (c *Core) completeMiss(idx int) {
 	c.misses[idx].done = true
 }
 
-// Retired returns the core's retired instruction count.
-func (c *Core) Retired() int64 { return c.retired }
-
 // Node returns the network node the core's tile is attached to.
 func (c *Core) Node() int { return c.node }
 

@@ -58,7 +58,7 @@ func TestCoreNoMissesRunsAtPeak(t *testing.T) {
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		c.step(cyc)
 	}
-	if got := c.Retired(); got != 2000 {
+	if got := c.retired; got != 2000 {
 		t.Fatalf("retired %d instructions, want 2000 (peak IPC 2)", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestCoreFractionalIPC(t *testing.T) {
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		c.step(cyc)
 	}
-	if got := c.Retired(); got < 480 || got > 520 {
+	if got := c.retired; got < 480 || got > 520 {
 		t.Fatalf("retired %d, want ~500 at IPC 0.5", got)
 	}
 }
@@ -98,9 +98,9 @@ func TestCoreWindowStall(t *testing.T) {
 	if !ok {
 		t.Fatal("no outstanding miss")
 	}
-	if c.Retired()-oldest > int64(sys.cfg.WindowSize) {
+	if c.retired-oldest > int64(sys.cfg.WindowSize) {
 		t.Fatalf("retired %d past oldest miss at %d: window (%d) not enforced",
-			c.Retired()-oldest, oldest, sys.cfg.WindowSize)
+			c.retired-oldest, oldest, sys.cfg.WindowSize)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestPhaseModulation(t *testing.T) {
 	issued, _ := sys.MissStats()
 	var retired int64
 	for _, c := range sys.cores {
-		retired += c.Retired()
+		retired += c.retired
 	}
 	mpki := float64(issued) / float64(retired) * 1000
 	if mpki < 15 || mpki > 25 {

@@ -186,9 +186,8 @@ type System struct {
 	mcOf  map[int]*mc
 	rng   *sim.RNG
 
-	events  eventHeap
-	evSeq   int64
-	pending int64
+	events eventHeap
+	evSeq  int64
 	// free recycles txn records whose transaction has ended (miss
 	// completion, or ack or writeback delivery).
 	free []*txn
@@ -289,7 +288,6 @@ func (s *System) newTxn(core, missIdx, home int, stage txnStage) *txn {
 // launchMiss starts the coherence transaction for core c's miss.
 func (s *System) launchMiss(now int64, c *Core, missIdx int) {
 	s.missesIssued++
-	s.pending++
 	home := s.rng.Intn(s.net.Topo().Nodes())
 	t := s.newTxn(c.id, missIdx, home, stageReqToHome)
 	// The request leaves the core immediately (L1 miss detection folded
@@ -394,7 +392,6 @@ func (s *System) AfterCycle(now int64) {
 			c := s.cores[e.t.core]
 			c.completeMiss(e.t.missIdx)
 			s.missesCompleted++
-			s.pending--
 			s.free = append(s.free, e.t)
 		}
 	}
@@ -430,6 +427,3 @@ func (s *System) SystemIPC() float64 {
 func (s *System) MissStats() (issued, completed int64) {
 	return s.missesIssued, s.missesCompleted
 }
-
-// Pending returns in-flight miss transactions.
-func (s *System) Pending() int64 { return s.pending }

@@ -60,9 +60,6 @@ func TestSystemClosedLoop(t *testing.T) {
 	if float64(completed) < 0.95*float64(issued) {
 		t.Fatalf("completed %d of %d misses", completed, issued)
 	}
-	if sys.Pending() != issued-completed {
-		t.Fatalf("pending accounting: %d != %d-%d", sys.Pending(), issued, completed)
-	}
 	if ipc := sys.SystemIPC(); ipc <= 0 {
 		t.Fatalf("system IPC = %v", ipc)
 	}

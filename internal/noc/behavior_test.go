@@ -174,11 +174,11 @@ func TestSubnetZeroNeverSleepsUnderCatnap(t *testing.T) {
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
 	net.Run(2000)
-	if a := net.Subnet(0).ActiveRouters(); a != cfg.Nodes() {
+	if a := awakeRouters(net, 0); a != cfg.Nodes() {
 		t.Fatalf("subnet 0 has only %d/%d active routers after idling", a, cfg.Nodes())
 	}
 	for s := 1; s < 4; s++ {
-		if a := net.Subnet(s).ActiveRouters(); a != 0 {
+		if a := awakeRouters(net, s); a != 0 {
 			t.Fatalf("idle subnet %d still has %d active routers", s, a)
 		}
 	}

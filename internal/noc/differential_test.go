@@ -1,7 +1,7 @@
 package noc_test
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
@@ -76,7 +76,7 @@ type diffFingerprint struct {
 	latP99    int64
 	powEvents noc.PowerEvents
 	csc       int64
-	share     []float64
+	flits     []int64
 	skipped   int64 // cycles fast-forwarded; not compared, asserted per-test
 }
 
@@ -261,9 +261,8 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	fp.latP50 = net.Latency().Percentile(50)
 	fp.latP99 = net.Latency().Percentile(99)
 	fp.powEvents = net.Events()
-	net.FlushCSC()
 	fp.csc, _ = net.CompensatedSleepCycles()
-	fp.share = net.SubnetFlitShare()
+	fp.flits = slices.Clone(net.FlitsPerSubnet())
 	fp.events = tr.events
 	return fp
 }
@@ -294,9 +293,9 @@ func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint) {
 	if ref.csc != fast.csc {
 		t.Errorf("%s: CSC ref %d vs fast %d", name, ref.csc, fast.csc)
 	}
-	for s := range ref.share {
-		if math.Abs(ref.share[s]-fast.share[s]) != 0 {
-			t.Errorf("%s: subnet %d flit share ref %v vs fast %v", name, s, ref.share[s], fast.share[s])
+	for s := range ref.flits {
+		if ref.flits[s] != fast.flits[s] {
+			t.Errorf("%s: subnet %d flits ref %d vs fast %d", name, s, ref.flits[s], fast.flits[s])
 		}
 	}
 	if len(ref.events) != len(fast.events) {

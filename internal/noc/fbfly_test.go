@@ -105,16 +105,15 @@ func TestFBflyCatnap(t *testing.T) {
 		gen.Tick(net.Now())
 		net.Step()
 	}
-	share := net.SubnetFlitShare()
+	share := flitShares(net)
 	if share[0] < 0.95 {
 		t.Errorf("subnet 0 share %.2f at low load on fbfly", share[0])
 	}
 	for s := 1; s < 4; s++ {
-		if a := net.Subnet(s).ActiveRouters(); a > 6 {
+		if a := awakeRouters(net, s); a > 6 {
 			t.Errorf("fbfly subnet %d: %d routers awake at low load", s, a)
 		}
 	}
-	net.FlushCSC()
 	csc, total := net.CompensatedSleepCycles()
 	if pct := 100 * float64(csc) / float64(total); pct < 50 {
 		t.Errorf("fbfly CSC %.1f%%, want >50%% at 0.03 load", pct)

@@ -110,18 +110,9 @@ type NI struct {
 
 	channels []subnetChannel
 
-	// Cumulative injection counters for the IR congestion metric and the
-	// Figure 12(b) subnet-utilization plot.
+	// PacketsInjected counts packets injected at this node, for the IR
+	// congestion metric.
 	PacketsInjected int64
-	// FlitsPerSubnet counts flits injected into each subnet at this node.
-	FlitsPerSubnet []int64
-
-	readyScratch []bool
-	// activeScratch snapshots, at the top of each inject phase, which
-	// channels were mid-stream; a channel that was streaming then and is
-	// idle afterwards just ended its router's NI-busy condition, which
-	// the incremental power path must account for lazily.
-	activeScratch []bool
 }
 
 // NIs are built (and rebuilt) exclusively by NI.reset in reset.go, which
@@ -168,9 +159,10 @@ func (ni *NI) injectPhase(now int64) {
 	cfg := ni.net.cfg
 
 	fast := !ni.net.refScan
+	active := ni.net.activeScratch
 	if fast {
 		for s := range ni.channels {
-			ni.activeScratch[s] = ni.channels[s].active > 0
+			active[s] = ni.channels[s].active > 0
 		}
 	}
 
@@ -196,7 +188,7 @@ func (ni *NI) injectPhase(now int64) {
 	if ni.injQ.len() > 0 {
 		head := ni.injQ.front()
 		mask := cfg.vcMask(head.Class)
-		ready := ni.readyScratch
+		ready := ni.net.readyScratch
 		for s := range ready {
 			ch := &ni.channels[s]
 			ready[s] = ch.freeSlot() >= 0 && ch.freeVC(mask) >= 0
@@ -258,7 +250,7 @@ func (ni *NI) injectPhase(now int64) {
 		// matching the reference path, which samples streaming state only
 		// at power phases.
 		for s := range ni.channels {
-			if ni.activeScratch[s] && ni.channels[s].active == 0 {
+			if active[s] && ni.channels[s].active == 0 {
 				ni.net.subnets[s].routers[ni.node].noteBusyEnd(now, now-1)
 			}
 		}
@@ -285,7 +277,6 @@ func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	sub := ni.net.subnets[s]
 	sub.stageArrival(now+int64(cfg.LinkDelay), ni.node, ni.net.localPort, st.vc, f)
 	sub.events.NIFlits++
-	ni.FlitsPerSubnet[s]++
 	ni.net.flitsPerSubnet[s]++
 	ni.injQFlits--
 	ni.net.niQueueFlits--

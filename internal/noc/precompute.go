@@ -88,8 +88,8 @@ func resetSlice[T any](s []T, n int) []T {
 }
 
 // reviveSlice returns s resized to n elements with existing contents
-// preserved (so reusable sub-structures — warmed rings, routers carrying
-// their CSC trackers — survive), growing only when the capacity is short.
+// preserved (so reusable sub-structures such as warmed rings survive),
+// growing only when the capacity is short.
 // Elements revived from the capacity tail keep whatever a previous, larger
 // shape left there; callers reset every element afterwards.
 func reviveSlice[T any](s []T, n int) []T {

@@ -25,9 +25,9 @@ import (
 //     (the New default: the incremental path, idle fast-forward allowed).
 //     Callers re-install what they need, exactly as they would after New.
 //   - Deliberately retained across resets: the NI packet freelists
-//     (NewPacket overwrites every field of a recycled packet), warmed
-//     slice capacity, and each router's CSC tracker struct (its counters
-//     are reset via stats.CSC.Reset).
+//     (NewPacket overwrites every field of a recycled packet) and warmed
+//     slice capacity. Routers hold no heap state of their own: a
+//     shape-changing reset zeroes them and re-wires them over the pools.
 //   - Shared immutable precompute (topology, feeder table) is swapped by
 //     key, never mutated.
 //
@@ -106,6 +106,8 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.niQBits = resetSlice(n.niQBits, words)
 	n.niWorkBits = resetSlice(n.niWorkBits, words)
 	n.flitsPerSubnet = resetSlice(n.flitsPerSubnet, cfg.Subnets)
+	n.readyScratch = resetSlice(n.readyScratch, cfg.Subnets)
+	n.activeScratch = resetSlice(n.activeScratch, cfg.Subnets)
 
 	n.injectedPkts = 0
 	n.ejectedPkts = 0
@@ -115,9 +117,7 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 }
 
 // reset rewinds the subnet to its cycle-0 state under the network's
-// (possibly new) configuration, reusing shape-compatible slabs. Routers
-// keep their CSC tracker structs (counters reset) so a reused simulator
-// does not reallocate one per router per point.
+// (possibly new) configuration, reusing shape-compatible slabs.
 func (s *Subnet) reset() {
 	net := s.net
 	cfg := net.cfg
@@ -151,6 +151,7 @@ func (s *Subnet) reset() {
 	s.eligWheel = resetWheel(s.eligWheel, pow2Ceil(cfg.RouterDelay+1))
 	s.checkWheel = resetWheel(s.checkWheel, pow2Ceil(cfg.TIdleDetect+2))
 	s.lastEpoch = ^uint64(0)
+	s.cscClosed = 0
 
 	s.radix = radix
 	for i := range s.slotPort {
@@ -163,6 +164,7 @@ func (s *Subnet) reset() {
 		s.lastBusy[n] = -1 // never busy yet: idle(now) == now+1 == now-emptySince+1
 	}
 	s.pinnedUntil = resetSlice(s.pinnedUntil, nodes)
+	s.grantScratch = resetSlice(s.grantScratch, radix)
 
 	// Wiring: pool sizes, router slice views, and link-derived port
 	// constants are pure functions of the shape, so they are rebuilt only
@@ -177,20 +179,17 @@ func (s *Subnet) reset() {
 		s.flitPool = resetSlice(s.flitPool, nodes*radix*cfg.VCs*cfg.VCDepth)
 		s.outCredits = resetSlice(s.outCredits, nodes*radix*cfg.VCs)
 		s.busyPool = resetSlice(s.busyPool, nodes*radix*cfg.VCs)
-		s.grantPool = resetSlice(s.grantPool, nodes*radix)
-		s.routers = reviveSlice(s.routers, nodes)
+		// Zeroed routers, re-wired over the freshly zeroed pools.
+		s.routers = resetSlice(s.routers, nodes)
 		for n := range s.routers {
-			// Zero every router field except the retained CSC tracker, then
-			// re-wire the router over the freshly zeroed pools.
-			s.routers[n] = Router{csc: s.routers[n].csc}
 			s.routers[n].wire(s, n)
 		}
 		for i := range s.vcPool {
 			s.vcPool[i].outVC = -1 // cycle-0 value on the freshly zeroed pool
 		}
 	} else {
-		// Run-state sweep over the retained pools. The bool scratch pools
-		// clear in bulk; vcState keeps its ring view and has its per-run
+		// Run-state sweep over the retained pools. The busy pool clears
+		// in bulk; vcState keeps its ring view and has its per-run
 		// fields rewound element-wise (outVC's cycle-0 value is -1, so a
 		// bulk clear would be wrong anyway). Flit rings clear only their
 		// live span: vcState.pop zeroes each slot it drains, so slots
@@ -200,7 +199,6 @@ func (s *Subnet) reset() {
 		// through each router's credit views, leaving unlinked slots at the
 		// zero a fresh build gives them.
 		clear(s.busyPool)
-		clear(s.grantPool)
 		for i := range s.vcPool {
 			vc := &s.vcPool[i]
 			for k := 0; k < vc.count; k++ {
@@ -254,7 +252,4 @@ func (ni *NI) reset() {
 		ch.active = 0
 	}
 	ni.PacketsInjected = 0
-	ni.FlitsPerSubnet = resetSlice(ni.FlitsPerSubnet, cfg.Subnets)
-	ni.readyScratch = resetSlice(ni.readyScratch, cfg.Subnets)
-	ni.activeScratch = resetSlice(ni.activeScratch, cfg.Subnets)
 }

@@ -74,15 +74,6 @@ func (m *Model) NILeakPJ() float64 {
 	return m.p.LNI * agg * m.p.leakScale(m.volt)
 }
 
-// SleepSavedPJ returns the leakage energy (pJ) avoided by the given
-// number of asleep router-cycles — the quantity Catnap's power gating
-// exists to harvest, before transition overheads. Telemetry uses it to
-// turn windowed asleep-router series into energy-proportionality
-// series.
-func (m *Model) SleepSavedPJ(asleepRouterCycles float64) float64 {
-	return asleepRouterCycles * m.RouterLeakPJ()
-}
-
 // StaticPower returns the network's leakage power in watts with every
 // router active (no power gating).
 func (m *Model) StaticPower() float64 {

@@ -141,16 +141,3 @@ func TestBreakevenCost(t *testing.T) {
 		t.Errorf("gating power = %v W, want %v W", b.Gating, wantGatingW)
 	}
 }
-
-func TestSleepSavedPJ(t *testing.T) {
-	m := NewModel(DefaultParams(), paperConfig(4), 0.625)
-	if got := m.SleepSavedPJ(0); got != 0 {
-		t.Fatalf("SleepSavedPJ(0) = %g, want 0", got)
-	}
-	if got, want := m.SleepSavedPJ(1000), 1000*m.RouterLeakPJ(); got != want {
-		t.Fatalf("SleepSavedPJ(1000) = %g, want %g", got, want)
-	}
-	if m.SleepSavedPJ(1) <= 0 {
-		t.Fatal("per-router-cycle savings must be positive")
-	}
-}

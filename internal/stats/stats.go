@@ -1,25 +1,22 @@
 // Package stats provides the measurement machinery the evaluation relies
-// on: streaming latency accumulators with percentiles, windowed time-series
-// samplers (for the bursty-traffic ramp-up study), and the compensated
-// sleep cycle (CSC) tracker defined by Hu et al. and used by the paper to
-// quantify profitable power gating independent of the power model.
+// on: streaming latency accumulators with percentiles and windowed
+// time-series samplers (for the bursty-traffic ramp-up study). Compensated
+// sleep cycles are derived by the network from its routers' sleep
+// timestamps (noc.Network.CompensatedSleepCycles).
 package stats
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
 // Latency accumulates a distribution of integer cycle latencies. It keeps
-// exact moments plus a capped reservoir for percentiles; for the sample
-// sizes the experiments produce (≤ a few million packets) the reservoir is
-// effectively exact.
+// an exact count, sum and maximum plus a capped reservoir for percentiles;
+// for the sample sizes the experiments produce (≤ a few million packets)
+// the reservoir is effectively exact.
 type Latency struct {
 	count int64
 	sum   float64
-	sumSq float64
-	min   int64
 	max   int64
 	// samples is the reservoir. It starts empty and grows with the
 	// observations up to limit, so a short run pays for the samples it
@@ -43,7 +40,7 @@ func NewLatency(maxSamples int) *Latency {
 	if maxSamples <= 0 {
 		maxSamples = 1 << 16
 	}
-	return &Latency{min: math.MaxInt64, limit: maxSamples, every: 1}
+	return &Latency{limit: maxSamples, every: 1}
 }
 
 // Reset empties the accumulator in place, keeping the reservoir's backing
@@ -51,8 +48,6 @@ func NewLatency(maxSamples int) *Latency {
 func (l *Latency) Reset() {
 	l.count = 0
 	l.sum = 0
-	l.sumSq = 0
-	l.min = math.MaxInt64
 	l.max = 0
 	l.samples = l.samples[:0]
 	l.every = 1
@@ -63,12 +58,7 @@ func (l *Latency) Reset() {
 // Observe records one latency in cycles.
 func (l *Latency) Observe(cycles int64) {
 	l.count++
-	f := float64(cycles)
-	l.sum += f
-	l.sumSq += f * f
-	if cycles < l.min {
-		l.min = cycles
-	}
+	l.sum += float64(cycles)
 	if cycles > l.max {
 		l.max = cycles
 	}
@@ -105,27 +95,6 @@ func (l *Latency) Mean() float64 {
 		return 0
 	}
 	return l.sum / float64(l.count)
-}
-
-// StdDev returns the population standard deviation.
-func (l *Latency) StdDev() float64 {
-	if l.count == 0 {
-		return 0
-	}
-	m := l.Mean()
-	v := l.sumSq/float64(l.count) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the smallest observation, or 0 with no observations.
-func (l *Latency) Min() int64 {
-	if l.count == 0 {
-		return 0
-	}
-	return l.min
 }
 
 // Max returns the largest observation.
@@ -226,97 +195,3 @@ func (s *Series) advance(now int64) {
 
 // Points returns the closed windows so far.
 func (s *Series) Points() []Point { return s.points }
-
-// Window returns the configured window width.
-func (s *Series) Window() int64 { return s.window }
-
-// CSC tracks compensated sleep cycles for one power-gated component. Per
-// the paper (following Hu et al.), each sleep period of length L
-// contributes max(0, L − T_breakeven) compensated cycles: the cycles during
-// which the component genuinely saved leakage after paying the energy cost
-// of switching the sleep transistor. The tracker also counts transitions,
-// which the power model charges for.
-type CSC struct {
-	breakeven  int64
-	sleepStart int64
-	asleep     bool
-	// creditedComp/creditedRaw track what the open period has already
-	// contributed to the totals, so Flush can accrue mid-period without
-	// double counting or phantom transitions.
-	creditedComp int64
-	creditedRaw  int64
-	compensated  int64
-	rawSleep     int64
-	transitions  int64
-}
-
-// NewCSC returns a tracker with the given break-even threshold in cycles.
-func NewCSC(breakeven int64) *CSC {
-	return &CSC{breakeven: breakeven}
-}
-
-// Reset returns the tracker to its just-constructed state with the given
-// break-even threshold, as NewCSC would.
-func (c *CSC) Reset(breakeven int64) {
-	*c = CSC{breakeven: breakeven}
-}
-
-// accrue brings the totals up to date with the open sleep period at now.
-func (c *CSC) accrue(now int64) {
-	total := now - c.sleepStart
-	comp := total - c.breakeven
-	if comp < 0 {
-		comp = 0
-	}
-	c.compensated += comp - c.creditedComp
-	c.rawSleep += total - c.creditedRaw
-	c.creditedComp = comp
-	c.creditedRaw = total
-}
-
-// Sleep records that the component entered the sleep state at cycle now.
-// Calling Sleep while already asleep is a no-op.
-func (c *CSC) Sleep(now int64) {
-	if c.asleep {
-		return
-	}
-	c.asleep = true
-	c.sleepStart = now
-	c.creditedComp = 0
-	c.creditedRaw = 0
-}
-
-// Wake records that the component left the sleep state at cycle now,
-// closing the current sleep period.
-func (c *CSC) Wake(now int64) {
-	if !c.asleep {
-		return
-	}
-	c.accrue(now)
-	c.asleep = false
-	c.transitions++
-}
-
-// Flush accrues any open sleep period into the totals at cycle now
-// without ending it: no transition is counted, and a later Wake (or
-// another Flush) only adds the remainder. Measurement windows call it at
-// their boundaries; it is idempotent at a fixed cycle.
-func (c *CSC) Flush(now int64) {
-	if c.asleep {
-		c.accrue(now)
-	}
-}
-
-// Compensated returns the total compensated sleep cycles.
-func (c *CSC) Compensated() int64 { return c.compensated }
-
-// RawSleep returns the total cycles spent asleep, uncompensated.
-func (c *CSC) RawSleep() int64 { return c.rawSleep }
-
-// Transitions returns the number of completed sleep→wake transitions; each
-// one costs the power model T_breakeven cycles of leakage-equivalent
-// energy.
-func (c *CSC) Transitions() int64 { return c.transitions }
-
-// Asleep reports whether the component is currently in a sleep period.
-func (c *CSC) Asleep() bool { return c.asleep }

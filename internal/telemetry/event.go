@@ -80,18 +80,17 @@ type Event struct {
 
 // Log is a bounded in-memory event ring with an optional streaming JSONL
 // sink. The ring keeps the most recent Cap events (older ones are
-// dropped and counted); the sink, when set, receives every event in
-// order regardless of ring capacity. Log is safe for concurrent use —
-// a Recorder shares one log across every simulation of a sweep, and
-// those run on different sweep workers.
+// dropped; Total still counts them); the sink, when set, receives every
+// event in order regardless of ring capacity. Log is safe for concurrent
+// use — a Recorder shares one log across every simulation of a sweep,
+// and those run on different sweep workers.
 type Log struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int   // ring write position
-	full    bool  // ring has wrapped
-	total   int64 // events ever appended
-	dropped int64 // events evicted from the ring
-	counts  map[EventType]int64
+	mu     sync.Mutex
+	ring   []Event
+	next   int   // ring write position
+	full   bool  // ring has wrapped
+	total  int64 // events ever appended
+	counts map[EventType]int64
 
 	sink    *bufio.Writer
 	enc     *json.Encoder
@@ -123,9 +122,6 @@ func (l *Log) Append(e Event) {
 	defer l.mu.Unlock()
 	l.total++
 	l.counts[e.Type]++
-	if l.full {
-		l.dropped++
-	}
 	l.ring[l.next] = e
 	l.next++
 	if l.next == len(l.ring) {
@@ -159,14 +155,6 @@ func (l *Log) Total() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total
-}
-
-// Dropped returns how many events fell out of the bounded ring. They
-// are still in the sink, if one was configured.
-func (l *Log) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Count returns how many events of type t were appended.

@@ -162,13 +162,3 @@ func ReadMetrics(r io.Reader, fn func(MetricPoint) error) error {
 		}
 	}
 }
-
-// ReadAllMetrics reads a whole JSONL metrics file into memory.
-func ReadAllMetrics(r io.Reader) ([]MetricPoint, error) {
-	var out []MetricPoint
-	err := ReadMetrics(r, func(p MetricPoint) error {
-		out = append(out, p)
-		return nil
-	})
-	return out, err
-}

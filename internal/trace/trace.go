@@ -4,9 +4,9 @@
 // saved trace can regenerate latency distributions and subnet shares
 // without re-running the simulator.
 //
-// Writers take functional options (buffer size, gzip compression);
-// readers stream record-by-record via Reader.Each and transparently
-// decompress gzip input by sniffing its magic bytes.
+// Writers take functional options (gzip compression); readers stream
+// record-by-record via Reader.Each and transparently decompress gzip
+// input by sniffing its magic bytes.
 package trace
 
 import (
@@ -43,18 +43,11 @@ func (r *Record) NetworkLatency() int64 { return r.Arrive - r.Inject }
 type Option func(*writerConfig)
 
 type writerConfig struct {
-	bufSize int
-	gzip    bool
+	gzip bool
 }
 
-// WithBufferSize sets the internal buffer size in bytes (default 64 KiB).
-func WithBufferSize(n int) Option {
-	return func(c *writerConfig) {
-		if n > 0 {
-			c.bufSize = n
-		}
-	}
-}
+// bufSize is the Writer's internal buffer size in bytes.
+const bufSize = 1 << 16
 
 // WithGzip compresses the stream with gzip. Readers built by NewReader
 // detect the compression automatically.
@@ -77,7 +70,7 @@ type Writer struct {
 // The encoding pipeline is json → bufio → (gzip) → w, so small records
 // batch up before hitting the compressor or the file.
 func NewWriter(w io.Writer, opts ...Option) *Writer {
-	cfg := writerConfig{bufSize: 1 << 16}
+	var cfg writerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -90,7 +83,7 @@ func NewWriter(w io.Writer, opts ...Option) *Writer {
 		tw.gz = gzip.NewWriter(w)
 		out = tw.gz
 	}
-	tw.bw = bufio.NewWriterSize(out, cfg.bufSize)
+	tw.bw = bufio.NewWriterSize(out, bufSize)
 	tw.enc = json.NewEncoder(tw.bw)
 	return tw
 }

@@ -116,11 +116,14 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+// TestGzipRoundTrip writes about 108 KB of JSON, more than the writer's
+// 64 KiB buffer holds, so the gzip stream spans a buffer flush.
 func TestGzipRoundTrip(t *testing.T) {
+	const n = 1000
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf, trace.WithGzip(), trace.WithBufferSize(256))
-	want := make([]trace.Record, 0, 100)
-	for i := 0; i < 100; i++ {
+	w := trace.NewWriter(&buf, trace.WithGzip())
+	want := make([]trace.Record, 0, n)
+	for i := 0; i < n; i++ {
 		p := &noc.Packet{
 			ID: uint64(i), Src: i % 16, Dst: (i * 7) % 16,
 			SizeBits: 512, NumFlits: 4, Subnet: i % 4,
@@ -152,8 +155,8 @@ func TestGzipRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("gzip round-trip mismatch: got %d records", len(got))
 	}
-	if r.Count() != 100 {
-		t.Errorf("reader count = %d, want 100", r.Count())
+	if r.Count() != n {
+		t.Errorf("reader count = %d, want %d", r.Count(), n)
 	}
 }
 

@@ -167,20 +167,6 @@ func MixByName(name string) (*Mix, error) {
 	return nil, fmt.Errorf("workload: unknown mix %q", name)
 }
 
-// AverageMPKI returns the mix's average MPKI over its benchmarks, which
-// must reproduce Table 3's last column.
-func (m *Mix) AverageMPKI() (float64, error) {
-	sum := 0.0
-	for _, b := range m.Benchmarks {
-		p, err := ByName(b)
-		if err != nil {
-			return 0, err
-		}
-		sum += p.MPKI()
-	}
-	return sum / float64(len(m.Benchmarks)), nil
-}
-
 // CoreAssignment returns, for a system with cores processor cores, the
 // profile each core runs: benchmark i's 32 (cores/8) instances occupy the
 // contiguous core range [i*cores/8, (i+1)*cores/8). Contiguous placement

@@ -119,7 +119,10 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.Cfg = cfg
 	s.gen = nil
 	s.sys = nil
-	s.start = measureSnapshot{}
+	// A window that StartMeasure never opened measures from cycle 0, so
+	// the baseline starts as one zero flit count per subnet.
+	per := s.start.flitsPerSubnet[:0]
+	s.start = measureSnapshot{flitsPerSubnet: append(per, make([]int64, s.Net.Subnets())...)}
 
 	if needsDet {
 		dcfg := congestion.Default(cfg.Metric)
@@ -343,25 +346,25 @@ func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 func (s *Simulator) StartMeasure() {
 	s.Net.Latency().Reset()
 	s.Net.NetworkLatency().Reset()
-	s.Net.FlushCSC()
 	csc, _ := s.Net.CompensatedSleepCycles()
 	created, injected, ejected := s.Net.Counts()
 	s.start = measureSnapshot{
-		cycle:        s.Net.Now(),
-		events:       s.Net.Events(),
-		csc:          csc,
-		created:      created,
-		injected:     injected,
-		ejected:      ejected,
-		ejectedFlits: s.Net.EjectedFlits(),
+		cycle:          s.Net.Now(),
+		events:         s.Net.Events(),
+		csc:            csc,
+		created:        created,
+		injected:       injected,
+		ejected:        ejected,
+		ejectedFlits:   s.Net.EjectedFlits(),
+		flitsPerSubnet: s.start.flitsPerSubnet, // sized by Reset
 	}
+	copy(s.start.flitsPerSubnet, s.Net.FlitsPerSubnet())
 	if s.Det != nil {
 		s.start.orToggles = s.Det.Energy().Toggles
 	}
 	if s.gen != nil {
 		s.start.offered = s.gen.Offered
 	}
-	s.start.flitsPerSubnet = append([]int64(nil), s.Net.FlitsPerSubnet()...)
 	if s.sys != nil {
 		s.sys.StartMeasurement()
 	}
@@ -376,7 +379,6 @@ func (s *Simulator) StopMeasure() Results {
 	events := s.Net.Events()
 	events.Sub(&s.start.events)
 
-	s.Net.FlushCSC()
 	csc, _ := s.Net.CompensatedSleepCycles()
 	cscDelta := csc - s.start.csc
 	routerCycles := cycles * nodes * int64(s.Net.Subnets())

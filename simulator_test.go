@@ -2,6 +2,7 @@ package catnap
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/traffic"
@@ -58,6 +59,36 @@ func TestMeasurementCSCDelta(t *testing.T) {
 	full := sim.Model.StaticPower()
 	if r.Power.Static > 0.45*full {
 		t.Errorf("windowed static %.1fW too high vs %.1fW full (sleep not credited)", r.Power.Static, full)
+	}
+}
+
+// TestStopMeasureWithoutStart: a window that StartMeasure never opened
+// measures from cycle 0, on a fresh simulator and on one Reset after a
+// window of its own, exactly as a window opened at cycle 0 does.
+func TestStopMeasureWithoutStart(t *testing.T) {
+	cfg := mustDesign("4NT-128b-PG")
+	load := traffic.Constant(0.1)
+
+	opened := mustSim(cfg)
+	opened.UseSynthetic(traffic.UniformRandom{}, load, 0)
+	opened.StartMeasure()
+	opened.Run(500)
+	want := opened.StopMeasure()
+
+	reused := mustSim(cfg)
+	reused.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(0.3), 200, 300)
+	if err := reused.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		sim  *Simulator
+	}{{"fresh", mustSim(cfg)}, {"reset", reused}} {
+		arm.sim.UseSynthetic(traffic.UniformRandom{}, load, 0)
+		arm.sim.Run(500)
+		if got := arm.sim.StopMeasure(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: StopMeasure without StartMeasure\ngot  %+v\nwant %+v", arm.name, got, want)
+		}
 	}
 }
 

@@ -112,7 +112,9 @@ func TestStepAllocs(t *testing.T) {
 // warm-up New has filled the shared topology precompute, New of 1NT-512b
 // allocates under 400 KB. Its two latency reservoirs, 256 KB each at
 // their sample limit, grow with the packets a run delivers, so building
-// one reserves neither.
+// one reserves neither. It also bounds the allocation count: New of
+// 1NT-512b makes under 400 and New of 4NT-128b-PG under 1,150, so a
+// per-router or per-NI allocation (64 of them per subnet) shows.
 func TestNewAllocBytes(t *testing.T) {
 	cfg := mustDesign("1NT-512b")
 	mustSim(cfg)
@@ -125,5 +127,14 @@ func TestNewAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 400_000 {
 		t.Errorf("New(1NT-512b) allocates %d bytes, want under 400,000", per)
+	}
+	for _, c := range []struct {
+		design string
+		max    float64
+	}{{"1NT-512b", 400}, {"4NT-128b-PG", 1150}} {
+		cfg := mustDesign(c.design)
+		if n := testing.AllocsPerRun(builds, func() { mustSim(cfg) }); n >= c.max {
+			t.Errorf("New(%s) makes %.0f allocations, want under %.0f", c.design, n, c.max)
+		}
 	}
 }
