@@ -45,6 +45,21 @@ var cscKnownAnswers = []struct{ cycle, csc int64 }{
 	{300, 8851},
 }
 
+// cscEventAnswers are Events() at two read cycles of the same script:
+// one just after the second packet's NI wake-up, and the last.
+var cscEventAnswers = map[int64]noc.PowerEvents{
+	201: {
+		BufferWrites: 16, BufferReads: 16, XbarTraversals: 16, LinkTraversals: 12,
+		NIFlits: 8, ArbiterOps: 16, ActiveRouterCycles: 222, SleepRouterCycles: 6210,
+		GatingTransitions: 5, WakeupSignals: 5,
+	},
+	300: {
+		BufferWrites: 32, BufferReads: 32, XbarTraversals: 32, LinkTraversals: 24,
+		NIFlits: 16, ArbiterOps: 32, ActiveRouterCycles: 314, SleepRouterCycles: 9286,
+		GatingTransitions: 8, WakeupSignals: 8,
+	},
+}
+
 // readCSC returns the network's compensated sleep cycles as of Now().
 func readCSC(net *noc.Network) int64 {
 	csc, _ := net.CompensatedSleepCycles()
@@ -52,12 +67,14 @@ func readCSC(net *noc.Network) int64 {
 }
 
 // runCSCScript drives net through the injections and returns the answer
-// at every read cycle. With skip set it fast-forwards quiescent spans up
-// to the next scripted cycle, as Simulator.Run does, and also returns how
-// many cycles it skipped.
-func runCSCScript(t *testing.T, net *noc.Network, skip bool) (got []int64, skipped int64) {
+// at every read cycle, and the power events at the cycles
+// cscEventAnswers names. With skip set it fast-forwards quiescent spans
+// up to the next scripted cycle, as Simulator.Run does, and also returns
+// how many cycles it skipped.
+func runCSCScript(t *testing.T, net *noc.Network, skip bool) (got []int64, events map[int64]noc.PowerEvents, skipped int64) {
 	t.Helper()
 	net.SetGatingPolicy(core.BaselineGating{})
+	events = map[int64]noc.PowerEvents{}
 	for _, ka := range cscKnownAnswers {
 		for net.Now() < ka.cycle {
 			pkts := cscInjections[net.Now()]
@@ -79,11 +96,15 @@ func runCSCScript(t *testing.T, net *noc.Network, skip bool) (got []int64, skipp
 			t.Fatalf("cycle %d: two reads disagree: %d then %d", ka.cycle, first, second)
 		}
 		got = append(got, first)
+		if _, ok := cscEventAnswers[ka.cycle]; ok {
+			events[ka.cycle] = net.Events()
+		}
 	}
-	return got, skipped
+	return got, events, skipped
 }
 
-// TestCSCKnownAnswersDifferential checks the pinned answers on the
+// TestCSCKnownAnswersDifferential checks the pinned answers (compensated
+// sleep cycles, and the power events at two cycles) on the
 // incremental path, with idle fast-forward, on the reference scan, and on
 // a network that ran other traffic under another shape before its Reset.
 func TestCSCKnownAnswersDifferential(t *testing.T) {
@@ -107,10 +128,15 @@ func TestCSCKnownAnswersDifferential(t *testing.T) {
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			got, skipped := runCSCScript(t, arm.net(t), arm.skip)
+			got, events, skipped := runCSCScript(t, arm.net(t), arm.skip)
 			for i, ka := range cscKnownAnswers {
 				if got[i] != ka.csc {
 					t.Errorf("cycle %d: CSC %d, want %d", ka.cycle, got[i], ka.csc)
+				}
+			}
+			for cycle, want := range cscEventAnswers {
+				if events[cycle] != want {
+					t.Errorf("cycle %d: power events %+v, want %+v", cycle, events[cycle], want)
 				}
 			}
 			if arm.skip && skipped == 0 {
