@@ -182,12 +182,11 @@ type Detector struct {
 	nodes   int
 	regions int
 
-	lcs     []bool  // [subnet*nodes + node]
 	lastHot []int64 // last cycle the raw metric exceeded Threshold
 	rcs     []bool  // [subnet*regions + region], latched every RCSPeriod
 
-	// lcsBits[s] mirrors lcs as a bitmap over node ids, maintained in
-	// both modes.
+	// lcsBits[s] holds subnet s's local congestion status as a bitmap
+	// over node ids, read and written on both stepping paths.
 	lcsBits [][]uint64
 	// hotBits[s] marks nodes whose windowed rate (IR, Delay) currently
 	// exceeds Threshold; rebuilt at each window close, constant between.
@@ -246,7 +245,6 @@ func (d *Detector) Reset(net *noc.Network, cfg Config) {
 	d.nodes = mesh.Nodes()
 	d.regions = mesh.Regions()
 
-	d.lcs = resetSlice(d.lcs, d.subnets*d.nodes)
 	d.lastHot = resetSlice(d.lastHot, d.subnets*d.nodes)
 	for i := range d.lastHot {
 		d.lastHot[i] = -1 << 62
@@ -298,9 +296,6 @@ func resetSlice[T any](s []T, n int) []T {
 // return it as their noc.GatingPolicy.PolicyEpoch.
 func (d *Detector) Epoch() uint64 { return d.epoch }
 
-// Config returns the detector's configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // SetTracer installs (or, with nil, removes) the congestion-transition
 // tracer.
 func (d *Detector) SetTracer(t Tracer) { d.tracer = t }
@@ -310,7 +305,7 @@ func (d *Detector) Energy() *RCSEnergy { return d.rcsE }
 
 // LCS returns the local congestion status of (subnet, node).
 func (d *Detector) LCS(subnet, node int) bool {
-	return d.lcs[subnet*d.nodes+node]
+	return d.lcsBits[subnet][node>>6]&(1<<(uint(node)&63)) != 0
 }
 
 // RCS returns the latched regional congestion status of (subnet, region).
@@ -331,7 +326,7 @@ func (d *Detector) RCSAtNode(subnet, node int) bool {
 // Congested reports whether node's NI should treat subnet as congested:
 // its own LCS is set, or (with regional detection) the region's RCS is.
 func (d *Detector) Congested(subnet, node int) bool {
-	if d.lcs[subnet*d.nodes+node] {
+	if d.LCS(subnet, node) {
 		return true
 	}
 	if d.cfg.UseRCS {
@@ -479,18 +474,17 @@ func (d *Detector) SkipIdle(from, to int64) {
 // raw metric sample — the shared per-node body of both sampling paths.
 func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 	idx := s*d.nodes + n
+	on := d.LCS(s, n)
 	if raw > d.cfg.Threshold {
-		if !d.lcs[idx] {
+		if !on {
 			if d.tracer != nil {
 				d.tracer.LCSChanged(now, s, n, true)
 			}
 			d.lcsBits[s][n>>6] |= 1 << (uint(n) & 63)
 			d.epoch++
 		}
-		d.lcs[idx] = true
 		d.lastHot[idx] = now
-	} else if d.lcs[idx] && raw < d.cfg.Threshold && now-d.lastHot[idx] >= holdCycles {
-		d.lcs[idx] = false
+	} else if on && raw < d.cfg.Threshold && now-d.lastHot[idx] >= holdCycles {
 		d.lcsBits[s][n>>6] &^= 1 << (uint(n) & 63)
 		d.epoch++
 		if d.tracer != nil {
@@ -590,9 +584,6 @@ func (d *Detector) closeWindow(now int64) {
 // node; the result is the same OR.
 func (d *Detector) latchRCS(now int64) {
 	d.rcsE.Latches++
-	if d.orScratch == nil {
-		d.orScratch = make([]bool, d.regions)
-	}
 	for s := 0; s < d.subnets; s++ {
 		regionOr := d.orScratch
 		for i := range regionOr {
@@ -600,7 +591,7 @@ func (d *Detector) latchRCS(now int64) {
 		}
 		if d.net.ReferenceScan() {
 			for n := 0; n < d.nodes; n++ {
-				if d.lcs[s*d.nodes+n] {
+				if d.LCS(s, n) {
 					regionOr[d.nodeRegion[n]] = true
 				}
 			}

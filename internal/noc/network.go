@@ -77,6 +77,10 @@ type Network struct {
 	ejectedPkts  int64
 	ejectedFlits int64
 	createdPkts  int64
+
+	// events counts switching activity and state residency over every
+	// subnet; routers, NIs, the power phase and idle skip add to it.
+	events PowerEvents
 }
 
 // New builds a network from cfg with the given subnet selector. cfg is
@@ -315,14 +319,8 @@ func (n *Network) EjectedFlits() int64 { return n.ejectedFlits }
 // InFlight returns the number of packets created but not yet delivered.
 func (n *Network) InFlight() int64 { return n.inFlight }
 
-// Events returns a fresh aggregate of all subnets' power events.
-func (n *Network) Events() PowerEvents {
-	var e PowerEvents
-	for _, s := range n.subnets {
-		e.Add(s.events)
-	}
-	return e
-}
+// Events returns a copy of the network's cumulative power events.
+func (n *Network) Events() PowerEvents { return n.events }
 
 // CompensatedSleepCycles returns the total compensated sleep cycles summed
 // over every router in every subnet as of Now(), and the corresponding

@@ -221,7 +221,7 @@ func (ni *NI) injectPhase(now int64) {
 				// NI wake-up: nothing hides the latency here; the packet
 				// waits out the full T-wakeup.
 				sub.routers[ni.node].wake(now, cfg.TWakeup, WakeNI)
-				sub.events.WakeupSignals++
+				ni.net.events.WakeupSignals++
 			}
 			continue
 		}
@@ -276,7 +276,7 @@ func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	ch.credits[st.vc]--
 	sub := ni.net.subnets[s]
 	sub.stageArrival(now+int64(cfg.LinkDelay), ni.node, ni.net.localPort, st.vc, f)
-	sub.events.NIFlits++
+	ni.net.events.NIFlits++
 	ni.net.flitsPerSubnet[s]++
 	ni.injQFlits--
 	ni.net.niQueueFlits--

@@ -89,7 +89,7 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.subnets = reviveSlice(n.subnets, cfg.Subnets)
 	for s := range n.subnets {
 		if n.subnets[s] == nil {
-			n.subnets[s] = &Subnet{net: n, index: s, events: &PowerEvents{}}
+			n.subnets[s] = &Subnet{net: n, index: s}
 		}
 		n.subnets[s].reset()
 	}
@@ -113,6 +113,7 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.ejectedPkts = 0
 	n.ejectedFlits = 0
 	n.createdPkts = 0
+	n.events = PowerEvents{}
 	return nil
 }
 
@@ -124,7 +125,6 @@ func (s *Subnet) reset() {
 	nodes := cfg.Nodes()
 	radix := net.topo.Radix()
 
-	*s.events = PowerEvents{}
 	s.feeder = net.pre.feeder
 
 	s.wheelSize = pow2Ceil(cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4)

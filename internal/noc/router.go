@@ -340,7 +340,7 @@ func (r *Router) wake(now int64, delay int, cause WakeCause) {
 		return
 	case PowerAsleep:
 		r.sub.cscClosed += r.compensated(now) // the sleep period closes
-		r.sub.events.GatingTransitions++
+		r.sub.net.events.GatingTransitions++
 		r.sub.pstate[r.node] = PowerWaking
 		r.sub.onWakeStart(r.node)
 		r.wakeAt = now + int64(delay)
@@ -424,7 +424,7 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 	if r.totalOcc == 1 {
 		r.sub.setOccupied(r.node)
 	}
-	r.sub.events.BufferWrites++
+	r.sub.net.events.BufferWrites++
 
 	if f.head() && int(f.nextPort) != r.sub.net.localPort {
 		down := r.out[f.nextPort].downstream
@@ -432,7 +432,7 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 		// loading the downstream Router struct at all.
 		if down >= 0 && r.sub.pstate[down] != PowerActive {
 			r.sub.routers[down].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-			r.sub.events.WakeupSignals++
+			r.sub.net.events.WakeupSignals++
 		}
 	}
 }
@@ -615,7 +615,7 @@ func (r *Router) switchAllocate(now int64) int {
 					if st == PowerAsleep {
 						cfg := r.sub.net.cfg
 						r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-						r.sub.events.WakeupSignals++
+						r.sub.net.events.WakeupSignals++
 					}
 					r.blockedFlitCycles++
 					continue
@@ -686,7 +686,7 @@ func (r *Router) switchAllocateFast(now int64) int {
 				if st := r.sub.pstate[op.downstream]; st != PowerActive {
 					if st == PowerAsleep {
 						r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-						r.sub.events.WakeupSignals++
+						r.sub.net.events.WakeupSignals++
 					}
 					r.blockedFlitCycles++
 					continue
@@ -767,7 +767,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		r.noteBusyEnd(now, now-1)
 	}
 	r.grantedFlits++
-	ev := r.sub.events
+	ev := &r.sub.net.events
 	ev.BufferReads++
 	ev.XbarTraversals++
 	ev.ArbiterOps++
@@ -826,7 +826,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 func (r *Router) powerUpdate(now int64) {
 	cfg := r.sub.net.cfg
 	pol := r.sub.net.gating
-	ev := r.sub.events
+	ev := &r.sub.net.events
 
 	switch r.sub.pstate[r.node] {
 	case PowerWaking:

@@ -179,8 +179,8 @@ func (n *Network) TrySkipIdle(target int64) int64 {
 	}
 	k := to - n.now
 	for _, s := range n.subnets {
-		s.events.ActiveRouterCycles += k * int64(s.stateCount[PowerActive]+s.stateCount[PowerWaking])
-		s.events.SleepRouterCycles += k * int64(s.stateCount[PowerAsleep])
+		n.events.ActiveRouterCycles += k * int64(s.stateCount[PowerActive]+s.stateCount[PowerWaking])
+		n.events.SleepRouterCycles += k * int64(s.stateCount[PowerAsleep])
 	}
 	for _, o := range n.obs {
 		o.(IdleSkipper).SkipIdle(n.now, to)

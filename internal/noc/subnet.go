@@ -50,9 +50,8 @@ type ejection struct {
 // Subnet is one physical subnetwork: a full mesh of routers plus the
 // staged-event wheels that model link, credit, and ejection latencies.
 type Subnet struct {
-	net    *Network
-	index  int
-	events *PowerEvents
+	net   *Network
+	index int
 
 	routers []Router
 
@@ -181,9 +180,6 @@ type wireShape struct {
 // metrics, policies, and tests).
 func (s *Subnet) Router(n int) *Router { return &s.routers[n] }
 
-// Events returns the subnet's switching-activity counters.
-func (s *Subnet) Events() *PowerEvents { return s.events }
-
 func (s *Subnet) slot(cycle int64) int { return int(cycle) & (s.wheelSize - 1) }
 
 // stageArrival and its siblings append to wheel slots, which keep their
@@ -304,7 +300,7 @@ func (s *Subnet) powerPhase(now int64) {
 		s.powerPhaseScan(now)
 		return
 	}
-	ev := s.events
+	ev := &s.net.events
 	ev.ActiveRouterCycles += int64(s.stateCount[PowerActive] + s.stateCount[PowerWaking])
 	ev.SleepRouterCycles += int64(s.stateCount[PowerAsleep])
 

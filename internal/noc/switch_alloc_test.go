@@ -187,8 +187,8 @@ func diffAllocOutcome(a, b *Subnet, node int, now int64) string {
 		return fmt.Sprintf("blocked/granted: scan %d/%d, masks %d/%d",
 			ra.blockedFlitCycles, ra.grantedFlits, rb.blockedFlitCycles, rb.grantedFlits)
 	}
-	if *a.events != *b.events {
-		return fmt.Sprintf("power events: scan %+v, masks %+v", *a.events, *b.events)
+	if a.net.events != b.net.events {
+		return fmt.Sprintf("power events: scan %+v, masks %+v", a.net.events, b.net.events)
 	}
 	for o := range ra.out {
 		oa, ob := &ra.out[o], &rb.out[o]

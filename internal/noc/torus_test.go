@@ -31,21 +31,22 @@ func TestTorusValidation(t *testing.T) {
 
 func TestTorusTopology(t *testing.T) {
 	m := topology.NewTorus(4, 4, 4, 2)
+	east, west, north := int(topology.East), int(topology.West), int(topology.North)
 	// Wraparound neighbours.
-	if n := m.Neighbor(3, topology.East); n != 0 {
+	if n, _, _ := m.Link(3, east); n != 0 {
 		t.Errorf("east wrap from node 3 -> %d, want 0", n)
 	}
-	if n := m.Neighbor(0, topology.West); n != 3 {
+	if n, _, _ := m.Link(0, west); n != 3 {
 		t.Errorf("west wrap from node 0 -> %d, want 3", n)
 	}
-	if n := m.Neighbor(0, topology.North); n != 12 {
+	if n, _, _ := m.Link(0, north); n != 12 {
 		t.Errorf("north wrap from node 0 -> %d, want 12", n)
 	}
 	// Wrap detection marks exactly the dateline links.
-	if !m.Wraps(3, topology.East) || m.Wraps(2, topology.East) {
+	if !m.WrapsPort(3, east) || m.WrapsPort(2, east) {
 		t.Error("X dateline misplaced")
 	}
-	if !m.Wraps(0, topology.North) || m.Wraps(4, topology.North) {
+	if !m.WrapsPort(0, north) || m.WrapsPort(4, north) {
 		t.Error("Y dateline misplaced")
 	}
 	// Ring distances: corner to corner is 1+1 on a 4x4 torus.
@@ -58,18 +59,19 @@ func TestTorusTopology(t *testing.T) {
 // reaches every destination in exactly Hops steps.
 func TestTorusRouteProgress(t *testing.T) {
 	m := topology.NewTorus(8, 8, 4, 4)
+	local := int(topology.Local)
 	f := func(a, b uint8) bool {
 		src := int(a) % m.Nodes()
 		dst := int(b) % m.Nodes()
 		at := src
 		for steps := 0; steps < m.Hops(src, dst); steps++ {
-			p := m.Route(at, dst)
-			if p == topology.Local {
+			p := m.RoutePort(at, dst)
+			if p == local {
 				return false // arrived early: Hops wrong
 			}
-			at = m.Neighbor(at, p)
+			at, _, _ = m.Link(at, p)
 		}
-		return at == dst && m.Route(at, dst) == topology.Local
+		return at == dst && m.RoutePort(at, dst) == local
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

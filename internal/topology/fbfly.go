@@ -20,10 +20,7 @@ import "fmt"
 //	ports [cols−1, cols+rows−3]  column links, to rows ≠ y in ascending order
 //	port  cols+rows−2            the local (NI) port
 type FBfly struct {
-	rows, cols   int
-	tilesPerNode int
-	regionRows   int
-	regionCols   int
+	grid
 }
 
 // NewFBfly returns a rows×cols flattened butterfly with the given
@@ -33,47 +30,14 @@ func NewFBfly(rows, cols, tilesPerNode, regionDim int) *FBfly {
 	if rows < 2 || cols < 2 {
 		panic(fmt.Sprintf("topology: flattened butterfly needs >=2x2 routers, got %dx%d", rows, cols))
 	}
-	if tilesPerNode <= 0 {
-		panic(fmt.Sprintf("topology: invalid concentration %d", tilesPerNode))
-	}
-	if regionDim <= 0 || rows%regionDim != 0 || cols%regionDim != 0 {
-		panic(fmt.Sprintf("topology: region dim %d does not tile %dx%d", regionDim, rows, cols))
-	}
-	return &FBfly{rows: rows, cols: cols, tilesPerNode: tilesPerNode, regionRows: regionDim, regionCols: regionDim}
+	return &FBfly{newGrid(rows, cols, tilesPerNode, regionDim)}
 }
 
 // Name implements Topology.
 func (f *FBfly) Name() string { return "fbfly" }
 
-// Nodes implements Topology.
-func (f *FBfly) Nodes() int { return f.rows * f.cols }
-
-// Rows implements Topology.
-func (f *FBfly) Rows() int { return f.rows }
-
-// Cols implements Topology.
-func (f *FBfly) Cols() int { return f.cols }
-
-// XY implements Topology.
-func (f *FBfly) XY(id int) (x, y int) { return id % f.cols, id / f.cols }
-
-// IDAt implements Topology.
-func (f *FBfly) IDAt(x, y int) int { return y*f.cols + x }
-
-// TilesPerNode implements Topology.
-func (f *FBfly) TilesPerNode() int { return f.tilesPerNode }
-
-// Tiles implements Topology.
-func (f *FBfly) Tiles() int { return f.Nodes() * f.tilesPerNode }
-
-// NodeOfTile implements Topology.
-func (f *FBfly) NodeOfTile(tile int) int { return tile / f.tilesPerNode }
-
 // Radix implements Topology: all row peers, all column peers, local.
 func (f *FBfly) Radix() int { return (f.cols - 1) + (f.rows - 1) + 1 }
-
-// LocalPort returns the local port index.
-func (f *FBfly) LocalPort() int { return f.Radix() - 1 }
 
 // rowPortTo returns the output port at a router in column x that reaches
 // column tx (tx != x).
@@ -103,17 +67,13 @@ func (f *FBfly) Link(node, port int) (peer, peerPort int, ok bool) {
 		if tx >= x {
 			tx++
 		}
-		peer = f.IDAt(tx, y)
-		peerPort = f.rowPortTo(tx, x)
-		return peer, peerPort, true
+		return f.id(tx, y), f.rowPortTo(tx, x), true
 	case port < f.Radix()-1: // column link
 		ty := port - (f.cols - 1)
 		if ty >= y {
 			ty++
 		}
-		peer = f.IDAt(x, ty)
-		peerPort = f.colPortTo(ty, y)
-		return peer, peerPort, true
+		return f.id(x, ty), f.colPortTo(ty, y), true
 	default: // local port
 		return 0, 0, false
 	}
@@ -132,7 +92,7 @@ func (f *FBfly) RoutePort(at, dst int) int {
 	case dy != ay:
 		return f.colPortTo(ay, dy)
 	default:
-		return f.LocalPort()
+		return f.Radix() - 1
 	}
 }
 
@@ -152,31 +112,3 @@ func (f *FBfly) Hops(a, b int) int {
 
 // WrapsPort implements Topology: no datelines in a flattened butterfly.
 func (f *FBfly) WrapsPort(node, port int) bool { return false }
-
-// Region implements Topology.
-func (f *FBfly) Region(id int) int {
-	x, y := f.XY(id)
-	regionsPerRow := f.cols / f.regionCols
-	return (y/f.regionRows)*regionsPerRow + x/f.regionCols
-}
-
-// Regions implements Topology.
-func (f *FBfly) Regions() int {
-	return (f.rows / f.regionRows) * (f.cols / f.regionCols)
-}
-
-// RegionNodes implements Topology.
-func (f *FBfly) RegionNodes(r int) []int {
-	regionsPerRow := f.cols / f.regionCols
-	ry := r / regionsPerRow
-	rx := r % regionsPerRow
-	nodes := make([]int, 0, f.regionRows*f.regionCols)
-	for y := ry * f.regionRows; y < (ry+1)*f.regionRows; y++ {
-		for x := rx * f.regionCols; x < (rx+1)*f.regionCols; x++ {
-			nodes = append(nodes, f.IDAt(x, y))
-		}
-	}
-	return nodes
-}
-
-var _ Topology = (*FBfly)(nil)

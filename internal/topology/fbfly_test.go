@@ -34,7 +34,7 @@ func TestFBflyLinkSymmetry(t *testing.T) {
 				t.Fatalf("asymmetric link: %d:%d -> %d:%d -> %d:%d", node, p, peer, peerPort, back, backPort)
 			}
 		}
-		if _, _, ok := f.Link(node, f.LocalPort()); ok {
+		if _, _, ok := f.Link(node, f.Radix()-1); ok {
 			t.Fatalf("local port of node %d has a link", node)
 		}
 	}
@@ -68,6 +68,7 @@ func TestFBflyLinksDistinct(t *testing.T) {
 // dimension order (row first).
 func TestFBflyRouting(t *testing.T) {
 	f := NewFBfly(8, 8, 4, 4)
+	local := f.Radix() - 1
 	check := func(a, b uint8) bool {
 		src := int(a) % f.Nodes()
 		dst := int(b) % f.Nodes()
@@ -75,7 +76,7 @@ func TestFBflyRouting(t *testing.T) {
 		hops := 0
 		for at != dst {
 			p := f.RoutePort(at, dst)
-			if p == f.LocalPort() {
+			if p == local {
 				return false // stuck
 			}
 			peer, _, ok := f.Link(at, p)
@@ -91,7 +92,7 @@ func TestFBflyRouting(t *testing.T) {
 				return false
 			}
 		}
-		return hops == f.Hops(src, dst) && f.RoutePort(at, dst) == f.LocalPort()
+		return hops == f.Hops(src, dst) && f.RoutePort(at, dst) == local
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -21,22 +21,27 @@ func TestXYRoundTrip(t *testing.T) {
 	m := paper()
 	for id := 0; id < m.Nodes(); id++ {
 		x, y := m.XY(id)
-		if m.ID(x, y) != id {
+		if m.id(x, y) != id {
 			t.Fatalf("XY/ID mismatch at %d", id)
 		}
 	}
 }
 
+// TestNeighborSymmetry: a mesh link arrives on the opposite port, and the
+// link back from there returns to the origin.
 func TestNeighborSymmetry(t *testing.T) {
 	m := paper()
 	for id := 0; id < m.Nodes(); id++ {
 		for p := North; p <= West; p++ {
-			n := m.Neighbor(id, p)
-			if n < 0 {
+			n, np, ok := m.Link(id, int(p))
+			if !ok {
 				continue
 			}
-			if back := m.Neighbor(n, p.Opposite()); back != id {
-				t.Fatalf("neighbor symmetry broken: %d -%v-> %d -%v-> %d", id, p, n, p.Opposite(), back)
+			if np != int(p.opposite()) {
+				t.Fatalf("%d -%v-> %d arrives on %v, want %v", id, p, n, Port(np), p.opposite())
+			}
+			if back, _, ok := m.Link(n, np); !ok || back != id {
+				t.Fatalf("neighbor symmetry broken: %d -%v-> %d -%v-> %d", id, p, n, Port(np), back)
 			}
 		}
 	}
@@ -45,14 +50,14 @@ func TestNeighborSymmetry(t *testing.T) {
 func TestOppositePanicsForLocal(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Local.Opposite() should panic")
+			t.Error("Local.opposite() should panic")
 		}
 	}()
-	Local.Opposite()
+	Local.opposite()
 }
 
 // TestRouteProgress is the key routing property: from any node, following
-// Route toward any destination strictly decreases the Manhattan distance
+// RoutePort toward any destination strictly decreases the Manhattan distance
 // and terminates with a Local ejection at the destination — so X-Y routing
 // is livelock-free and minimal.
 func TestRouteProgress(t *testing.T) {
@@ -62,12 +67,12 @@ func TestRouteProgress(t *testing.T) {
 		dst := int(b) % m.Nodes()
 		at := src
 		for steps := 0; steps <= m.Hops(src, dst); steps++ {
-			p := m.Route(at, dst)
+			p := m.RoutePort(at, dst)
 			if at == dst {
-				return p == Local
+				return p == int(Local)
 			}
-			next := m.Neighbor(at, p)
-			if next < 0 || m.Hops(next, dst) != m.Hops(at, dst)-1 {
+			next, _, ok := m.Link(at, p)
+			if !ok || m.Hops(next, dst) != m.Hops(at, dst)-1 {
 				return false
 			}
 			at = next
@@ -87,7 +92,7 @@ func TestXYDimensionOrder(t *testing.T) {
 			at := src
 			movedY := false
 			for at != dst {
-				p := m.Route(at, dst)
+				p := Port(m.RoutePort(at, dst))
 				switch p {
 				case North, South:
 					movedY = true
@@ -96,30 +101,28 @@ func TestXYDimensionOrder(t *testing.T) {
 						t.Fatalf("Y->X turn routing %d->%d at %d", src, dst, at)
 					}
 				}
-				at = m.Neighbor(at, p)
+				at, _, _ = m.Link(at, int(p))
 			}
 		}
 	}
 }
 
+// TestRegionsPartition: the paper's 8x8 mesh splits into four 4x4
+// regions, numbered in row-major order.
 func TestRegionsPartition(t *testing.T) {
 	m := paper()
-	seen := make([]int, m.Nodes())
-	for r := 0; r < m.Regions(); r++ {
-		nodes := m.RegionNodes(r)
-		if len(nodes) != 16 {
-			t.Fatalf("region %d has %d nodes", r, len(nodes))
+	size := make([]int, m.Regions())
+	for n := 0; n < m.Nodes(); n++ {
+		x, y := m.XY(n)
+		r := m.Region(n)
+		if want := (y/4)*2 + x/4; r != want {
+			t.Fatalf("node %d at (%d,%d): Region()=%d, want %d", n, x, y, r, want)
 		}
-		for _, n := range nodes {
-			seen[n]++
-			if m.Region(n) != r {
-				t.Fatalf("node %d: Region()=%d but listed in %d", n, m.Region(n), r)
-			}
-		}
+		size[r]++
 	}
-	for n, c := range seen {
-		if c != 1 {
-			t.Fatalf("node %d in %d regions", n, c)
+	for r, c := range size {
+		if c != 16 {
+			t.Fatalf("region %d has %d nodes", r, c)
 		}
 	}
 }
