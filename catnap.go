@@ -340,10 +340,3 @@ func Designs() []string {
 	sort.Strings(out)
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -41,10 +41,9 @@ type Core struct {
 	issueCredit float64 // fractional issue accumulator (PeakIPC may be <1/cycle-granular)
 
 	// Outstanding misses, in issue order (ring buffer of MSHR size).
-	misses     []missRecord
-	missHead   int
-	missCount  int
-	nextMissID int
+	misses    []missRecord
+	missHead  int
+	missCount int
 
 	// instrToMiss counts instructions until the next L1 miss.
 	instrToMiss int64
@@ -176,9 +175,3 @@ func (c *Core) issueMiss(now int64) {
 func (c *Core) completeMiss(idx int) {
 	c.misses[idx].done = true
 }
-
-// Node returns the network node the core's tile is attached to.
-func (c *Core) Node() int { return c.node }
-
-// Profile returns the benchmark profile the core is replaying.
-func (c *Core) Profile() *workload.Profile { return c.prof }

@@ -199,7 +199,6 @@ type System struct {
 	// Transaction statistics.
 	missesIssued    int64
 	missesCompleted int64
-	missLatencySum  int64
 }
 
 // New builds a system over net running the given Table 3 mix. The

@@ -142,13 +142,6 @@ func (c *Cache) Get(key string) (Sample, bool) {
 	return s, ok
 }
 
-// Len is the number of distinct keys resident in the index.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.idx)
-}
-
 // Put indexes the sample under key and, for a persistent cache, appends
 // and flushes its JSONL record. The spec rides along in the record so a
 // shard file is self-describing (auditable and re-indexable without the

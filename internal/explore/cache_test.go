@@ -46,8 +46,8 @@ func TestCachePutGetReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Len() != n {
-		t.Fatalf("reloaded %d records, want %d", c2.Len(), n)
+	if len(c2.idx) != n {
+		t.Fatalf("reloaded %d records, want %d", len(c2.idx), n)
 	}
 	if c2.Stats().Loaded != n {
 		t.Fatalf("Loaded = %d, want %d", c2.Stats().Loaded, n)
@@ -106,8 +106,8 @@ func TestCacheToleratesTornTrailingLine(t *testing.T) {
 			t.Fatalf("surviving record corrupted: %+v", got)
 		}
 	}
-	if int64(c2.Len()) != c2.Stats().Loaded {
-		t.Fatalf("Len %d != Loaded %d", c2.Len(), c2.Stats().Loaded)
+	if int64(len(c2.idx)) != c2.Stats().Loaded {
+		t.Fatalf("index holds %d keys, Loaded %d", len(c2.idx), c2.Stats().Loaded)
 	}
 
 	// The resumed campaign appends one new record to each torn shard; the

@@ -224,17 +224,3 @@ func (s Summary) String() string {
 	}
 	return msg
 }
-
-// Summarize computes the Summary for a sweep that took wall time.
-func Summarize[T any](out []Outcome[T], wall time.Duration) Summary {
-	s := Summary{Wall: wall}
-	for _, o := range out {
-		if o.Err != nil {
-			s.Failures++
-			continue
-		}
-		s.Points++
-		s.SimCycles += o.Cycles
-	}
-	return s
-}

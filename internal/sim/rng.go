@@ -43,12 +43,6 @@ func (r *RNG) Reseed(seed uint64) {
 	}
 }
 
-// Split derives an independent generator from this one. The child's stream
-// is decorrelated from the parent's by reseeding through splitmix64.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // SplitN derives the i-th of a family of independent generators without
 // advancing the parent more than once per call. It is used to give each of
 // the 256 cores (or 64 nodes) its own stream from one experiment seed.

@@ -150,9 +150,6 @@ func NewCollector(net *noc.Network, window int64, log *Log, label string) *Colle
 	return c
 }
 
-// Label returns the collector's label.
-func (c *Collector) Label() string { return c.label }
-
 // SetLeakRate supplies the per-router-cycle leakage energy in pJ
 // (power.Model.RouterLeakPJ); Points then derives the windowed
 // power.leakage_saved_pj series from the asleep-router series.

@@ -178,20 +178,6 @@ func (l *Log) Flush() error {
 	return l.sinkErr
 }
 
-// WriteEvents encodes events as JSONL to w (one object per line), in
-// order. Use it to dump a ring snapshot when no streaming sink was
-// configured.
-func WriteEvents(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadEvents streams a JSONL event log, calling fn for each record in
 // order. It stops at the first decode error or the first error fn
 // returns.

@@ -46,9 +46,6 @@ func (c *Counter) Add(d int64) { atomic.AddInt64(&c.v, d) }
 // Value returns the current total.
 func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
 
-// Name returns the counter's metric name.
-func (c *Counter) Name() string { return c.name }
-
 // seriesMetric pairs a stats.Series with its registry identity. Series
 // are only ever touched from the collector's AfterCycle (single
 // goroutine), so they need no locking.

@@ -91,13 +91,6 @@ func (r *Recorder) WriteMetricsCSV(w io.Writer) error {
 	return WriteMetricsCSV(w, r.Metrics())
 }
 
-// WriteEvents dumps the retained event ring as JSONL to w. Prefer the
-// Options.Events streaming sink when the full (unbounded) stream
-// matters.
-func (r *Recorder) WriteEvents(w io.Writer) error {
-	return WriteEvents(w, r.log.Events())
-}
-
 // Flush drains the streaming event sink, if any.
 func (r *Recorder) Flush() error { return r.log.Flush() }
 

@@ -249,21 +249,3 @@ func (s *Summary) Add(rec Record) {
 		s.LastArrive = rec.Arrive
 	}
 }
-
-// Summarize scans a trace, plain or gzipped, into a Summary.
-func Summarize(r io.Reader) (Summary, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return Summary{}, err
-	}
-	defer tr.Close()
-	var s Summary
-	err = tr.Each(func(rec Record) error {
-		s.Add(rec)
-		return nil
-	})
-	if err != nil {
-		return Summary{}, err
-	}
-	return s, nil
-}

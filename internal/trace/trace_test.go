@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,23 @@ import (
 	"github.com/catnap-noc/catnap/internal/trace"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
+
+// summarize folds a trace, plain or gzipped, into a Summary the way
+// catnap trace does: NewReader, then Summary.Add on every record Each
+// yields.
+func summarize(t *testing.T, r io.Reader) trace.Summary {
+	t.Helper()
+	tr, err := trace.NewReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var s trace.Summary
+	if err := tr.Each(func(rec trace.Record) error { s.Add(rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -88,10 +106,7 @@ func TestLiveTraceAndSummary(t *testing.T) {
 	if w.Count() != ejected {
 		t.Fatalf("traced %d, network delivered %d", w.Count(), ejected)
 	}
-	sum, err := trace.Summarize(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := summarize(t, bytes.NewReader(buf.Bytes()))
 	if sum.Packets != ejected {
 		t.Fatalf("summary packets %d != %d", sum.Packets, ejected)
 	}
@@ -107,10 +122,7 @@ func TestLiveTraceAndSummary(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	sum, err := trace.Summarize(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := summarize(t, strings.NewReader(""))
 	if sum.Packets != 0 || sum.MeanLatency != 0 || sum.FirstCreate != 0 {
 		t.Fatalf("empty summary: %+v", sum)
 	}
@@ -237,10 +249,7 @@ func TestSummarizeGzip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := trace.Summarize(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := summarize(t, &buf)
 	if s.Packets != 10 || s.MeanLatency != 10 || s.PerSubnet[0] != 5 {
 		t.Errorf("summary = %+v", s)
 	}

@@ -113,18 +113,6 @@ type Schedule interface {
 	NextArrival(now int64) (at int64, ok bool)
 }
 
-// ScheduleFunc adapts a plain load function to the Schedule interface.
-// Its NextArrival is maximally conservative — an arrival every cycle — so
-// a functional schedule never enables idle fast-forward but always stays
-// correct.
-type ScheduleFunc func(cycle int64) float64
-
-// Load implements Schedule.
-func (f ScheduleFunc) Load(cycle int64) float64 { return f(cycle) }
-
-// NextArrival implements Schedule conservatively.
-func (f ScheduleFunc) NextArrival(now int64) (int64, bool) { return now, true }
-
 // constant is a fixed-load Schedule.
 type constant float64
 

@@ -150,11 +150,6 @@ func TestNextArrivalZeroRateBoundary(t *testing.T) {
 	if at, ok := s.NextArrival(100); !ok || at != 100 {
 		t.Fatalf("NextArrival(100) = (%d, %v), want (100, true)", at, ok)
 	}
-	// ScheduleFunc stays conservative: an arrival every cycle.
-	f := ScheduleFunc(func(int64) float64 { return 0 })
-	if at, ok := f.NextArrival(42); !ok || at != 42 {
-		t.Fatalf("ScheduleFunc.NextArrival(42) = (%d, %v), want (42, true)", at, ok)
-	}
 }
 
 // TestGeneratorNextArrivalBitIdentity: ticking a generator through a

@@ -180,7 +180,7 @@ func (s *Simulator) EnableTrace(w io.Writer, opts ...trace.Option) *trace.Writer
 // registry + structured event log) to this simulator's network and
 // congestion detector. label tags every exported metric point and is
 // typically the experiment or sweep-point name. Returns the collector;
-// read results through the recorder (Metrics, WriteEvents) after the
+// read results through the recorder (Metrics, Log) after the
 // run. When rec is never attached the simulator carries zero telemetry
 // overhead — the hooks stay nil.
 func (s *Simulator) EnableTelemetry(rec *telemetry.Recorder, label string) *telemetry.Collector {
