@@ -1,9 +1,10 @@
 // Package core implements the paper's primary contribution: the Catnap
 // subnet-selection policy (§3.2), the Catnap power-gating policy (§3.3,
 // Figure 5), and the baseline policies the evaluation compares against —
-// round-robin and random subnet selection, the injection-rate-threshold
-// selector of Figure 13, and Matsutani-style power gating without regional
-// congestion status.
+// round-robin and random subnet selection, and Matsutani-style power
+// gating without regional congestion status. Figure 13's injection-rate
+// thresholds need no selector of their own: they run the Catnap selector
+// on the detector's IR metric.
 package core
 
 import (

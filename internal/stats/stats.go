@@ -1,8 +1,9 @@
 // Package stats provides the measurement machinery the evaluation relies
-// on: streaming latency accumulators with percentiles and windowed
-// time-series samplers (for the bursty-traffic ramp-up study). Compensated
-// sleep cycles are derived by the network from its routers' sleep
-// timestamps (noc.Network.CompensatedSleepCycles).
+// on: streaming latency accumulators with percentiles, and windowed
+// time-series samplers for the telemetry collector's per-window series
+// (fig12 windows its own network counters). Compensated sleep cycles are
+// derived by the network from its routers' sleep timestamps
+// (noc.Network.CompensatedSleepCycles).
 package stats
 
 import (
@@ -131,8 +132,8 @@ func (l *Latency) String() string {
 }
 
 // Series is a windowed time-series sampler: it accumulates a value over
-// fixed-width cycle windows and records one point per window. Figure 12
-// samples network throughput every 50 cycles; Series is that instrument.
+// fixed-width cycle windows and records one point per window. The
+// telemetry collector keeps one per windowed metric.
 type Series struct {
 	window  int64
 	acc     float64
