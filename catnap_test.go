@@ -56,6 +56,38 @@ func TestNewRejectsUnrunnableConfigs(t *testing.T) {
 	}
 }
 
+// TestNewVCAnswers pins New's accept/reject answer on 4NT-128b-PG for 1
+// to 5 VCs under every combination of AppTraffic, Torus and FBfly. Each
+// string lists the eight combinations in the order AppTraffic, Torus,
+// FBfly = 000, 001, ..., 111; "+" is accepted and "-" rejected.
+func TestNewVCAnswers(t *testing.T) {
+	want := []string{
+		1: "++------",
+		2: "+++-----",
+		3: "+++-----",
+		4: "+++-++--",
+		5: "+++-++--",
+	}
+	for vcs := 1; vcs <= 5; vcs++ {
+		var got []byte
+		for combo := 0; combo < 8; combo++ {
+			cfg := mustDesign("4NT-128b-PG")
+			cfg.VCs = vcs
+			cfg.AppTraffic = combo&4 != 0
+			cfg.Torus = combo&2 != 0
+			cfg.FBfly = combo&1 != 0
+			answer := byte('+')
+			if _, err := New(cfg); err != nil {
+				answer = '-'
+			}
+			got = append(got, answer)
+		}
+		if string(got) != want[vcs] {
+			t.Errorf("VCs %d: New answers %s, want %s", vcs, got, want[vcs])
+		}
+	}
+}
+
 func TestDesignVoltages(t *testing.T) {
 	// Table 2: the evaluated designs run at 0.750 V (512b) and 0.625 V
 	// (128b) to hit 2 GHz.

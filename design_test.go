@@ -1,7 +1,10 @@
 package catnap
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/power"
@@ -122,4 +125,41 @@ func sharesMemory(t reflect.Type) bool {
 		}
 	}
 	return false
+}
+
+// designDigest is the SHA-256 of designDump over every registered design.
+const designDigest = "ef90cc4c8ced13923a6d3a58b6678aed0116181a8226ec94983cff4a2efc8fe6"
+
+// designDump prints every registered design's 28 fields, one design per
+// line. It reads each field by name, so the dump does not depend on how
+// Config arranges its fields.
+func designDump() string {
+	var b strings.Builder
+	for _, n := range Designs() {
+		c := mustDesign(n)
+		fmt.Fprintf(&b, "Name=%v Rows=%v Cols=%v TilesPerNode=%v RegionDim=%v Torus=%v FBfly=%v "+
+			"Subnets=%v LinkWidthBits=%v VoltageV=%v VCs=%v VCDepth=%v InjQueueFlits=%v "+
+			"RouterDelay=%v LinkDelay=%v CreditDelay=%v "+
+			"TWakeup=%v WakeupHidden=%v TIdleDetect=%v TBreakeven=%v "+
+			"Selector=%v Gating=%v Metric=%v MetricThreshold=%v LocalOnly=%v "+
+			"AppTraffic=%v OrderedForward=%v Seed=%v\n",
+			c.Name, c.Rows, c.Cols, c.TilesPerNode, c.RegionDim, c.Torus, c.FBfly,
+			c.Subnets, c.LinkWidthBits, c.VoltageV, c.VCs, c.VCDepth, c.InjQueueFlits,
+			c.RouterDelay, c.LinkDelay, c.CreditDelay,
+			c.TWakeup, c.WakeupHidden, c.TIdleDetect, c.TBreakeven,
+			c.Selector, c.Gating, c.Metric, c.MetricThreshold, c.LocalOnly,
+			c.AppTraffic, c.OrderedForward, c.Seed)
+	}
+	return b.String()
+}
+
+// TestDesignKnownAnswers pins the value every registered design resolves
+// to, field by field: a changed default, a changed design or a design
+// added or removed changes the digest. On failure the dump is printed, so
+// the changed field can be found by comparing it with the previous one.
+func TestDesignKnownAnswers(t *testing.T) {
+	dump := designDump()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(dump))); got != designDigest {
+		t.Errorf("design digest %s, want %s; designs:\n%s", got, designDigest, dump)
+	}
 }
