@@ -19,6 +19,7 @@ package catnap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -56,7 +57,14 @@ const (
 	GatingCatnap
 )
 
-// Config is the complete experiment configuration. Zero values for the
+// NetworkConfig is the network half of Config: geometry and topology,
+// subnet provisioning, router microarchitecture, power-gating timing and
+// the AppTraffic class map; see noc.Config for each field. Config embeds
+// it, so its fields read and assign as Config's own (cfg.Subnets = 4).
+type NetworkConfig = noc.Config
+
+// Config is the complete experiment configuration: the network, and the
+// supply voltage, policies and seed the facade adds. Zero values for the
 // microarchitectural fields are filled from the paper's parameters by
 // ApplyDefaults; start from Design or BaseConfig rather than a bare
 // literal.
@@ -64,35 +72,11 @@ type Config struct {
 	// Name labels the configuration in reports ("4NT-128b-PG").
 	Name string
 
-	// Mesh geometry.
-	Rows, Cols   int
-	TilesPerNode int
-	RegionDim    int
+	NetworkConfig
 
-	// Torus closes both mesh dimensions with wraparound links — the
-	// paper's §8 future work ("further study is required ... for other
-	// topologies"). Torus mode reserves the VC space for dateline
-	// deadlock avoidance, so it cannot be combined with AppTraffic's
-	// per-class VC masks.
-	Torus bool
-	// FBfly builds a flattened butterfly (§2.2's high-radix alternative):
-	// direct links to every row and column peer, at most two hops per
-	// packet, radix rows+cols−1. Mutually exclusive with Torus.
-	FBfly bool
-
-	// Network provisioning.
-	Subnets       int
-	LinkWidthBits int
 	// VoltageV is the router supply voltage; 0 selects the minimum
 	// voltage at which the router width reaches 2 GHz (Table 2).
 	VoltageV float64
-
-	// Router microarchitecture.
-	VCs, VCDepth, InjQueueFlits         int
-	RouterDelay, LinkDelay, CreditDelay int
-
-	// Power-gating timing (SPICE-derived).
-	TWakeup, WakeupHidden, TIdleDetect, TBreakeven int
 
 	// Policies.
 	Selector SelectorKind
@@ -104,11 +88,6 @@ type Config struct {
 	// LocalOnly disables the regional OR network (the BFM-local /
 	// IQOcc-local variants of Figure 11).
 	LocalOnly bool
-
-	// AppTraffic maps the coherence message classes onto disjoint virtual
-	// channels for protocol-level deadlock freedom; leave false for
-	// synthetic traffic, which may use every VC.
-	AppTraffic bool
 
 	// OrderedForward pins the point-to-point-ordered message class
 	// (directory request forwarding) to subnet 0, implementing §2.3's
@@ -128,10 +107,12 @@ type Config struct {
 // policies are left for the caller (or Design) to choose.
 func BaseConfig() Config {
 	return Config{
-		Rows: 8, Cols: 8, TilesPerNode: 4, RegionDim: 4,
-		VCs: 4, VCDepth: 4, InjQueueFlits: 16,
-		RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
-		TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
+		NetworkConfig: NetworkConfig{
+			Rows: 8, Cols: 8, TilesPerNode: 4, RegionDim: 4,
+			VCs: 4, VCDepth: 4, InjQueueFlits: 16,
+			RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
+			TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
+		},
 		Metric: congestion.BFM,
 		Seed:   1,
 	}
@@ -205,34 +186,26 @@ func (c *Config) ApplyDefaults() {
 	}
 }
 
-// nocConfig lowers the facade configuration to the engine's.
-func (c *Config) nocConfig() noc.Config {
-	n := noc.Config{
-		Rows: c.Rows, Cols: c.Cols, TilesPerNode: c.TilesPerNode, RegionDim: c.RegionDim,
-		Torus: c.Torus, FBfly: c.FBfly,
-		Subnets: c.Subnets, LinkWidthBits: c.LinkWidthBits,
-		VCs: c.VCs, VCDepth: c.VCDepth, InjQueueFlits: c.InjQueueFlits,
-		RouterDelay: c.RouterDelay, LinkDelay: c.LinkDelay, CreditDelay: c.CreditDelay,
-		TWakeup: c.TWakeup, WakeupHidden: c.WakeupHidden,
-		TIdleDetect: c.TIdleDetect, TBreakeven: c.TBreakeven,
+// Validate checks a configuration after ApplyDefaults, as New does before
+// it builds anything: the network (NetworkConfig.Validate), a finite and
+// positive supply voltage, and known selector, gating and metric kinds.
+func (c *Config) Validate() error {
+	if err := c.NetworkConfig.Validate(); err != nil {
+		return err
 	}
-	if c.AppTraffic {
-		n.ClassVCMask = AppClassVCMasks()
+	if !(c.VoltageV > 0) || math.IsInf(c.VoltageV, 1) {
+		return fmt.Errorf("catnap: supply voltage must be finite and positive, got %v V", c.VoltageV)
 	}
-	return n
-}
-
-// AppClassVCMasks returns the virtual-channel mapping that gives each
-// dependent coherence message class a disjoint VC set (§2.3): requests on
-// VC0, forwards on VC1 (the point-to-point-ordered class), responses on
-// VC2–3, acks/writebacks on VC3.
-func AppClassVCMasks() [noc.NumClasses]uint32 {
-	var m [noc.NumClasses]uint32
-	m[noc.ClassRequest] = 1 << 0
-	m[noc.ClassForward] = 1 << 1
-	m[noc.ClassResponse] = 1<<2 | 1<<3
-	m[noc.ClassAck] = 1 << 3
-	return m
+	if c.needsDetector() && !congestion.ValidKind(c.Metric) {
+		return fmt.Errorf("catnap: unknown congestion metric %d", c.Metric)
+	}
+	if c.Selector < SelectorRR || c.Selector > SelectorCatnap {
+		return fmt.Errorf("catnap: unknown selector kind %d", c.Selector)
+	}
+	if c.Gating < GatingOff || c.Gating > GatingCatnap {
+		return fmt.Errorf("catnap: unknown gating kind %d", c.Gating)
+	}
+	return nil
 }
 
 // needsDetector reports whether the configuration requires congestion
@@ -254,72 +227,50 @@ func registerDesign(name string, f func() Config) {
 }
 
 func init() {
-	mk := func(name string, subnets, width int, sel SelectorKind, gate GatingKind) func() Config {
-		return func() Config {
+	// mk builds a design from BaseConfig; shape, when given, adjusts the
+	// network before ApplyDefaults resolves the rest.
+	mk := func(name string, subnets, width int, sel SelectorKind, gate GatingKind, shape func(*NetworkConfig)) {
+		registerDesign(name, func() Config {
 			c := BaseConfig()
 			c.Name = name
 			c.Subnets = subnets
 			c.LinkWidthBits = width
 			c.Selector = sel
 			c.Gating = gate
+			if shape != nil {
+				shape(&c.NetworkConfig)
+			}
 			c.ApplyDefaults()
 			return c
-		}
+		})
 	}
 	// The six 256-core configurations of Figure 8.
-	registerDesign("1NT-512b", mk("1NT-512b", 1, 512, SelectorRR, GatingOff))
-	registerDesign("1NT-128b", mk("1NT-128b", 1, 128, SelectorRR, GatingOff))
-	registerDesign("4NT-128b", mk("4NT-128b", 4, 128, SelectorRR, GatingOff))
-	registerDesign("1NT-512b-PG", mk("1NT-512b-PG", 1, 512, SelectorRR, GatingBaseline))
-	registerDesign("1NT-128b-PG", mk("1NT-128b-PG", 1, 128, SelectorRR, GatingBaseline))
-	registerDesign("4NT-128b-PG", mk("4NT-128b-PG", 4, 128, SelectorCatnap, GatingCatnap))
+	mk("1NT-512b", 1, 512, SelectorRR, GatingOff, nil)
+	mk("1NT-128b", 1, 128, SelectorRR, GatingOff, nil)
+	mk("4NT-128b", 4, 128, SelectorRR, GatingOff, nil)
+	mk("1NT-512b-PG", 1, 512, SelectorRR, GatingBaseline, nil)
+	mk("1NT-128b-PG", 1, 128, SelectorRR, GatingBaseline, nil)
+	mk("4NT-128b-PG", 4, 128, SelectorCatnap, GatingCatnap, nil)
 	// The Multi-NoC round-robin gating baseline of Figure 11 ("RR").
-	registerDesign("4NT-128b-PG-RR", mk("4NT-128b-PG-RR", 4, 128, SelectorRR, GatingBaseline))
+	mk("4NT-128b-PG-RR", 4, 128, SelectorRR, GatingBaseline, nil)
 	// The bandwidth-equivalent alternatives of Figure 6.
-	registerDesign("2NT-256b", mk("2NT-256b", 2, 256, SelectorRR, GatingOff))
-	registerDesign("8NT-64b", mk("8NT-64b", 8, 64, SelectorRR, GatingOff))
+	mk("2NT-256b", 2, 256, SelectorRR, GatingOff, nil)
+	mk("8NT-64b", 8, 64, SelectorRR, GatingOff, nil)
 	// The 64-core study of Figure 14 (4×4 mesh, 8 GB/s per core → 256-bit
 	// aggregate width).
-	mk64 := func(name string, subnets, width int, sel SelectorKind, gate GatingKind) func() Config {
-		return func() Config {
-			c := BaseConfig()
-			c.Name = name
-			c.Rows, c.Cols = 4, 4
-			c.RegionDim = 2
-			c.Subnets = subnets
-			c.LinkWidthBits = width
-			c.Selector = sel
-			c.Gating = gate
-			c.ApplyDefaults()
-			return c
-		}
-	}
-	registerDesign("64c-1NT-256b-PG", mk64("64c-1NT-256b-PG", 1, 256, SelectorRR, GatingBaseline))
-	registerDesign("64c-2NT-128b-PG", mk64("64c-2NT-128b-PG", 2, 128, SelectorCatnap, GatingCatnap))
+	cores64 := func(n *NetworkConfig) { n.Rows, n.Cols, n.RegionDim = 4, 4, 2 }
+	mk("64c-1NT-256b-PG", 1, 256, SelectorRR, GatingBaseline, cores64)
+	mk("64c-2NT-128b-PG", 2, 128, SelectorCatnap, GatingCatnap, cores64)
 	// Torus variants (beyond the paper: §8 future work on other
 	// topologies).
-	registerDesign("4NT-128b-PG-torus", func() Config {
-		c := mk("4NT-128b-PG-torus", 4, 128, SelectorCatnap, GatingCatnap)()
-		c.Torus = true
-		return c
-	})
-	registerDesign("1NT-512b-torus", func() Config {
-		c := mk("1NT-512b-torus", 1, 512, SelectorRR, GatingOff)()
-		c.Torus = true
-		return c
-	})
+	torus := func(n *NetworkConfig) { n.Torus = true }
+	mk("4NT-128b-PG-torus", 4, 128, SelectorCatnap, GatingCatnap, torus)
+	mk("1NT-512b-torus", 1, 512, SelectorRR, GatingOff, torus)
 	// Flattened-butterfly variants (§2.2's high-radix topology; §8
 	// conjectures Multi-NoC power gating helps it too).
-	registerDesign("4NT-128b-PG-fbfly", func() Config {
-		c := mk("4NT-128b-PG-fbfly", 4, 128, SelectorCatnap, GatingCatnap)()
-		c.FBfly = true
-		return c
-	})
-	registerDesign("1NT-512b-fbfly", func() Config {
-		c := mk("1NT-512b-fbfly", 1, 512, SelectorRR, GatingOff)()
-		c.FBfly = true
-		return c
-	})
+	fbfly := func(n *NetworkConfig) { n.FBfly = true }
+	mk("4NT-128b-PG-fbfly", 4, 128, SelectorCatnap, GatingCatnap, fbfly)
+	mk("1NT-512b-fbfly", 1, 512, SelectorRR, GatingOff, fbfly)
 }
 
 // Design returns the named paper configuration; see Designs for the list.

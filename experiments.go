@@ -475,12 +475,14 @@ const fig12Total = 3000
 // runFig12 runs the two-burst schedule on the Catnap design for
 // ExperimentOpts.Total cycles (fig12Total when 0) and samples throughput
 // and subnet utilization every ExperimentOpts.Window cycles (50 in the
-// paper). A window longer than the run would sample nothing, so it is
-// rejected before anything is simulated. It is the one canned experiment
-// that honors ExperimentOpts.Telemetry directly: a non-nil recorder is
-// attached to the single simulated network, so its metrics carry the
-// windowed per-subnet power-state series the burst plots are built from.
-// Cancellation of ctx is checked once per window.
+// paper), each window one StartMeasure/StopMeasure pair. A window longer
+// than the run would sample nothing, so it is rejected before anything
+// is simulated. It is the one canned experiment that honors
+// ExperimentOpts.Telemetry directly: a non-nil recorder is attached to
+// the single simulated network, so its metrics carry the windowed
+// per-subnet power-state series the burst plots are built from.
+// Cancellation of ctx is checked as RunCtx checks it, at least once per
+// window.
 func runFig12(ctx context.Context, o ExperimentOpts) ([]Fig12Point, error) {
 	total, window := o.Total, o.Window
 	if total == 0 {
@@ -496,45 +498,26 @@ func runFig12(ctx context.Context, o ExperimentOpts) ([]Fig12Point, error) {
 	if o.Telemetry != nil {
 		sim.EnableTelemetry(o.Telemetry, "fig12")
 	}
-	gen := sim.UseSynthetic(traffic.UniformRandom{}, traffic.Fig12Bursts(), 0)
+	sim.UseSynthetic(traffic.UniformRandom{}, traffic.Fig12Bursts(), 0)
 
-	nodes := float64(sim.Net.Topo().Nodes())
-	subnets := sim.Net.Subnets()
-	prevOffered := int64(0)
-	prevEjected := int64(0)
-	prevFlits := make([]int64, subnets)
-	var out []Fig12Point
-
-	for sim.Net.Now() < total {
-		sim.Step()
-		now := sim.Net.Now()
-		if now%window != 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
+	out := make([]Fig12Point, 0, total/window)
+	for range total / window {
+		sim.StartMeasure()
+		if err := sim.RunCtx(ctx, window); err != nil {
 			return nil, err
 		}
-		_, _, ejected := sim.Net.Counts()
-		cur := sim.Net.FlitsPerSubnet()
-		var totalFlits int64
-		share := make([]float64, subnets)
-		for s := range cur {
-			totalFlits += cur[s] - prevFlits[s]
-		}
-		for s := range cur {
-			if totalFlits > 0 {
-				share[s] = float64(cur[s]-prevFlits[s]) / float64(totalFlits)
-			}
-		}
+		res := sim.StopMeasure()
 		out = append(out, Fig12Point{
-			Cycle:       now,
-			Offered:     float64(gen.Offered-prevOffered) / float64(window) / nodes,
-			Accepted:    float64(ejected-prevEjected) / float64(window) / nodes,
-			SubnetShare: share,
+			Cycle:       sim.Net.Now(),
+			Offered:     res.OfferedThroughput,
+			Accepted:    res.AcceptedThroughput,
+			SubnetShare: res.SubnetShare,
 		})
-		prevOffered = gen.Offered
-		prevEjected = ejected
-		copy(prevFlits, cur)
+	}
+	// The cycles after the last whole window are simulated but not
+	// sampled, so an attached telemetry collector sees the whole run.
+	if err := sim.RunCtx(ctx, total%window); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

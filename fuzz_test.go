@@ -118,13 +118,14 @@ func nonFinite(v reflect.Value, path string) string {
 }
 
 // FuzzNewConfig builds a Config from small per-field ranges: New must
-// either return an error, or a simulator that runs a 200-cycle synthetic
-// burst without a panic and reports finite Results. It asserts no
-// liveness property (that every packet eventually drains). The seeds
+// fail exactly when ApplyDefaults followed by Validate fails, and
+// otherwise return a simulator that runs a 200-cycle synthetic burst
+// without a panic and reports finite Results. It asserts no liveness
+// property (that every packet eventually drains). The seeds
 // include four configurations New used to accept: a negative mesh
 // dimension (a panic inside construction), a non-positive or non-finite
-// supply voltage (non-finite power), AppTraffic VC masks with no VC below
-// VCs (response and ack classes that can never allocate a VC), and a
+// supply voltage (non-finite power), AppTraffic with fewer than 4 VCs
+// (response and ack classes that can never allocate a VC), and a
 // one-node mesh (a panic picking a uniform-random destination).
 func FuzzNewConfig(f *testing.F) {
 	f.Add(fuzzSeed(nil))
@@ -137,7 +138,13 @@ func FuzzNewConfig(f *testing.F) {
 	f.Add(fuzzSeed(map[string]float64{"Subnets": 4, "LinkWidthBits": 128, "Selector": 2, "Gating": 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := fuzzConfig(data)
+		resolved := cfg
+		resolved.ApplyDefaults()
+		verr := resolved.Validate()
 		sim, err := New(cfg)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("New error %v, but ApplyDefaults then Validate gives %v, for %+v", err, verr, cfg)
+		}
 		if err != nil {
 			return
 		}

@@ -181,6 +181,8 @@ type Detector struct {
 	subnets int
 	nodes   int
 	regions int
+	// radix is the topology's router port count, over which BFA averages.
+	radix float64
 
 	lastHot []int64 // last cycle the raw metric exceeded Threshold
 	rcs     []bool  // [subnet*regions + region], latched every RCSPeriod
@@ -244,6 +246,7 @@ func (d *Detector) Reset(net *noc.Network, cfg Config) {
 	d.subnets = net.Subnets()
 	d.nodes = mesh.Nodes()
 	d.regions = mesh.Regions()
+	d.radix = float64(mesh.Radix())
 
 	d.lastHot = resetSlice(d.lastHot, d.subnets*d.nodes)
 	for i := range d.lastHot {
@@ -500,7 +503,7 @@ func (d *Detector) sample(subnet, node int) float64 {
 		return float64(d.net.Subnet(subnet).Router(node).MaxPortOccupancy())
 	case BFA:
 		r := d.net.Subnet(subnet).Router(node)
-		return float64(r.TotalOccupancy()) / 5
+		return float64(r.TotalOccupancy()) / d.radix
 	case IQOcc:
 		return float64(d.net.NI(node).QueueOccupancyFlits())
 	case IR, Delay:
@@ -518,7 +521,7 @@ func (d *Detector) sampleScan(subnet, node int) float64 {
 		return float64(d.net.Subnet(subnet).Router(node).MaxPortOccupancyScan())
 	case BFA:
 		r := d.net.Subnet(subnet).Router(node)
-		return float64(r.TotalOccupancyScan()) / 5
+		return float64(r.TotalOccupancyScan()) / d.radix
 	default:
 		return d.sample(subnet, node)
 	}

@@ -25,6 +25,51 @@ func newNet(t *testing.T, subnets int) *noc.Network {
 	return net
 }
 
+// TestBFAAveragesOverRadix builds 4NT-128b-PG-fbfly's network (an 8x8
+// flattened butterfly, radix 15) under the BFA metric and loads it: a
+// router holding k flits must sample k/15, on both sampling paths.
+func TestBFAAveragesOverRadix(t *testing.T) {
+	cfg := noc.Config{
+		Rows: 8, Cols: 8, TilesPerNode: 4, RegionDim: 4, FBfly: true,
+		Subnets: 4, LinkWidthBits: 128,
+		VCs: 4, VCDepth: 4, InjQueueFlits: 16,
+		RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
+		TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
+	}
+	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := congestion.NewDetector(net, congestion.Default(congestion.BFA))
+	net.AddObserver(det)
+	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
+	net.SetGatingPolicy(core.NewCatnapGating(det))
+	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.3), 5)
+	for i := 0; i < 400; i++ {
+		gen.Tick(net.Now())
+		net.Step()
+	}
+	busy := 0
+	for s := 0; s < net.Subnets(); s++ {
+		for n := 0; n < cfg.Nodes(); n++ {
+			k := net.Subnet(s).Router(n).TotalOccupancy()
+			if k > 0 {
+				busy++
+			}
+			want := float64(k) / 15
+			if got := det.Sample(s, n); got != want {
+				t.Fatalf("subnet %d node %d holds %d flits: BFA sample %v, want %v", s, n, k, got, want)
+			}
+			if got := det.SampleScan(s, n); got != want {
+				t.Fatalf("subnet %d node %d holds %d flits: BFA scan sample %v, want %v", s, n, k, got, want)
+			}
+		}
+	}
+	if busy == 0 {
+		t.Fatal("no router holds a flit; the load exercises nothing")
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	for _, k := range []congestion.MetricKind{congestion.BFM, congestion.BFA, congestion.IR, congestion.IQOcc, congestion.Delay} {
 		c := congestion.Default(k)

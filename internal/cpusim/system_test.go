@@ -16,19 +16,8 @@ func netConfig(rows, cols, subnets, width int) noc.Config {
 		VCs: 4, VCDepth: 4, InjQueueFlits: 16,
 		RouterDelay: 2, LinkDelay: 1, CreditDelay: 1,
 		TWakeup: 10, WakeupHidden: 3, TIdleDetect: 4, TBreakeven: 12,
-		ClassVCMask: appClassMasks(),
+		AppTraffic: true,
 	}
-}
-
-// appClassMasks maps dependent message classes to disjoint VCs for
-// protocol-level deadlock freedom.
-func appClassMasks() [noc.NumClasses]uint32 {
-	var m [noc.NumClasses]uint32
-	m[noc.ClassRequest] = 1 << 0
-	m[noc.ClassForward] = 1 << 1
-	m[noc.ClassResponse] = 1<<2 | 1<<3
-	m[noc.ClassAck] = 1 << 3
-	return m
 }
 
 func buildSystem(t *testing.T, ncfg noc.Config, mixName string) (*noc.Network, *cpusim.System) {

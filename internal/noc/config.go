@@ -16,15 +16,17 @@ type Config struct {
 	TilesPerNode int
 	// RegionDim is the side of the square congestion-detection regions.
 	RegionDim int
-	// Torus adds wraparound links in both dimensions (a 2-D torus). Torus
-	// mode reserves the VC space for dateline deadlock avoidance: it
-	// requires at least 2 VCs and forbids custom per-class VC masks.
+	// Torus adds wraparound links in both dimensions (a 2-D torus), the
+	// paper's §8 future work ("further study is required ... for other
+	// topologies"). Torus mode reserves the VC space for dateline
+	// deadlock avoidance: it requires at least 2 VCs and cannot carry
+	// AppTraffic's per-class VC sets.
 	Torus bool
-	// FBfly builds a flattened butterfly instead of a mesh: every router
-	// links directly to all routers in its row and column (radix
-	// rows+cols−1 including the local port), so any packet needs at most
-	// two hops. Dimension-ordered routing is deadlock-free without
-	// datelines. Mutually exclusive with Torus.
+	// FBfly builds a flattened butterfly (§2.2's high-radix alternative)
+	// instead of a mesh: every router links directly to all routers in
+	// its row and column (radix rows+cols−1 including the local port), so
+	// any packet needs at most two hops. Dimension-ordered routing is
+	// deadlock-free without datelines. Mutually exclusive with Torus.
 	FBfly bool
 
 	// Subnets is the number of parallel subnetworks (1 = Single-NoC).
@@ -54,9 +56,11 @@ type Config struct {
 	// CreditDelay is the credit return latency in cycles.
 	CreditDelay int
 
-	// ClassVCMask maps each message class to the set of virtual channels
-	// it may allocate (bit i = VC i). A zero mask means "all VCs".
-	ClassVCMask [NumClasses]uint32
+	// AppTraffic gives each dependent coherence message class its own
+	// fixed set of virtual channels for protocol-level deadlock freedom
+	// (§2.3; see appClassVCMask); it needs at least 4 VCs. Leave it false
+	// for synthetic traffic, which may use every VC.
+	AppTraffic bool
 
 	// Power gating timing constants (from the paper's SPICE analysis).
 	// They live here because the router mechanics (not just the policy)
@@ -118,27 +122,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: inconsistent wakeup timing (TWakeup=%d hidden=%d)", c.TWakeup, c.WakeupHidden)
 	case c.TIdleDetect < 0 || c.TBreakeven < 0:
 		return fmt.Errorf("noc: negative gating constants")
-	}
-	for class := range c.ClassVCMask {
-		if c.ClassVCMask[class] != 0 && c.vcMask(MsgClass(class)) == 0 {
-			return fmt.Errorf("noc: class %d VC mask %#x selects none of the %d VCs", class, c.ClassVCMask[class], c.VCs)
-		}
-	}
-	if c.Torus && c.FBfly {
+	case c.AppTraffic && c.VCs < 4:
+		return fmt.Errorf("noc: AppTraffic needs >= 4 VCs for its per-class VC sets, got %d", c.VCs)
+	case c.Torus && c.FBfly:
 		return fmt.Errorf("noc: Torus and FBfly are mutually exclusive")
-	}
-	if c.FBfly && (c.Rows < 2 || c.Cols < 2) {
+	case c.FBfly && (c.Rows < 2 || c.Cols < 2):
 		return fmt.Errorf("noc: flattened butterfly needs >=2x2 routers")
-	}
-	if c.Torus {
-		if c.VCs < 2 {
-			return fmt.Errorf("noc: torus needs >= 2 VCs for dateline classes, got %d", c.VCs)
-		}
-		for class, m := range c.ClassVCMask {
-			if m != 0 {
-				return fmt.Errorf("noc: torus mode reserves VC classes for datelines; class %d has a custom mask", class)
-			}
-		}
+	case c.Torus && c.VCs < 2:
+		return fmt.Errorf("noc: torus needs >= 2 VCs for dateline classes, got %d", c.VCs)
+	case c.Torus && c.AppTraffic:
+		return fmt.Errorf("noc: torus mode reserves the VCs for datelines and cannot carry AppTraffic")
 	}
 	return nil
 }
@@ -146,15 +139,26 @@ func (c *Config) Validate() error {
 // Nodes returns the number of network nodes (routers per subnet).
 func (c *Config) Nodes() int { return c.Rows * c.Cols }
 
-// vcMask returns the VC eligibility mask for a class, resolving the
-// zero-means-all convention against the configured VC count.
+// appClassVCMask is §2.3's class map under AppTraffic (bit i = VC i):
+// requests on VC0, forwards on VC1 (the point-to-point-ordered class),
+// responses on VC2–3, acks and writebacks on VC3. A zero entry (synthetic
+// traffic) means every VC.
+var appClassVCMask = [NumClasses]uint32{
+	ClassRequest:  1 << 0,
+	ClassForward:  1 << 1,
+	ClassResponse: 1<<2 | 1<<3,
+	ClassAck:      1 << 3,
+}
+
+// vcMask returns the VC eligibility mask for a class: its appClassVCMask
+// entry under AppTraffic, and every configured VC otherwise.
 func (c *Config) vcMask(class MsgClass) uint32 {
-	all := uint32(1)<<uint(c.VCs) - 1
-	m := c.ClassVCMask[class]
-	if m == 0 {
-		return all
+	if c.AppTraffic {
+		if m := appClassVCMask[class]; m != 0 {
+			return m
+		}
 	}
-	return m & all
+	return uint32(1)<<uint(c.VCs) - 1
 }
 
 // topology builds the topology object for this configuration.

@@ -16,7 +16,7 @@ import "fmt"
 
 // MsgClass identifies a protocol message class. Dependent message classes
 // are mapped to disjoint virtual-channel sets to guarantee protocol-level
-// deadlock freedom (paper §2.3); the mapping lives in Config.ClassVCMask.
+// deadlock freedom (paper §2.3) when Config.AppTraffic is set.
 type MsgClass uint8
 
 // Message classes of the 4-hop MESI directory protocol plus a catch-all

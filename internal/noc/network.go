@@ -38,12 +38,14 @@ type Network struct {
 	obs       []CycleObserver
 	tracer    PowerTracer
 
-	now        int64
-	nextPktID  uint64
-	sinks      []func(now int64, p *Packet)
-	inFlight   int64
-	latency    *stats.Latency
-	netLatency *stats.Latency
+	now       int64
+	nextPktID uint64
+	sinks     []func(now int64, p *Packet)
+	inFlight  int64
+	latency   *stats.Latency
+	// netLatencySum is the cumulative in-network latency (head injection
+	// to tail ejection) of every delivered packet.
+	netLatencySum int64
 
 	// refScan selects the retained O(nodes) scan-based phases instead of
 	// the incremental O(active) ones, and disables idle fast-forward;
@@ -286,7 +288,7 @@ func (n *Network) eject(now int64, node int, f flit) {
 	n.ejectedPkts++
 	n.inFlight--
 	n.latency.Observe(p.Latency())
-	n.netLatency.Observe(p.NetworkLatency())
+	n.netLatencySum += p.NetworkLatency()
 	for _, sink := range n.sinks {
 		sink(now, p)
 	}
@@ -302,9 +304,9 @@ func (n *Network) niStreaming(s, node int) bool { return n.nis[node].streaming(s
 // queue entry to tail ejection).
 func (n *Network) Latency() *stats.Latency { return n.latency }
 
-// NetworkLatency returns the in-network latency distribution (head
-// injection to tail ejection).
-func (n *Network) NetworkLatency() *stats.Latency { return n.netLatency }
+// NetLatencySum returns the cumulative in-network latency (head
+// injection to tail ejection) of every delivered packet, in cycles.
+func (n *Network) NetLatencySum() int64 { return n.netLatencySum }
 
 // Counts returns cumulative packet counters: created (entered a source
 // queue), injected (head flit entered a subnet), ejected (tail flit

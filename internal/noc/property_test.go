@@ -134,15 +134,12 @@ func TestPropertyLatencyLowerBound(t *testing.T) {
 	}
 }
 
-// TestPropertyClassIsolation: with per-class VC masks, packets of each
-// class are still all delivered (no class can starve another into
-// deadlock).
+// TestPropertyClassIsolation: with AppTraffic's per-class VC sets,
+// packets of each class are still all delivered (no class can starve
+// another into deadlock).
 func TestPropertyClassIsolation(t *testing.T) {
 	cfg := testConfig(4, 4, 2, 256)
-	cfg.ClassVCMask[noc.ClassRequest] = 1 << 0
-	cfg.ClassVCMask[noc.ClassForward] = 1 << 1
-	cfg.ClassVCMask[noc.ClassResponse] = 1<<2 | 1<<3
-	cfg.ClassVCMask[noc.ClassAck] = 1 << 3
+	cfg.AppTraffic = true
 	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
 	if err != nil {
 		t.Fatal(err)

@@ -69,11 +69,10 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.inFlight = 0
 	if n.latency == nil {
 		n.latency = stats.NewLatency(0)
-		n.netLatency = stats.NewLatency(0)
 	} else {
 		n.latency.Reset()
-		n.netLatency.Reset()
 	}
+	n.netLatencySum = 0
 
 	// Back to the New default; callers re-select the reference scan after
 	// Reset exactly as they do after New.

@@ -23,9 +23,9 @@ func TestTorusValidation(t *testing.T) {
 		t.Error("torus with 1 VC must be rejected (no dateline classes)")
 	}
 	cfg = torusConfig(4, 4, 1, 512)
-	cfg.ClassVCMask[noc.ClassRequest] = 1
+	cfg.AppTraffic = true
 	if err := cfg.Validate(); err == nil {
-		t.Error("torus with custom class masks must be rejected")
+		t.Error("torus with AppTraffic must be rejected")
 	}
 }
 

@@ -36,9 +36,6 @@ type Record struct {
 // Latency returns the end-to-end latency in cycles.
 func (r *Record) Latency() int64 { return r.Arrive - r.Create }
 
-// NetworkLatency returns the in-network latency in cycles.
-func (r *Record) NetworkLatency() int64 { return r.Arrive - r.Inject }
-
 // Option configures a Writer.
 type Option func(*writerConfig)
 

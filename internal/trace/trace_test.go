@@ -53,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("got %d records", len(got))
 	}
 	r := got[0]
-	if r.ID != 7 || r.Subnet != 3 || r.Latency() != 30 || r.NetworkLatency() != 28 {
+	if r.ID != 7 || r.Subnet != 3 || r.Latency() != 30 || r.Inject != 12 {
 		t.Fatalf("record mismatch: %+v", r)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
 	"github.com/catnap-noc/catnap/internal/core"
@@ -46,6 +45,7 @@ type measureSnapshot struct {
 	injected       int64
 	ejected        int64
 	ejectedFlits   int64
+	netLatencySum  int64
 	offered        int64
 	flitsPerSubnet []int64
 }
@@ -73,47 +73,21 @@ func New(cfg Config) (*Simulator, error) {
 // does exactly that, falling back to New.
 func (s *Simulator) Reset(cfg Config) error {
 	cfg.ApplyDefaults()
-	ncfg := cfg.nocConfig()
-	needsDet := cfg.needsDetector()
-
-	// Pre-validate everything that only depends on cfg, so an invalid
-	// config cannot leave a half-reset simulator behind or reach the
-	// selector and power-model constructors.
-	if err := ncfg.Validate(); err != nil {
+	// Validate before anything is built, so an invalid config cannot
+	// leave a half-reset simulator behind or reach the selector and
+	// power-model constructors.
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if !(cfg.VoltageV > 0) || math.IsInf(cfg.VoltageV, 1) {
-		return fmt.Errorf("catnap: supply voltage must be finite and positive, got %v V", cfg.VoltageV)
-	}
-	if needsDet && !congestion.ValidKind(cfg.Metric) {
-		return fmt.Errorf("catnap: unknown congestion metric %d", cfg.Metric)
-	}
-	switch cfg.Selector {
-	case SelectorRR, SelectorRandom:
-	case SelectorCatnap:
-		if !needsDet {
-			return fmt.Errorf("catnap: Catnap selector requires a congestion detector")
-		}
-	default:
-		return fmt.Errorf("catnap: unknown selector kind %d", cfg.Selector)
-	}
-	switch cfg.Gating {
-	case GatingOff, GatingBaseline:
-	case GatingCatnap:
-		if !needsDet {
-			return fmt.Errorf("catnap: Catnap gating requires a congestion detector")
-		}
-	default:
-		return fmt.Errorf("catnap: unknown gating kind %d", cfg.Gating)
-	}
+	needsDet := cfg.needsDetector()
 
 	if s.Net == nil {
-		net, err := noc.New(ncfg, core.NewRRSelector(ncfg.Nodes()))
+		net, err := noc.New(cfg.NetworkConfig, core.NewRRSelector(cfg.Nodes()))
 		if err != nil {
 			return err
 		}
 		s.Net = net
-	} else if err := s.Net.Reset(ncfg, core.NewRRSelector(ncfg.Nodes())); err != nil {
+	} else if err := s.Net.Reset(cfg.NetworkConfig, core.NewRRSelector(cfg.Nodes())); err != nil {
 		return err
 	}
 	s.Cfg = cfg
@@ -143,11 +117,11 @@ func (s *Simulator) Reset(cfg Config) error {
 	var selector noc.SubnetSelector
 	switch cfg.Selector {
 	case SelectorRR:
-		selector = core.NewRRSelector(ncfg.Nodes())
+		selector = core.NewRRSelector(cfg.Nodes())
 	case SelectorRandom:
 		selector = core.NewRandomSelector(sim.NewRNG(cfg.Seed ^ 0x5e1ec7))
 	case SelectorCatnap:
-		selector = core.NewCatnapSelector(s.Det, ncfg.Nodes())
+		selector = core.NewCatnapSelector(s.Det, cfg.Nodes())
 	}
 	if cfg.OrderedForward && cfg.Subnets > 1 {
 		selector = &core.OrderedSelector{Class: noc.ClassForward, Subnet: 0, Fallback: selector}
@@ -341,11 +315,10 @@ func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 }
 
 // StartMeasure opens a measurement window: all Results quantities are
-// deltas from this point. The network's latency accumulators restart
-// here, so they hold exactly the window's packets until StopMeasure.
+// deltas from this point. The network's latency distribution restarts
+// here, so it holds exactly the window's packets until StopMeasure.
 func (s *Simulator) StartMeasure() {
 	s.Net.Latency().Reset()
-	s.Net.NetworkLatency().Reset()
 	csc, _ := s.Net.CompensatedSleepCycles()
 	created, injected, ejected := s.Net.Counts()
 	s.start = measureSnapshot{
@@ -356,6 +329,7 @@ func (s *Simulator) StartMeasure() {
 		injected:       injected,
 		ejected:        ejected,
 		ejectedFlits:   s.Net.EjectedFlits(),
+		netLatencySum:  s.Net.NetLatencySum(),
 		flitsPerSubnet: s.start.flitsPerSubnet, // sized by Reset
 	}
 	copy(s.start.flitsPerSubnet, s.Net.FlitsPerSubnet())
@@ -400,9 +374,11 @@ func (s *Simulator) StopMeasure() Results {
 		AvgLatency:       lat.Mean(),
 		P50Latency:       float64(lat.Percentile(50)),
 		P99Latency:       float64(lat.Percentile(99)),
-		AvgNetLatency:    s.Net.NetworkLatency().Mean(),
 		Power:            s.Model.Measure(events, cycles, s.Cfg.TBreakeven, orToggles),
 		CSCPercent:       pct(cscDelta, routerCycles),
+	}
+	if r.PacketsDelivered > 0 {
+		r.AvgNetLatency = float64(s.Net.NetLatencySum()-s.start.netLatencySum) / float64(r.PacketsDelivered)
 	}
 	if cycles > 0 {
 		r.AcceptedThroughput = float64(r.PacketsDelivered) / float64(cycles) / float64(nodes)
