@@ -45,8 +45,10 @@ test:
 	$(GO) test ./...
 	$(GO) -C bench test ./...
 
+# race runs every test under the race detector (CI's whole-suite race
+# job runs the same command).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 -timeout 60m ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
