@@ -165,9 +165,8 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	// Output 0's downstream VCs are all held elsewhere: heads bound there
 	// latch a route but win no downstream VC, so they must not request.
 	const blocked = 0
-	for v := range r.out[blocked].busy {
-		r.out[blocked].busy[v] = true
-	}
+	all := uint32(1)<<uint(cfg.VCs) - 1
+	r.out[blocked].busy = all
 	pkts := make([]*Packet, nports*cfg.VCs)
 	for p := 0; p < nports; p++ {
 		for v := 0; v < cfg.VCs; v++ {
@@ -183,8 +182,8 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	body := &r.vcs[bp*cfg.VCs+bv]
 	body.pop()
 	body.push(testFlit(pkts[bp*cfg.VCs+bv], 1, 0))
-	body.curPkt, body.outPort, body.outVC, body.routeSet = pkts[bp*cfg.VCs+bv], outOf(bp, bv), 0, true
-	r.out[outOf(bp, bv)].busy[0] = true
+	body.outPort, body.outVC, body.routeSet, body.allowed = outOf(bp, bv), 0, true, all
+	r.out[outOf(bp, bv)].busy |= 1
 	bodyBit := uint64(1) << uint(bp*cfg.VCs+bv)
 	r.ready = bodyBit
 	r.req[outOf(bp, bv)] = bodyBit
@@ -206,8 +205,8 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 				continue
 			}
 			vc := &r.vcs[p*cfg.VCs+v]
-			if !vc.routeSet || vc.outPort != outOf(p, v) || vc.curPkt != pkts[p*cfg.VCs+v] {
-				t.Errorf("slot (%d,%d): head route not latched (routeSet=%v outPort=%d)", p, v, vc.routeSet, vc.outPort)
+			if !vc.routeSet || vc.outPort != outOf(p, v) || vc.allowed != cfg.vcMask(pkts[p*cfg.VCs+v].Class) {
+				t.Errorf("slot (%d,%d): head route not latched (routeSet=%v outPort=%d allowed=%#x)", p, v, vc.routeSet, vc.outPort, vc.allowed)
 			}
 		}
 	}
@@ -221,6 +220,16 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	}
 	if r.ready != wantReady {
 		t.Errorf("ready = %#x, want %#x", r.ready, wantReady)
+	}
+	// Four slots route to each output, and each wins one of its four
+	// downstream VCs; the blocked output keeps the VCs held elsewhere.
+	for o := 0; o < nports; o++ {
+		if r.out[o].busy != all {
+			t.Errorf("out[%d].busy = %#x, want %#x", o, r.out[o].busy, all)
+		}
+		if busy, dup := r.busyScan(o); o != blocked && (dup || busy != r.out[o].busy) {
+			t.Errorf("out[%d].busy = %#x, but the VC states hold %#x (dup %v)", o, r.out[o].busy, busy, dup)
+		}
 	}
 	ready, req, _ := r.allocMasksScan(0)
 	if r.ready != ready || r.req != req {

@@ -42,7 +42,7 @@ func (n *Network) CheckQuiescent() error {
 					if !vc.empty() {
 						return fmt.Errorf("noc: subnet %d router %d port %d vc %d not empty", si, ni, p, v)
 					}
-					if vc.routeSet || vc.outVC >= 0 || vc.curPkt != nil {
+					if vc.routeSet || vc.outVC >= 0 || vc.allowed != 0 {
 						return fmt.Errorf("noc: subnet %d router %d port %d vc %d wormhole state leaked", si, ni, p, v)
 					}
 				}
@@ -54,10 +54,8 @@ func (n *Network) CheckQuiescent() error {
 						}
 					}
 				}
-				for v, b := range op.busy {
-					if b {
-						return fmt.Errorf("noc: subnet %d router %d out %d vc %d still allocated", si, ni, p, v)
-					}
+				if op.busy != 0 {
+					return fmt.Errorf("noc: subnet %d router %d out %d VCs %#x still allocated", si, ni, p, op.busy)
 				}
 			}
 		}
@@ -106,9 +104,9 @@ func (n *Network) CheckQuiescent() error {
 				if c != n.cfg.VCDepth {
 					return fmt.Errorf("noc: NI %d channel %d vc %d credits=%d want %d", node, s, v, c, n.cfg.VCDepth)
 				}
-				if ch.busy[v] {
-					return fmt.Errorf("noc: NI %d channel %d vc %d still allocated", node, s, v)
-				}
+			}
+			if ch.busy != 0 {
+				return fmt.Errorf("noc: NI %d channel %d VCs %#x still allocated", node, s, ch.busy)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // pktQueue is a growable FIFO ring of packets. The previous slice-based
 // queues (pop via q = q[1:], push via append) leaked capacity on every
 // pop and re-allocated continuously under steady load; the ring reaches
@@ -59,9 +61,10 @@ type pktStream struct {
 type subnetChannel struct {
 	streams []pktStream
 	credits []int
-	busy    []bool
-	rr      int
-	active  int
+	// busy bit v marks local-port VC v as carrying a stream.
+	busy   uint32
+	rr     int
+	active int
 }
 
 // freeSlot returns an idle stream index, or -1.
@@ -74,15 +77,23 @@ func (ch *subnetChannel) freeSlot() int {
 	return -1
 }
 
-// freeVC returns a free local-port VC within mask, or -1.
+// freeVC returns the lowest free local-port VC within mask, or -1.
 func (ch *subnetChannel) freeVC(mask uint32) int {
-	for v := range ch.busy {
-		if mask&(1<<uint(v)) == 0 || ch.busy[v] {
-			continue
-		}
-		return v
+	if free := mask &^ ch.busy; free != 0 {
+		return bits.TrailingZeros32(free)
 	}
 	return -1
+}
+
+// busyScan rebuilds the channel's busy mask from its streams.
+func (ch *subnetChannel) busyScan() uint32 {
+	var busy uint32
+	for i := range ch.streams {
+		if ch.streams[i].pkt != nil {
+			busy |= 1 << uint(ch.streams[i].vc)
+		}
+	}
+	return busy
 }
 
 // NI is the network interface shared by a node's tiles (four per node in
@@ -201,7 +212,7 @@ func (ni *NI) injectPhase(now int64) {
 			slot := ch.freeSlot()
 			vc := ch.freeVC(mask)
 			ch.streams[slot] = pktStream{pkt: head, vc: vc}
-			ch.busy[vc] = true
+			ch.busy |= 1 << uint(vc)
 			ch.active++
 			head.Subnet = s
 			ni.injQ.pop()
@@ -282,7 +293,7 @@ func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	ni.net.niQueueFlits--
 	st.nextSeq++
 	if st.nextSeq == p.NumFlits {
-		ch.busy[st.vc] = false
+		ch.busy &^= 1 << uint(st.vc)
 		ch.active--
 		*st = pktStream{}
 	}

@@ -46,13 +46,15 @@ type vcState struct {
 	// Wormhole state for the front packet. Persists from the head flit's
 	// allocation until the tail flit traverses the switch, even across
 	// cycles where the FIFO is momentarily empty (body flits in flight).
-	curPkt   *Packet
 	outPort  int
 	outVC    int8
 	routeSet bool
-	// crossed snapshots the head flit's dateline bits when the route is
-	// latched (torus mode only).
-	crossed uint8
+	// allowed is the set of downstream VCs the packet may take (bit v =
+	// VC v), latched with the route: its class's VC set, narrowed on a
+	// torus to the dateline class of its output link. Both are fixed once
+	// the route is, so a head waiting for a VC reloads neither its packet
+	// nor the config.
+	allowed uint32
 }
 
 func (v *vcState) empty() bool { return v.count == 0 }
@@ -109,9 +111,9 @@ type outputPort struct {
 	// Local port, whose ejection sink is not credit-limited (ejection
 	// bandwidth is limited structurally to one crossbar grant per cycle).
 	credits []int32
-	// busy[v] marks downstream VC v as allocated to an in-flight packet
+	// busy bit v marks downstream VC v as allocated to an in-flight packet
 	// (wormhole: held from head allocation to tail traversal).
-	busy []bool
+	busy uint32
 	// rr is the round-robin pointer for switch allocation fairness.
 	rr int
 }
@@ -227,21 +229,18 @@ func (r *Router) wire(sub *Subnet, node int) {
 				op.downstream = peer
 				op.downInPort = peerPort
 				op.credits = sub.outCredits[vb : vb+cfg.VCs : vb+cfg.VCs]
-				op.busy = sub.busyPool[vb : vb+cfg.VCs : vb+cfg.VCs]
 			}
-		} else {
-			op.busy = sub.busyPool[vb : vb+cfg.VCs : vb+cfg.VCs]
 		}
 	}
 }
 
 // rearm rewinds the router's run state to cycle 0 through the existing
-// views: per-port occupancy and round-robin cursors, downstream credit
-// values, and the incremental counters. It runs on every reset — after
-// wire on a shape change, alone when the shape is unchanged — and is the
-// single place cycle-0 router values are defined.
-// The flit rings, VC states, and busy flags it does not touch are swept
-// by Subnet.reset directly through the backing pools.
+// views: per-port occupancy, round-robin cursors and downstream VC
+// ownership, downstream credit values, and the incremental counters. It
+// runs on every reset — after wire on a shape change, alone when the
+// shape is unchanged — and is the single place cycle-0 router values are
+// defined. The flit rings and VC states it does not touch are swept by
+// Subnet.reset directly through the backing pools.
 func (r *Router) rearm(cfg *Config) {
 	for p := range r.in {
 		r.in[p].occupancy = 0
@@ -249,6 +248,7 @@ func (r *Router) rearm(cfg *Config) {
 	for p := range r.out {
 		op := &r.out[p]
 		op.rr = 0
+		op.busy = 0
 		for v := range op.credits {
 			op.credits[v] = int32(cfg.VCDepth)
 		}
@@ -322,6 +322,21 @@ func (r *Router) allocMasksScan(now int64) (ready uint64, req [maskPorts]uint64,
 		}
 	}
 	return ready, req, elig
+}
+
+// busyScan rebuilds output o's downstream-VC ownership mask from the VC
+// states: bit v for each slot that holds a route through o and downstream
+// VC v. dup reports a downstream VC that two slots hold.
+func (r *Router) busyScan(o int) (busy uint32, dup bool) {
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		if vc.routeSet && vc.outPort == o && vc.outVC >= 0 {
+			bit := uint32(1) << uint(vc.outVC)
+			dup = dup || busy&bit != 0
+			busy |= bit
+		}
+	}
+	return busy, dup
 }
 
 // BlockingCounters returns the cumulative eligible-but-blocked flit cycles
@@ -463,11 +478,7 @@ func (r *Router) vcAllocate() {
 						if !f.head() {
 							continue
 						}
-						vc.curPkt = f.pkt
-						vc.outPort = int(f.nextPort)
-						vc.outVC = -1
-						vc.routeSet = true
-						vc.crossed = f.crossed
+						r.latchRoute(vc, f)
 					}
 					r.allocateOutVC(vc, p*vcs+v)
 				}
@@ -488,11 +499,7 @@ func (r *Router) vcAllocate() {
 			}
 			f := vc.front()
 			if f.head() && !vc.routeSet {
-				vc.curPkt = f.pkt
-				vc.outPort = int(f.nextPort)
-				vc.outVC = -1
-				vc.routeSet = true
-				vc.crossed = f.crossed
+				r.latchRoute(vc, f)
 			}
 			if !vc.routeSet || vc.outVC >= 0 {
 				continue
@@ -512,40 +519,49 @@ func (r *Router) advanceVARR(nports int) {
 	}
 }
 
-// allocateOutVC tries to grant vc's front packet, at slot p*VCs+v, a
-// downstream virtual channel on its output port; on success the slot joins
-// ready and req[outPort].
-func (r *Router) allocateOutVC(vc *vcState, slot int) {
-	op := &r.out[vc.outPort]
+// latchRoute latches the look-ahead route of f, the head flit now at the
+// front of vc, together with the downstream VCs its packet may take.
+func (r *Router) latchRoute(vc *vcState, f *flit) {
 	cfg := r.sub.net.cfg
-	mask := cfg.vcMask(vc.curPkt.Class)
+	o := int(f.nextPort)
+	allowed := cfg.vcMask(f.pkt.Class)
 	// Ejection (the local port) skips the checks below: the sink is not
 	// credit-limited, but the downstream-VC ownership still serializes
 	// packets per ejection channel so that wormhole ordering holds at the
 	// NI.
-	if vc.outPort != r.sub.net.localPort {
-		if op.downstream < 0 {
+	if o != r.sub.net.localPort {
+		if r.out[o].downstream < 0 {
 			panic("noc: route points off the mesh edge (routing bug)")
 		}
 		if cfg.Torus {
 			// Dateline VC classes: the downstream buffer belongs to the
 			// ring of this link; a packet that has crossed (or is about to
 			// cross, if this link is the dateline) uses the upper class.
-			crossed := vc.crossed&dimBit(vc.outPort) != 0 || r.sub.net.topo.WrapsPort(r.node, vc.outPort)
-			mask &= cfg.datelineMask(crossed)
+			crossed := f.crossed&dimBit(o) != 0 || r.sub.net.topo.WrapsPort(r.node, o)
+			allowed &= cfg.datelineMask(crossed)
 		}
 	}
-	for v := range op.busy {
-		if mask&(1<<uint(v)) == 0 || op.busy[v] {
-			continue
-		}
-		op.busy[v] = true
-		vc.outVC = int8(v)
-		if r.slotMask {
-			r.ready |= 1 << uint(slot)
-			r.req[vc.outPort] |= 1 << uint(slot)
-		}
+	vc.outPort = o
+	vc.outVC = -1
+	vc.routeSet = true
+	vc.allowed = allowed
+}
+
+// allocateOutVC tries to grant vc's front packet, at slot p*VCs+v, the
+// lowest free downstream VC of its allowed set on its output port; on
+// success the slot joins ready and req[outPort].
+func (r *Router) allocateOutVC(vc *vcState, slot int) {
+	op := &r.out[vc.outPort]
+	free := vc.allowed &^ op.busy
+	if free == 0 {
 		return
+	}
+	v := bits.TrailingZeros32(free)
+	op.busy |= 1 << uint(v)
+	vc.outVC = int8(v)
+	if r.slotMask {
+		r.ready |= 1 << uint(slot)
+		r.req[vc.outPort] |= 1 << uint(slot)
 	}
 }
 
@@ -776,10 +792,10 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	if f.tail() {
 		// Release the downstream VC and reset per-packet state for the
 		// next packet in this FIFO.
-		op.busy[outVC] = false
+		op.busy &^= 1 << uint(outVC)
 		vc.routeSet = false
 		vc.outVC = -1
-		vc.curPkt = nil
+		vc.allowed = 0
 	}
 
 	// Return a credit to whoever feeds this input port (upstream router or

@@ -141,14 +141,13 @@ type Subnet struct {
 	// (n*radix+p)*VCs+v; linked output ports subslice it and the deliver
 	// phase drains credit returns into it without loading any router.
 	outCredits []int32
-	// Contiguous backing pools for every router's port, VC, flit-ring,
-	// and VC-busy storage: one allocation per kind per subnet instead of
+	// Contiguous backing pools for every router's port, VC and flit-ring
+	// storage: one allocation per kind per subnet instead of
 	// O(nodes*radix) little ones.
 	inPool   []inputPort
 	outPool  []outputPort
 	vcPool   []vcState
 	flitPool []flit
-	busyPool []bool
 	// grantScratch is the scan switch allocator's per-cycle set of input
 	// ports that already granted a flit (one buffer read port each).
 	// Routers allocate one at a time, so one radix-long slice serves them
@@ -566,6 +565,14 @@ func (s *Subnet) checkAggregates(now int64) string {
 		}
 		if inState(s.wakingBits) != (s.pstate[n] == PowerWaking) {
 			return "wakingBits inconsistent with state"
+		}
+		for o := range r.out {
+			if busy, dup := r.busyScan(o); dup || busy != r.out[o].busy {
+				return "output busy mask drifted from VC state"
+			}
+		}
+		if ch := &s.net.nis[n].channels[s.index]; ch.busy != ch.busyScan() {
+			return "NI channel busy mask drifted from its streams"
 		}
 		if r.slotMask {
 			ready, req, elig := r.allocMasksScan(now)

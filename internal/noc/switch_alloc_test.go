@@ -141,19 +141,14 @@ func randomAllocState(t *testing.T, net *Network, node int, rng *rand.Rand) {
 			if kind == 0 {
 				continue
 			}
-			if n > 0 {
-				vc.curPkt = vc.front().pkt
-			} else {
-				vc.curPkt = pkt
-			}
-			vc.routeSet, vc.outPort = true, out
+			vc.routeSet, vc.outPort, vc.allowed = true, out, cfg.vcMask(pkt.Class)
 			if kind == 1 {
 				continue
 			}
-			busy := r.out[out].busy
-			for _, ov := range rng.Perm(len(busy)) {
-				if !busy[ov] {
-					busy[ov] = true
+			op := &r.out[out]
+			for _, ov := range rng.Perm(cfg.VCs) {
+				if op.busy&(1<<uint(ov)) == 0 {
+					op.busy |= 1 << uint(ov)
 					vc.outVC = int8(ov)
 					break
 				}
@@ -192,9 +187,12 @@ func diffAllocOutcome(a, b *Subnet, node int, now int64) string {
 	}
 	for o := range ra.out {
 		oa, ob := &ra.out[o], &rb.out[o]
-		if oa.rr != ob.rr || !reflect.DeepEqual(oa.credits, ob.credits) || !reflect.DeepEqual(oa.busy, ob.busy) {
-			return fmt.Sprintf("output %d: scan rr %d credits %v busy %v, masks rr %d credits %v busy %v",
+		if oa.rr != ob.rr || !reflect.DeepEqual(oa.credits, ob.credits) || oa.busy != ob.busy {
+			return fmt.Sprintf("output %d: scan rr %d credits %v busy %#x, masks rr %d credits %v busy %#x",
 				o, oa.rr, oa.credits, oa.busy, ob.rr, ob.credits, ob.busy)
+		}
+		if busy, dup := rb.busyScan(o); dup || busy != ob.busy {
+			return fmt.Sprintf("output %d: busy %#x, but the VC states hold %#x (dup %v)", o, ob.busy, busy, dup)
 		}
 	}
 	for i := range ra.vcs {
