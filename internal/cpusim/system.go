@@ -181,7 +181,7 @@ func (m *mc) service(now int64, dram int64) int64 {
 type System struct {
 	cfg   Config
 	net   *noc.Network
-	cores []*Core
+	cores []Core
 	mcs   []*mc
 	mcOf  map[int]*mc
 	rng   *sim.RNG
@@ -235,10 +235,12 @@ func newSystem(net *noc.Network, cfg Config, assign []*workload.Profile) (*Syste
 		s.mcOf[n] = m
 	}
 
-	s.cores = make([]*Core, len(assign))
+	s.cores = make([]Core, len(assign))
+	rings := make([]missRecord, len(assign)*cfg.MSHRs)
 	root := sim.NewRNG(cfg.Seed)
 	for i, prof := range assign {
-		s.cores[i] = newCore(s, i, mesh.NodeOfTile(i), prof, root.SplitN(i))
+		ring := rings[i*cfg.MSHRs : (i+1)*cfg.MSHRs : (i+1)*cfg.MSHRs]
+		s.cores[i].init(s, i, mesh.NodeOfTile(i), prof, root, ring)
 	}
 	s.baseRetired = make([]int64, len(assign))
 
@@ -301,7 +303,7 @@ func (s *System) onPacket(now int64, p *noc.Packet) {
 	if !ok {
 		return // foreign traffic (mixed workloads) — not ours
 	}
-	c := s.cores[t.core]
+	c := &s.cores[t.core]
 	switch t.stage {
 	case stageReqToHome:
 		// Directory + L2 tag lookup at the home node.
@@ -388,22 +390,21 @@ func (s *System) AfterCycle(now int64) {
 			p := s.net.NewPacket(e.src, e.dst, e.class, e.bits)
 			p.Payload = e.t
 		case evComplete:
-			c := s.cores[e.t.core]
-			c.completeMiss(e.t.missIdx)
+			s.cores[e.t.core].completeMiss(e.t.missIdx)
 			s.missesCompleted++
 			s.free = append(s.free, e.t)
 		}
 	}
-	for _, c := range s.cores {
-		c.step(now)
+	for i := range s.cores {
+		s.cores[i].step(now)
 	}
 }
 
 // StartMeasurement snapshots per-core retired counts; IPC reports cover
 // the interval since the last call.
 func (s *System) StartMeasurement() {
-	for i, c := range s.cores {
-		s.baseRetired[i] = c.retired
+	for i := range s.cores {
+		s.baseRetired[i] = s.cores[i].retired
 	}
 	s.baseCycle = s.net.Now()
 }
@@ -416,8 +417,8 @@ func (s *System) SystemIPC() float64 {
 		return 0
 	}
 	var instr int64
-	for i, c := range s.cores {
-		instr += c.retired - s.baseRetired[i]
+	for i := range s.cores {
+		instr += s.cores[i].retired - s.baseRetired[i]
 	}
 	return float64(instr) / float64(cycles)
 }
