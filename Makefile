@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check check-race build test race lint bench bench-core bench-telemetry experiments quick-experiments fmt vet clean
+.PHONY: all check check-race build test race lint fma-check bench bench-core bench-telemetry experiments quick-experiments fmt vet clean
 
 all: check
 
@@ -13,7 +13,7 @@ all: check
 # rules), the differential suites under the race detector (check-race),
 # the full suite under the race detector, the telemetry zero-overhead
 # guard, and the core stepping-cost guard last (slowest).
-check: build lint test check-race race bench-telemetry bench-core
+check: build lint fma-check test check-race race bench-telemetry bench-core
 
 # lint is a gofmt check over every tracked .go file, then go vet on the
 # root module and on bench/, its own module, which ./... does not reach.
@@ -36,6 +36,16 @@ check-race:
 	$(GO) test -race -count=1 -timeout 60m \
 		-run 'Incremental|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
 		./internal/noc ./internal/congestion .
+
+# fma-check cross-compiles every package for arm64 and fails on a fused
+# multiply-add in the assembly: a product that fuses into a sum skips its
+# rounding, so results would differ from amd64's. Wrap the product in an
+# explicit float64(...) conversion to keep it rounded (DESIGN.md §4f).
+fma-check:
+	@asm=$$(mktemp); trap 'rm -f "$$asm"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags=-S ./... 2> "$$asm" || { cat "$$asm"; exit 1; }; \
+	if grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s' "$$asm"; then \
+		echo "fma-check: fused multiply-add in the arm64 assembly"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -281,6 +281,6 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 }
 
 func bar(frac float64) string {
-	n := int(frac*40 + 0.5)
+	n := int(float64(frac*40) + 0.5)
 	return strings.Repeat("#", n)
 }

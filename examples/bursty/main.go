@@ -76,7 +76,7 @@ func main() {
 		bar := ""
 		active := 0
 		for _, s := range p.SubnetShare {
-			n := int(s*10 + 0.5)
+			n := int(float64(s*10) + 0.5)
 			bar += strings.Repeat("#", n) + strings.Repeat(".", 10-n) + " "
 			if s > 0.02 {
 				active++

@@ -58,11 +58,11 @@ func (m *Model) bufferBitsPerRouter() float64 {
 func (m *Model) RouterLeakPJ() float64 {
 	p := &m.p
 	w := m.w()
-	leak := p.LBufPerBit*m.bufferBitsPerRouter() +
-		p.LXbar*w*w +
+	leak := float64(p.LBufPerBit*m.bufferBitsPerRouter()) +
+		float64(p.LXbar*w*w) +
 		p.LCtrl +
-		p.LClkFixed + p.LClkPerWidth*w +
-		p.LLink*w*m.linkFac
+		p.LClkFixed + float64(p.LClkPerWidth*w) +
+		float64(p.LLink*w*m.linkFac)
 	return leak * p.leakScale(m.volt)
 }
 
@@ -77,7 +77,7 @@ func (m *Model) NILeakPJ() float64 {
 // StaticPower returns the network's leakage power in watts with every
 // router active (no power gating).
 func (m *Model) StaticPower() float64 {
-	perCyclePJ := m.RouterLeakPJ()*float64(m.nodes*m.subnets) + m.NILeakPJ()*float64(m.nodes)
+	perCyclePJ := float64(m.RouterLeakPJ()*float64(m.nodes*m.subnets)) + float64(m.NILeakPJ()*float64(m.nodes))
 	return perCyclePJ * 1e-12 * m.p.FreqHz
 }
 
@@ -123,21 +123,21 @@ func (m *Model) Measure(events noc.PowerEvents, cycles int64, tBreakeven int, or
 	toW := 1e-12 * p.FreqHz / float64(cycles) // pJ-per-interval → watts
 
 	var b Breakdown
-	b.Buffer = float64(events.BufferWrites)*p.EBufWrite*w*dyn*toW +
-		float64(events.BufferReads)*p.EBufRead*w*dyn*toW
-	b.Crossbar = float64(events.XbarTraversals) * p.EXbar * w * w * dyn * toW
-	b.Control = float64(events.ArbiterOps) * p.EArb * dyn * toW
-	b.Clock = float64(events.ActiveRouterCycles) * (p.EClkFixed + p.EClkPerWidth*w) * dyn * toW
-	b.Link = float64(events.LinkTraversals) * p.ELink * w * m.linkFac * dyn * toW
-	b.NI = float64(events.NIFlits) * p.ENI * w * dyn * toW
+	b.Buffer = float64(float64(events.BufferWrites)*p.EBufWrite*w*dyn*toW) +
+		float64(float64(events.BufferReads)*p.EBufRead*w*dyn*toW)
+	b.Crossbar = float64(float64(events.XbarTraversals) * p.EXbar * w * w * dyn * toW)
+	b.Control = float64(float64(events.ArbiterOps) * p.EArb * dyn * toW)
+	b.Clock = float64(float64(events.ActiveRouterCycles) * (p.EClkFixed + float64(p.EClkPerWidth*w)) * dyn * toW)
+	b.Link = float64(float64(events.LinkTraversals) * p.ELink * w * m.linkFac * dyn * toW)
+	b.NI = float64(float64(events.NIFlits) * p.ENI * w * dyn * toW)
 	b.Dynamic = b.Buffer + b.Crossbar + b.Control + b.Clock + b.Link + b.NI
 
 	routerLeak := m.RouterLeakPJ()
-	b.Static = float64(events.ActiveRouterCycles)*routerLeak*toW +
-		m.NILeakPJ()*float64(m.nodes)*float64(cycles)*toW
+	b.Static = float64(float64(events.ActiveRouterCycles)*routerLeak*toW) +
+		float64(m.NILeakPJ()*float64(m.nodes)*float64(cycles)*toW)
 
-	b.Gating = float64(events.GatingTransitions)*float64(tBreakeven)*routerLeak*toW +
-		float64(orToggles)*p.ORNetSwitchPJ*toW
+	b.Gating = float64(float64(events.GatingTransitions)*float64(tBreakeven)*routerLeak*toW) +
+		float64(float64(orToggles)*p.ORNetSwitchPJ*toW)
 
 	b.Total = b.Dynamic + b.Static + b.Gating
 	return b
@@ -158,12 +158,14 @@ func (m *Model) AnalyticLoadPoint(loadFactor, switching float64) Breakdown {
 	toW := 1e-12 * p.FreqHz
 
 	var b Breakdown
-	b.Buffer = flitHopsPerCycle * (p.EBufWrite + p.EBufRead) * w * dyn * toW
-	b.Crossbar = flitHopsPerCycle * p.EXbar * w * w * dyn * toW
-	b.Control = flitHopsPerCycle * p.EArb * dyn * toW
-	b.Clock = routers * (p.EClkFixed + p.EClkPerWidth*w) * p.dynScale(m.volt) * toW
-	b.Link = flitHopsPerCycle * meshShare * p.ELink * w * m.linkFac * dyn * toW
-	b.NI = flitHopsPerCycle * (1 - meshShare) * 2 * p.ENI * w * dyn * toW
+	b.Buffer = float64(flitHopsPerCycle * (p.EBufWrite + p.EBufRead) * w * dyn * toW)
+	b.Crossbar = float64(flitHopsPerCycle * p.EXbar * w * w * dyn * toW)
+	b.Control = float64(flitHopsPerCycle * p.EArb * dyn * toW)
+	b.Clock = float64(routers * (p.EClkFixed + float64(p.EClkPerWidth*w)) * p.dynScale(m.volt) * toW)
+	b.Link = float64(flitHopsPerCycle * meshShare * p.ELink * w * m.linkFac * dyn * toW)
+	// The compiler turns the doubling into an addition that a product
+	// could fuse into, so the product before it is rounded too.
+	b.NI = float64(float64(flitHopsPerCycle*(1-meshShare)) * 2 * p.ENI * w * dyn * toW)
 	b.Dynamic = b.Buffer + b.Crossbar + b.Control + b.Clock + b.Link + b.NI
 	b.Static = m.StaticPower()
 	b.Total = b.Dynamic + b.Static

@@ -42,7 +42,7 @@ func (p *Params) FrequencyGHz(widthBits int, v float64) float64 {
 // router of widthBits reaches targetGHz, searching [Vth+50mV, 1.2 V]. The
 // boolean is false when even 1.2 V is insufficient.
 func (p *Params) MinVoltageFor(widthBits int, targetGHz float64) (float64, bool) {
-	for mv := int((p.Vth+0.05)*1000 + 0.5); mv <= 1200; mv += 5 {
+	for mv := int(float64((p.Vth+0.05)*1000) + 0.5); mv <= 1200; mv += 5 {
 		v := float64(mv) / 1000
 		if p.FrequencyGHz(widthBits, v) >= targetGHz {
 			return v, true

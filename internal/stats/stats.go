@@ -155,7 +155,7 @@ func (s *Series) AddSpan(from, to int64, v float64) {
 		if n > to-from {
 			n = to - from
 		}
-		s.acc += float64(n) * v
+		s.acc += float64(float64(n) * v)
 		from += n
 	}
 }
