@@ -49,13 +49,13 @@ var cscKnownAnswers = []struct{ cycle, csc int64 }{
 // one just after the second packet's NI wake-up, and the last.
 var cscEventAnswers = map[int64]noc.PowerEvents{
 	201: {
-		BufferWrites: 16, BufferReads: 16, XbarTraversals: 16, LinkTraversals: 12,
-		NIFlits: 8, ArbiterOps: 16, ActiveRouterCycles: 222, SleepRouterCycles: 6210,
+		BufferWrites: 16, XbarTraversals: 16, LinkTraversals: 12,
+		NIFlits: 8, ActiveRouterCycles: 222,
 		GatingTransitions: 5, WakeupSignals: 5,
 	},
 	300: {
-		BufferWrites: 32, BufferReads: 32, XbarTraversals: 32, LinkTraversals: 24,
-		NIFlits: 16, ArbiterOps: 32, ActiveRouterCycles: 314, SleepRouterCycles: 9286,
+		BufferWrites: 32, XbarTraversals: 32, LinkTraversals: 24,
+		NIFlits: 16, ActiveRouterCycles: 314,
 		GatingTransitions: 8, WakeupSignals: 8,
 	},
 }

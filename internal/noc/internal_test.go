@@ -104,7 +104,7 @@ func TestWheelWrap(t *testing.T) {
 	}
 	s := net.subnets[0]
 	// Run the clock close to a wheel multiple, then stage and check.
-	net.Run(int64(s.wheelSize*3 - 2))
+	net.Run(int64(len(s.arrivals)*3 - 2))
 	base := net.Now()
 	p := &Packet{ID: 1, Dst: 0, NumFlits: 1}
 	s.stageArrival(base+2, 0, int(topology.North), 0, testFlit(p, 0, int(topology.Local)))
@@ -182,7 +182,7 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 	body := &r.vcs[bp*cfg.VCs+bv]
 	body.pop()
 	body.push(testFlit(pkts[bp*cfg.VCs+bv], 1, 0))
-	body.outPort, body.outVC, body.routeSet, body.allowed = outOf(bp, bv), 0, true, all
+	body.outPort, body.outVC, body.allowed = outOf(bp, bv), 0, all
 	r.out[outOf(bp, bv)].busy |= 1
 	bodyBit := uint64(1) << uint(bp*cfg.VCs+bv)
 	r.ready = bodyBit
@@ -205,8 +205,8 @@ func TestVCAllocateFillsRequestMasks(t *testing.T) {
 				continue
 			}
 			vc := &r.vcs[p*cfg.VCs+v]
-			if !vc.routeSet || vc.outPort != outOf(p, v) || vc.allowed != cfg.vcMask(pkts[p*cfg.VCs+v].Class) {
-				t.Errorf("slot (%d,%d): head route not latched (routeSet=%v outPort=%d allowed=%#x)", p, v, vc.routeSet, vc.outPort, vc.allowed)
+			if vc.outPort != outOf(p, v) || vc.allowed != cfg.vcMask(pkts[p*cfg.VCs+v].Class) {
+				t.Errorf("slot (%d,%d): head route not latched (outPort=%d allowed=%#x)", p, v, vc.outPort, vc.allowed)
 			}
 		}
 	}
@@ -431,10 +431,11 @@ func TestPowerStateString(t *testing.T) {
 
 // TestWheelDelayCrossesWheelSize pins the staging wheel's wrap behavior
 // at its capacity boundary: staged between cycles, the longest
-// representable delay is wheelSize-1 (delay wheelSize would alias the
-// slot the next deliver phase drains). Such an event's slot index wraps
-// below the current cycle's slot, and it must survive every intermediate
-// drain and fire exactly at its scheduled cycle — not a revolution early.
+// representable delay is one less than the wheel's size (a delay of the
+// full size would alias the slot the next deliver phase drains). Such
+// an event's slot index wraps below the current cycle's slot, and it
+// must survive every intermediate drain and fire exactly at its
+// scheduled cycle — not a revolution early.
 // It runs at the paper's delays and at slower ones whose bounds are not
 // powers of two (a 16-slot staging wheel for a bound of 10).
 func TestWheelDelayCrossesWheelSize(t *testing.T) {
@@ -446,12 +447,13 @@ func TestWheelDelayCrossesWheelSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := net.subnets[0]
+		ws := len(s.arrivals)
 		// Every wheel is the least power of two covering its delay bound.
 		for _, w := range []struct {
 			name        string
 			size, bound int
 		}{
-			{"staging", s.wheelSize, cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4},
+			{"staging", ws, cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4},
 			{"eligibility", len(s.eligWheel), cfg.RouterDelay + 1},
 			{"check", len(s.checkWheel), cfg.TIdleDetect + 2},
 		} {
@@ -460,10 +462,10 @@ func TestWheelDelayCrossesWheelSize(t *testing.T) {
 			}
 		}
 		// Land mid-wheel so slot(at) < slot(base): the index computation
-		// has to wrap across a wheelSize multiple.
-		net.Run(int64(s.wheelSize*5 - 3))
+		// has to wrap across a multiple of the wheel's size.
+		net.Run(int64(ws*5 - 3))
 		base := net.Now()
-		at := base + int64(s.wheelSize) - 1
+		at := base + int64(ws) - 1
 		if s.slot(at) >= s.slot(base) {
 			t.Fatalf("fixture lost its wrap: slot(at)=%d slot(base)=%d", s.slot(at), s.slot(base))
 		}
@@ -477,7 +479,7 @@ func TestWheelDelayCrossesWheelSize(t *testing.T) {
 		}
 		net.Step() // cycle == at: the slot comes around again and drains
 		if got := s.routers[0].TotalOccupancy(); got != 1 {
-			t.Fatalf("wheel of %d slots: flit lost across the wrap: occupancy %d", s.wheelSize, got)
+			t.Fatalf("wheel of %d slots: flit lost across the wrap: occupancy %d", ws, got)
 		}
 	}
 }

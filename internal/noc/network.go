@@ -38,11 +38,9 @@ type Network struct {
 	obs       []CycleObserver
 	tracer    PowerTracer
 
-	now       int64
-	nextPktID uint64
-	sinks     []func(now int64, p *Packet)
-	inFlight  int64
-	latency   *stats.Latency
+	now     int64
+	sinks   []func(now int64, p *Packet)
+	latency *stats.Latency
 	// netLatencySum is the cumulative in-network latency (head injection
 	// to tail ejection) of every delivered packet.
 	netLatencySum int64
@@ -53,10 +51,9 @@ type Network struct {
 	refScan bool
 
 	// Network-wide NI aggregates, mutated only in the sequential inject
-	// phase: total bounded-queue occupancy with a nonempty-queue bitmap
-	// (IQOcc congestion sampling, telemetry), and per-subnet injected
-	// flit totals (subnet shares without walking the NIs).
-	niQueueFlits   int
+	// phase: a nonempty-queue bitmap (IQOcc congestion sampling,
+	// telemetry's queue sum), and per-subnet injected flit totals (subnet
+	// shares without walking the NIs).
 	niQBits        []uint64
 	flitsPerSubnet []int64
 	// readyScratch and activeScratch are the inject phase's per-subnet
@@ -75,6 +72,8 @@ type Network struct {
 	// cleared by injectPhase itself when the NI goes fully idle.
 	niWorkBits []uint64
 
+	// createdPkts also numbers packets (the next ID), and createdPkts -
+	// ejectedPkts is the count in flight.
 	injectedPkts int64
 	ejectedPkts  int64
 	ejectedFlits int64
@@ -204,7 +203,7 @@ func (n *Network) NewPacket(src, dst int, class MsgClass, sizeBits int) *Packet 
 		p = new(Packet)
 	}
 	*p = Packet{
-		ID:         n.nextPktID,
+		ID:         uint64(n.createdPkts),
 		Src:        src,
 		Dst:        dst,
 		Class:      class,
@@ -212,9 +211,7 @@ func (n *Network) NewPacket(src, dst int, class MsgClass, sizeBits int) *Packet 
 		CreateTime: n.now,
 		Subnet:     -1,
 	}
-	n.nextPktID++
 	n.createdPkts++
-	n.inFlight++
 	ni.enqueue(p)
 	n.niWorkBits[src>>6] |= 1 << (uint(src) & 63)
 	return p
@@ -267,10 +264,10 @@ func (n *Network) Run(cycles int64) {
 // of finite workloads.
 func (n *Network) Drain(maxCycles int64) bool {
 	deadline := n.now + maxCycles
-	for n.inFlight > 0 && n.now < deadline {
+	for n.InFlight() > 0 && n.now < deadline {
 		n.Step()
 	}
-	return n.inFlight == 0
+	return n.InFlight() == 0
 }
 
 // eject completes a flit's journey at its destination NI; the tail flit
@@ -286,7 +283,6 @@ func (n *Network) eject(now int64, node int, f flit) {
 	}
 	p.ArriveTime = now
 	n.ejectedPkts++
-	n.inFlight--
 	n.latency.Observe(p.Latency())
 	n.netLatencySum += p.NetworkLatency()
 	for _, sink := range n.sinks {
@@ -319,7 +315,7 @@ func (n *Network) Counts() (created, injected, ejected int64) {
 func (n *Network) EjectedFlits() int64 { return n.ejectedFlits }
 
 // InFlight returns the number of packets created but not yet delivered.
-func (n *Network) InFlight() int64 { return n.inFlight }
+func (n *Network) InFlight() int64 { return n.createdPkts - n.ejectedPkts }
 
 // Events returns a copy of the network's cumulative power events.
 func (n *Network) Events() PowerEvents { return n.events }
@@ -349,13 +345,10 @@ func (n *Network) CompensatedSleepCycles() (csc, routerCycles int64) {
 // Callers must not modify it.
 func (n *Network) FlitsPerSubnet() []int64 { return n.flitsPerSubnet }
 
-// NIQueueFlits returns the total bounded injection-queue occupancy over
-// all NIs, in flits.
-func (n *Network) NIQueueFlits() int { return n.niQueueFlits }
-
 // NIQueuedBits exposes a bitmap over node ids with bit n set iff node n's
-// bounded injection queue is nonempty; the IQOcc congestion metric
-// iterates it instead of polling every NI. Callers must not modify it.
+// bounded injection queue is nonempty; the IQOcc congestion metric and
+// telemetry's queue sum iterate it instead of polling every NI. Callers
+// must not modify it.
 func (n *Network) NIQueuedBits() []uint64 { return n.niQBits }
 
 // setNIQueued maintains the nonempty-injection-queue bitmap; each NI

@@ -61,10 +61,10 @@ type pktStream struct {
 type subnetChannel struct {
 	streams []pktStream
 	credits []int
-	// busy bit v marks local-port VC v as carrying a stream.
-	busy   uint32
-	rr     int
-	active int
+	// busy bit v marks local-port VC v as carrying a stream. Each live
+	// stream owns its own VC, so busy != 0 iff the channel is streaming.
+	busy uint32
+	rr   int
 }
 
 // freeSlot returns an idle stream index, or -1.
@@ -147,7 +147,7 @@ func (ni *NI) Backlogged() bool {
 		return true
 	}
 	for s := range ni.channels {
-		if ni.channels[s].active > 0 {
+		if ni.channels[s].busy != 0 {
 			return true
 		}
 	}
@@ -156,7 +156,7 @@ func (ni *NI) Backlogged() bool {
 
 // streaming reports whether the NI is mid-packet into subnet s (the
 // subnet's local router must then stay awake).
-func (ni *NI) streaming(s int) bool { return ni.channels[s].active > 0 }
+func (ni *NI) streaming(s int) bool { return ni.channels[s].busy != 0 }
 
 // creditReturn gives back one buffer slot of the local router's input VC.
 func (ni *NI) creditReturn(subnet, vc int) {
@@ -173,7 +173,7 @@ func (ni *NI) injectPhase(now int64) {
 	active := ni.net.activeScratch
 	if fast {
 		for s := range ni.channels {
-			active[s] = ni.channels[s].active > 0
+			active[s] = ni.channels[s].busy != 0
 		}
 	}
 
@@ -190,7 +190,6 @@ func (ni *NI) injectPhase(now int64) {
 		p.NumFlits = nf
 		ni.injQ.push(ni.sourceQ.pop())
 		ni.injQFlits += nf
-		ni.net.niQueueFlits += nf
 	}
 
 	// Head-of-line subnet selection: the head packet is assigned to a
@@ -213,7 +212,6 @@ func (ni *NI) injectPhase(now int64) {
 			vc := ch.freeVC(mask)
 			ch.streams[slot] = pktStream{pkt: head, vc: vc}
 			ch.busy |= 1 << uint(vc)
-			ch.active++
 			head.Subnet = s
 			ni.injQ.pop()
 		}
@@ -223,7 +221,7 @@ func (ni *NI) injectPhase(now int64) {
 	// that hold credits, provided the subnet's local router is awake.
 	for s := range ni.channels {
 		ch := &ni.channels[s]
-		if ch.active == 0 {
+		if ch.busy == 0 {
 			continue
 		}
 		sub := ni.net.subnets[s]
@@ -261,7 +259,7 @@ func (ni *NI) injectPhase(now int64) {
 		// matching the reference path, which samples streaming state only
 		// at power phases.
 		for s := range ni.channels {
-			if active[s] && ni.channels[s].active == 0 {
+			if active[s] && ni.channels[s].busy == 0 {
 				ni.net.subnets[s].routers[ni.node].noteBusyEnd(now, now-1)
 			}
 		}
@@ -290,11 +288,9 @@ func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	ni.net.events.NIFlits++
 	ni.net.flitsPerSubnet[s]++
 	ni.injQFlits--
-	ni.net.niQueueFlits--
 	st.nextSeq++
 	if st.nextSeq == p.NumFlits {
 		ch.busy &^= 1 << uint(st.vc)
-		ch.active--
 		*st = pktStream{}
 	}
 }

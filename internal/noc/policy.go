@@ -117,21 +117,20 @@ type PowerTracer interface {
 // to leakage. The network keeps one PowerEvents for all its subnets: the
 // model prices the sum at one link width and one voltage.
 type PowerEvents struct {
-	// BufferWrites and BufferReads count flit buffer accesses.
-	BufferWrites, BufferReads int64
-	// XbarTraversals counts flits crossing a router crossbar.
+	// BufferWrites counts flits written into router input buffers.
+	BufferWrites int64
+	// XbarTraversals counts switch-allocation grants. One grant is one
+	// buffer read, one arbitration and one crossbar traversal, so the
+	// power model prices all three on this count.
 	XbarTraversals int64
 	// LinkTraversals counts flits crossing an inter-router link.
 	LinkTraversals int64
 	// NIFlits counts flits crossing the network interface (inject+eject).
 	NIFlits int64
-	// ArbiterOps counts switch-allocation grant operations.
-	ArbiterOps int64
 	// ActiveRouterCycles counts router-cycles spent in the active or
-	// wake-up state (leakage and clock power accrue).
+	// wake-up state (leakage and clock power accrue). The rest of the
+	// elapsed router-cycles were spent power-gated.
 	ActiveRouterCycles int64
-	// SleepRouterCycles counts router-cycles spent power-gated.
-	SleepRouterCycles int64
 	// GatingTransitions counts completed sleep periods; each costs the
 	// energy equivalent of TBreakeven cycles of router leakage.
 	GatingTransitions int64
@@ -143,13 +142,10 @@ type PowerEvents struct {
 // measurement-window delta.
 func (e *PowerEvents) Sub(other *PowerEvents) {
 	e.BufferWrites -= other.BufferWrites
-	e.BufferReads -= other.BufferReads
 	e.XbarTraversals -= other.XbarTraversals
 	e.LinkTraversals -= other.LinkTraversals
 	e.NIFlits -= other.NIFlits
-	e.ArbiterOps -= other.ArbiterOps
 	e.ActiveRouterCycles -= other.ActiveRouterCycles
-	e.SleepRouterCycles -= other.SleepRouterCycles
 	e.GatingTransitions -= other.GatingTransitions
 	e.WakeupSignals -= other.WakeupSignals
 }

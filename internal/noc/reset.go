@@ -61,12 +61,10 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	n.tracer = nil
 
 	n.now = 0
-	n.nextPktID = 0
 	for i := range n.sinks {
 		n.sinks[i] = nil
 	}
 	n.sinks = n.sinks[:0]
-	n.inFlight = 0
 	if n.latency == nil {
 		n.latency = stats.NewLatency(0)
 	} else {
@@ -101,7 +99,6 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	}
 
 	words := (cfg.Nodes() + 63) / 64
-	n.niQueueFlits = 0
 	n.niQBits = resetSlice(n.niQBits, words)
 	n.niWorkBits = resetSlice(n.niWorkBits, words)
 	n.flitsPerSubnet = resetSlice(n.flitsPerSubnet, cfg.Subnets)
@@ -126,11 +123,11 @@ func (s *Subnet) reset() {
 
 	s.feeder = net.pre.feeder
 
-	s.wheelSize = pow2Ceil(cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4)
-	s.arrivals = resetWheel(s.arrivals, s.wheelSize)
-	s.credits = resetWheel(s.credits, s.wheelSize)
-	s.niCredits = resetWheel(s.niCredits, s.wheelSize)
-	s.ejections = resetWheel(s.ejections, s.wheelSize)
+	wheel := pow2Ceil(cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4)
+	s.arrivals = resetWheel(s.arrivals, wheel)
+	s.credits = resetWheel(s.credits, wheel)
+	s.niCredits = resetWheel(s.niCredits, wheel)
+	s.ejections = resetWheel(s.ejections, wheel)
 
 	s.refScan = false
 	words := (nodes + 63) / 64
@@ -143,10 +140,6 @@ func (s *Subnet) reset() {
 	s.workBits = resetSlice(s.workBits, words)
 	s.stateCount = [3]int{}
 	s.stateCount[PowerActive] = nodes
-	s.bufferedFlits = 0
-	s.bfmHist = resetSlice(s.bfmHist, cfg.VCs*cfg.VCDepth+1)
-	s.bfmHist[0] = int32(nodes)
-	s.bfmMax = 0
 	s.eligWheel = resetWheel(s.eligWheel, pow2Ceil(cfg.RouterDelay+1))
 	s.checkWheel = resetWheel(s.checkWheel, pow2Ceil(cfg.TIdleDetect+2))
 	s.lastEpoch = ^uint64(0)
@@ -204,7 +197,6 @@ func (s *Subnet) reset() {
 			vc.count = 0
 			vc.outPort = 0
 			vc.outVC = -1
-			vc.routeSet = false
 			vc.allowed = 0
 		}
 	}
@@ -244,7 +236,6 @@ func (ni *NI) reset() {
 		}
 		ch.busy = 0
 		ch.rr = 0
-		ch.active = 0
 	}
 	ni.PacketsInjected = 0
 }

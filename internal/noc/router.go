@@ -46,14 +46,14 @@ type vcState struct {
 	// Wormhole state for the front packet. Persists from the head flit's
 	// allocation until the tail flit traverses the switch, even across
 	// cycles where the FIFO is momentarily empty (body flits in flight).
-	outPort  int
-	outVC    int8
-	routeSet bool
+	outPort int
+	outVC   int8
 	// allowed is the set of downstream VCs the packet may take (bit v =
 	// VC v), latched with the route: its class's VC set, narrowed on a
 	// torus to the dateline class of its output link. Both are fixed once
 	// the route is, so a head waiting for a VC reloads neither its packet
-	// nor the config.
+	// nor the config. Every valid Config gives every packet at least one
+	// VC, so allowed != 0 exactly while a route is latched.
 	allowed uint32
 }
 
@@ -312,7 +312,7 @@ func (r *Router) allocMasksScan(now int64) (ready uint64, req [maskPorts]uint64,
 		for v := 0; v < vcs; v++ {
 			vc := &r.vcs[p*vcs+v]
 			bit := uint64(1) << uint(p*vcs+v)
-			if vc.routeSet && vc.outVC >= 0 {
+			if vc.allowed != 0 && vc.outVC >= 0 {
 				ready |= bit
 				req[vc.outPort] |= bit
 			}
@@ -330,7 +330,7 @@ func (r *Router) allocMasksScan(now int64) (ready uint64, req [maskPorts]uint64,
 func (r *Router) busyScan(o int) (busy uint32, dup bool) {
 	for i := range r.vcs {
 		vc := &r.vcs[i]
-		if vc.routeSet && vc.outPort == o && vc.outVC >= 0 {
+		if vc.allowed != 0 && vc.outPort == o && vc.outVC >= 0 {
 			bit := uint32(1) << uint(vc.outVC)
 			dup = dup || busy&bit != 0
 			busy |= bit
@@ -431,9 +431,7 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 	occ := r.in[p].occupancy + 1
 	r.in[p].occupancy = occ
 	r.totalOcc++
-	r.sub.bufferedFlits++
 	if occ > r.maxPortOcc {
-		r.sub.noteBFM(r.maxPortOcc, occ)
 		r.maxPortOcc = occ
 	}
 	if r.totalOcc == 1 {
@@ -473,7 +471,7 @@ func (r *Router) vcAllocate() {
 					v := bits.TrailingZeros64(pm)
 					pm &= pm - 1
 					vc := &r.vcs[p*vcs+v]
-					if !vc.routeSet {
+					if vc.allowed == 0 {
 						f := vc.front()
 						if !f.head() {
 							continue
@@ -498,10 +496,10 @@ func (r *Router) vcAllocate() {
 				continue
 			}
 			f := vc.front()
-			if f.head() && !vc.routeSet {
+			if f.head() && vc.allowed == 0 {
 				r.latchRoute(vc, f)
 			}
-			if !vc.routeSet || vc.outVC >= 0 {
+			if vc.allowed == 0 || vc.outVC >= 0 {
 				continue
 			}
 			r.allocateOutVC(vc, p*vcs+v)
@@ -543,7 +541,6 @@ func (r *Router) latchRoute(vc *vcState, f *flit) {
 	}
 	vc.outPort = o
 	vc.outVC = -1
-	vc.routeSet = true
 	vc.allowed = allowed
 }
 
@@ -603,7 +600,7 @@ func (r *Router) switchAllocate(now int64) int {
 			p := idx / vcs
 			v := idx % vcs
 			vc := &r.vcs[idx]
-			if vc.empty() || !vc.routeSet || vc.outPort != o || vc.outVC < 0 {
+			if vc.empty() || vc.allowed == 0 || vc.outPort != o || vc.outVC < 0 {
 				continue
 			}
 			f := vc.front()
@@ -767,13 +764,9 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	occ := r.in[p].occupancy - 1
 	r.in[p].occupancy = occ
 	r.totalOcc--
-	r.sub.bufferedFlits--
 	if occ+1 == r.maxPortOcc {
 		// The decremented port may have been the sole argmax; recompute.
-		if m := r.MaxPortOccupancyScan(); m != r.maxPortOcc {
-			r.sub.noteBFM(r.maxPortOcc, m)
-			r.maxPortOcc = m
-		}
+		r.maxPortOcc = r.MaxPortOccupancyScan()
 	}
 	if r.totalOcc == 0 {
 		// The router was occupied at powerPhase(now-1): RouterDelay >= 1
@@ -784,16 +777,13 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	}
 	r.grantedFlits++
 	ev := &r.sub.net.events
-	ev.BufferReads++
 	ev.XbarTraversals++
-	ev.ArbiterOps++
 
 	outVC := int(vc.outVC)
 	if f.tail() {
 		// Release the downstream VC and reset per-packet state for the
 		// next packet in this FIFO.
 		op.busy &^= 1 << uint(outVC)
-		vc.routeSet = false
 		vc.outVC = -1
 		vc.allowed = 0
 	}
@@ -852,7 +842,6 @@ func (r *Router) powerUpdate(now int64) {
 		}
 		return
 	case PowerAsleep:
-		ev.SleepRouterCycles++
 		if pol != nil && pol.WantWake(now, r.sub.index, r.node) {
 			r.wake(now, cfg.TWakeup, WakePolicy)
 		}

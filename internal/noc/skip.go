@@ -43,7 +43,7 @@ type IdleSkipper interface {
 //
 // Call it only between cycles, never from inside Step.
 func (n *Network) Quiescent() bool {
-	if n.refScan || n.inFlight != 0 {
+	if n.refScan || n.InFlight() != 0 {
 		return false
 	}
 	if n.gating != nil {
@@ -90,7 +90,7 @@ func (n *Network) NextEventCycle() (at int64, ok bool) {
 func (s *Subnet) nextEventCycle(now int64) int64 {
 	min := SkipHorizon
 	// Staged wheels: slot i relative to slot(now) gives the due cycle.
-	ws := s.wheelSize
+	ws := len(s.arrivals)
 	base := s.slot(now)
 	for i := 0; i < ws; i++ {
 		if len(s.arrivals[i]) == 0 && len(s.credits[i]) == 0 &&
@@ -180,7 +180,6 @@ func (n *Network) TrySkipIdle(target int64) int64 {
 	k := to - n.now
 	for _, s := range n.subnets {
 		n.events.ActiveRouterCycles += k * int64(s.stateCount[PowerActive]+s.stateCount[PowerWaking])
-		n.events.SleepRouterCycles += k * int64(s.stateCount[PowerAsleep])
 	}
 	for _, o := range n.obs {
 		o.(IdleSkipper).SkipIdle(n.now, to)

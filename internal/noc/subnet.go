@@ -62,10 +62,10 @@ type Subnet struct {
 	// subnet and every same-shape network, read-only after construction.
 	feeder []feederLink
 
-	// Staged-event wheels, indexed by cycle & (wheelSize-1). All delays
-	// are small constants, so a fixed ring suffices; its size is a power
-	// of two so that the slot is a mask, not a division.
-	wheelSize int
+	// Staged-event wheels, indexed by cycle & (len(arrivals)-1); all four
+	// have the same length. All delays are small constants, so a fixed
+	// ring suffices; its size is a power of two so that the slot is a
+	// mask, not a division.
 	arrivals  [][]arrival
 	credits   [][]credit
 	niCredits [][]niCredit
@@ -89,13 +89,6 @@ type Subnet struct {
 	workBits    []uint64 // scratch: merged power-phase work set
 	// stateCount[s] is the router count in PowerState s.
 	stateCount [3]int
-	// bufferedFlits is the subnet-wide buffered flit total (BFA metric,
-	// telemetry occupancy series).
-	bufferedFlits int
-	// bfmHist[v] counts routers whose max port occupancy is exactly v;
-	// bfmMax is a lazily-tightened upper bound on the subnet MaxBFM.
-	bfmHist []int32
-	bfmMax  int
 	// eligWheel[c & (len-1)] holds the (node<<6 | slot) entries whose
 	// front flit becomes eligible for switch allocation at cycle c; the
 	// router phase of cycle c drains it into Router.elig. Sized to the
@@ -179,7 +172,7 @@ type wireShape struct {
 // metrics, policies, and tests).
 func (s *Subnet) Router(n int) *Router { return &s.routers[n] }
 
-func (s *Subnet) slot(cycle int64) int { return int(cycle) & (s.wheelSize - 1) }
+func (s *Subnet) slot(cycle int64) int { return int(cycle) & (len(s.arrivals) - 1) }
 
 // stageArrival and its siblings append to wheel slots, which keep their
 // capacity, so staging stops allocating once every slot has reached its
@@ -299,9 +292,7 @@ func (s *Subnet) powerPhase(now int64) {
 		s.powerPhaseScan(now)
 		return
 	}
-	ev := &s.net.events
-	ev.ActiveRouterCycles += int64(s.stateCount[PowerActive] + s.stateCount[PowerWaking])
-	ev.SleepRouterCycles += int64(s.stateCount[PowerAsleep])
+	s.net.events.ActiveRouterCycles += int64(s.stateCount[PowerActive] + s.stateCount[PowerWaking])
 
 	pol := s.net.gating
 	evalAll := false
@@ -375,25 +366,10 @@ func (s *Subnet) PowerStates() (active, waking, asleep int) {
 	return s.stateCount[PowerActive], s.stateCount[PowerWaking], s.stateCount[PowerAsleep]
 }
 
-// BufferedFlits returns the total flits buffered across every router in
-// the subnet (the occupancy the BFA metric averages). O(1).
-func (s *Subnet) BufferedFlits() int { return s.bufferedFlits }
-
-// MaxBFM returns the maximum per-router BFM (max input-port occupancy)
-// over the subnet — the subnet-wide view of the paper's chosen local
-// congestion metric. Amortized O(1): bfmMax only rises to the exact new
-// value on delivery and is lazily walked down over the router histogram
-// on reads after drains.
-func (s *Subnet) MaxBFM() int {
-	for s.bfmMax > 0 && s.bfmHist[s.bfmMax] == 0 {
-		s.bfmMax--
-	}
-	return s.bfmMax
-}
-
 // OccupiedBits exposes the occupied-router bitmap (bit n of word n/64 set
-// iff router n buffers at least one flit). Congestion detection iterates
-// it instead of scanning the mesh; callers must not modify it.
+// iff router n buffers at least one flit). Congestion detection and
+// telemetry's occupancy sums iterate it instead of scanning the mesh;
+// callers must not modify it.
 func (s *Subnet) OccupiedBits() []uint64 { return s.occBits }
 
 // PowerStatesScan recomputes PowerStates by scanning every router — the
@@ -412,36 +388,7 @@ func (s *Subnet) PowerStatesScan() (active, waking, asleep int) {
 	return
 }
 
-// BufferedFlitsScan recomputes BufferedFlits by scanning every router.
-func (s *Subnet) BufferedFlitsScan() int {
-	t := 0
-	for n := range s.routers {
-		t += s.routers[n].TotalOccupancyScan()
-	}
-	return t
-}
-
-// MaxBFMScan recomputes MaxBFM by scanning every router.
-func (s *Subnet) MaxBFMScan() int {
-	m := 0
-	for n := range s.routers {
-		if b := s.routers[n].MaxPortOccupancyScan(); b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // --- incremental aggregate maintenance -------------------------------
-
-// noteBFM moves one router between max-port-occupancy histogram buckets.
-func (s *Subnet) noteBFM(from, to int) {
-	s.bfmHist[from]--
-	s.bfmHist[to]++
-	if to > s.bfmMax {
-		s.bfmMax = to
-	}
-}
 
 // setOccupied marks router n as holding buffered flits. Gaining a flit
 // also cancels any sleep-blocked status: the router is busy again.
@@ -541,12 +488,6 @@ func (s *Subnet) checkAggregates(now int64) string {
 			return "power-state counts drifted from scan"
 		}
 	}
-	if s.bufferedFlits != s.BufferedFlitsScan() {
-		return "bufferedFlits drifted from scan"
-	}
-	if s.MaxBFM() != s.MaxBFMScan() {
-		return "MaxBFM drifted from scan"
-	}
 	for n := range s.routers {
 		r := &s.routers[n]
 		if r.totalOcc != r.TotalOccupancyScan() {
@@ -571,8 +512,12 @@ func (s *Subnet) checkAggregates(now int64) string {
 				return "output busy mask drifted from VC state"
 			}
 		}
-		if ch := &s.net.nis[n].channels[s.index]; ch.busy != ch.busyScan() {
+		ni := s.net.nis[n]
+		if ch := &ni.channels[s.index]; ch.busy != ch.busyScan() {
 			return "NI channel busy mask drifted from its streams"
+		}
+		if inState(s.net.niQBits) != (ni.injQFlits > 0) {
+			return "NI queued bitmap inconsistent with queue occupancy"
 		}
 		if r.slotMask {
 			ready, req, elig := r.allocMasksScan(now)

@@ -141,7 +141,7 @@ func randomAllocState(t *testing.T, net *Network, node int, rng *rand.Rand) {
 			if kind == 0 {
 				continue
 			}
-			vc.routeSet, vc.outPort, vc.allowed = true, out, cfg.vcMask(pkt.Class)
+			vc.outPort, vc.allowed = out, cfg.vcMask(pkt.Class)
 			if kind == 1 {
 				continue
 			}
@@ -197,7 +197,7 @@ func diffAllocOutcome(a, b *Subnet, node int, now int64) string {
 	}
 	for i := range ra.vcs {
 		va, vb := &ra.vcs[i], &rb.vcs[i]
-		if va.count != vb.count || va.head != vb.head || va.routeSet != vb.routeSet || va.outVC != vb.outVC {
+		if va.count != vb.count || va.head != vb.head || va.allowed != vb.allowed || va.outVC != vb.outVC {
 			return fmt.Sprintf("slot %d state differs", i)
 		}
 	}

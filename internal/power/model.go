@@ -123,10 +123,12 @@ func (m *Model) Measure(events noc.PowerEvents, cycles int64, tBreakeven int, or
 	toW := 1e-12 * p.FreqHz / float64(cycles) // pJ-per-interval → watts
 
 	var b Breakdown
+	// Each switch-allocation grant reads a buffer, arbitrates and crosses
+	// the crossbar once (noc.PowerEvents.XbarTraversals).
 	b.Buffer = float64(float64(events.BufferWrites)*p.EBufWrite*w*dyn*toW) +
-		float64(float64(events.BufferReads)*p.EBufRead*w*dyn*toW)
+		float64(float64(events.XbarTraversals)*p.EBufRead*w*dyn*toW)
 	b.Crossbar = float64(float64(events.XbarTraversals) * p.EXbar * w * w * dyn * toW)
-	b.Control = float64(float64(events.ArbiterOps) * p.EArb * dyn * toW)
+	b.Control = float64(float64(events.XbarTraversals) * p.EArb * dyn * toW)
 	b.Clock = float64(float64(events.ActiveRouterCycles) * (p.EClkFixed + float64(p.EClkPerWidth*w)) * dyn * toW)
 	b.Link = float64(float64(events.LinkTraversals) * p.ELink * w * m.linkFac * dyn * toW)
 	b.NI = float64(float64(events.NIFlits) * p.ENI * w * dyn * toW)

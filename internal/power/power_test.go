@@ -99,7 +99,6 @@ func TestMeasureGatingAccounting(t *testing.T) {
 	allActive := noc.PowerEvents{ActiveRouterCycles: cycles * routers}
 	halfAsleep := noc.PowerEvents{
 		ActiveRouterCycles: cycles * routers / 2,
-		SleepRouterCycles:  cycles * routers / 2,
 		GatingTransitions:  100,
 	}
 	a := m.Measure(allActive, cycles, 12, 0)
@@ -111,7 +110,7 @@ func TestMeasureGatingAccounting(t *testing.T) {
 		t.Error("gating transitions should carry an energy cost")
 	}
 	// NI leakage floor: static never reaches zero even fully gated.
-	zero := m.Measure(noc.PowerEvents{SleepRouterCycles: cycles * routers}, cycles, 12, 0)
+	zero := m.Measure(noc.PowerEvents{}, cycles, 12, 0)
 	if zero.Static <= 0 {
 		t.Error("NI leakage should persist when routers sleep")
 	}
@@ -134,7 +133,7 @@ func TestBreakevenCost(t *testing.T) {
 		t.Fatalf("5-cycle sleep should not break even: paid %.1f pJ vs saved %.1f pJ", paid, saved)
 	}
 	// And the model's Measure must charge exactly that transition cost.
-	short := noc.PowerEvents{SleepRouterCycles: 5, GatingTransitions: 1}
+	short := noc.PowerEvents{GatingTransitions: 1}
 	b := m.Measure(short, 5, 12, 0)
 	wantGatingW := paid * 1e-12 * p.FreqHz / 5
 	if math.Abs(b.Gating-wantGatingW) > wantGatingW*1e-9 {

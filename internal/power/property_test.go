@@ -58,13 +58,11 @@ func TestPropertyLoadMonotonic(t *testing.T) {
 func TestPropertyBreakdownNonNegative(t *testing.T) {
 	p := DefaultParams()
 	m := NewModel(p, cfgFor(4, 128), 0.625)
-	f := func(w, r, x, l, ni, arb uint16, active, sleep uint16, trans uint8) bool {
+	f := func(w, x, l, ni, active uint16, trans uint8) bool {
 		ev := noc.PowerEvents{
-			BufferWrites: int64(w), BufferReads: int64(r),
-			XbarTraversals: int64(x), LinkTraversals: int64(l),
-			NIFlits: int64(ni), ArbiterOps: int64(arb),
-			ActiveRouterCycles: int64(active), SleepRouterCycles: int64(sleep),
-			GatingTransitions: int64(trans),
+			BufferWrites: int64(w), XbarTraversals: int64(x),
+			LinkTraversals: int64(l), NIFlits: int64(ni),
+			ActiveRouterCycles: int64(active), GatingTransitions: int64(trans),
 		}
 		b := m.Measure(ev, 1000, 12, int64(trans))
 		for _, v := range []float64{b.Buffer, b.Crossbar, b.Control, b.Clock, b.Link, b.NI, b.Static, b.Gating, b.Dynamic, b.Total} {

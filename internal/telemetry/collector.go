@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math/bits"
+
 	"github.com/catnap-noc/catnap/internal/noc"
 	"github.com/catnap-noc/catnap/internal/stats"
 )
@@ -169,12 +171,12 @@ func (c *Collector) AfterCycle(now int64) {
 		c.active[s].Add(now, float64(a))
 		c.waking[s].Add(now, float64(w))
 		c.asleep[s].Add(now, float64(z))
-		c.buffered[s].Add(now, float64(sub.BufferedFlits()))
-		c.bfm[s].Add(now, float64(sub.MaxBFM()))
+		buffered, bfm := occupancy(sub)
+		c.buffered[s].Add(now, float64(buffered))
+		c.bfm[s].Add(now, float64(bfm))
 	}
 
-	// Network-maintained aggregates: no per-NI walk.
-	c.niQueue.Add(now, float64(c.net.NIQueueFlits()))
+	c.niQueue.Add(now, float64(queuedFlits(c.net)))
 	for s, f := range c.net.FlitsPerSubnet() {
 		c.injFlits[s].Add(now, float64(f-c.prevFlits[s]))
 		c.prevFlits[s] = f
@@ -185,6 +187,33 @@ func (c *Collector) AfterCycle(now int64) {
 	c.prevInj = injected
 	c.ejPkts.Add(now, float64(ejected-c.prevEj))
 	c.prevEj = ejected
+}
+
+// occupancy returns the flits buffered in sub and its largest router BFM
+// (max input-port occupancy), walking only the occupied routers.
+func occupancy(sub *noc.Subnet) (buffered, bfm int) {
+	for i, w := range sub.OccupiedBits() {
+		for w != 0 {
+			r := sub.Router(i<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
+			buffered += r.TotalOccupancy()
+			bfm = max(bfm, r.MaxPortOccupancy())
+		}
+	}
+	return buffered, bfm
+}
+
+// queuedFlits returns the flits held in net's bounded NI injection
+// queues, walking only the NIs whose queue is nonempty.
+func queuedFlits(net *noc.Network) int {
+	q := 0
+	for i, w := range net.NIQueuedBits() {
+		for w != 0 {
+			q += net.NI(i<<6 + bits.TrailingZeros64(w)).QueueOccupancyFlits()
+			w &= w - 1
+		}
+	}
+	return q
 }
 
 // NextIdleEvent implements noc.IdleSkipper: the collector never bounds a
