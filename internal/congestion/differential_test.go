@@ -35,7 +35,7 @@ func (r *recordingTracer) RCSChanged(now int64, subnet, region int, on bool) {
 func runDetector(t *testing.T, kind congestion.MetricKind, ref bool, cycles int, load float64) ([]transition, []bool, congestion.RCSEnergy) {
 	t.Helper()
 	net := newNet(t, 4)
-	det := congestion.NewDetector(net, congestion.Default(kind))
+	det := congestion.NewDetector(net, congestion.Config{Metric: kind})
 	tr := &recordingTracer{}
 	det.SetTracer(tr)
 	net.AddObserver(det)

@@ -117,41 +117,43 @@ const (
 	windowCycles = 64
 )
 
-// Config parameterizes a Detector. Thresholds default (via Default) to the
-// best-performing values for this router model: BFM 6 flits (the paper's
-// 9 re-tuned, see above), BFA 2 flits, Delay 1.5 cycles, IQOcc 4 flits;
-// IR has no single good threshold, which is the point of Figure 13 — set
-// the threshold explicitly when using IR.
+// Config parameterizes a Detector. The zero value of every field but
+// Metric is the paper's configuration: the metric's default threshold and
+// regional detection on.
 type Config struct {
 	// Metric selects the local congestion metric.
 	Metric MetricKind
-	// Threshold is the set-threshold in the metric's native unit (flits,
-	// packets/node/cycle, or cycles); defaults to the metric's Default
-	// when zero or negative. The LCS sets above it and clears below it
-	// once holdCycles have passed.
-	Threshold float64
-	// UseRCS enables regional detection. False models the BFM-local /
-	// IQOcc-local variants of Figure 11, where a node sees only its own
-	// router's status.
-	UseRCS bool
+	// MetricThreshold is the set-threshold in the metric's native unit
+	// (flits, packets/node/cycle, or cycles); a value that is not
+	// positive selects DefaultThreshold(Metric). The LCS sets above it
+	// and clears below it once holdCycles have passed.
+	MetricThreshold float64
+	// LocalOnly disables regional detection (the OR network), modelling
+	// the BFM-local / IQOcc-local variants of Figure 11, where a node
+	// sees only its own router's status.
+	LocalOnly bool
 }
 
-// Default returns the paper's configuration for the given metric.
-func Default(kind MetricKind) Config {
-	c := Config{Metric: kind, UseRCS: true}
+// DefaultThreshold returns the best-performing threshold for the metric
+// on this router model: BFM 6 flits (the paper's 9 re-tuned, see above),
+// BFA 2 flits, Delay 1.0 cycles (the paper's 1.5 re-tuned), IQOcc 4
+// flits. IR has no single good threshold, which is the point of Figure
+// 13; its default is the middle of that sweep, so set the threshold
+// explicitly when using IR.
+func DefaultThreshold(kind MetricKind) float64 {
 	switch kind {
 	case BFM:
-		c.Threshold = DefaultBFMThreshold
+		return DefaultBFMThreshold
 	case BFA:
-		c.Threshold = 2
+		return 2
 	case IQOcc:
-		c.Threshold = 4
+		return 4
 	case Delay:
-		c.Threshold = DefaultDelayThreshold
+		return DefaultDelayThreshold
 	case IR:
-		c.Threshold = 0.12 // middle of the Figure 13 sweep; override per run
+		return 0.12
 	}
-	return c
+	return 0
 }
 
 // Detector computes per-(subnet, node) local congestion status and
@@ -184,14 +186,14 @@ type Detector struct {
 	// radix is the topology's router port count, over which BFA averages.
 	radix float64
 
-	lastHot []int64 // last cycle the raw metric exceeded Threshold
+	lastHot []int64 // last cycle the raw metric exceeded MetricThreshold
 	rcs     []bool  // [subnet*regions + region], latched every RCSPeriod
 
 	// lcsBits[s] holds subnet s's local congestion status as a bitmap
 	// over node ids, read and written on both stepping paths.
 	lcsBits [][]uint64
 	// hotBits[s] marks nodes whose windowed rate (IR, Delay) currently
-	// exceeds Threshold; rebuilt at each window close, constant between.
+	// exceeds MetricThreshold; rebuilt at each window close, constant between.
 	hotBits [][]uint64
 	// epoch counts LCS/RCS changes; gating policies expose it as their
 	// decision epoch so the power phase can skip steady-state routers.
@@ -217,8 +219,8 @@ type RCSEnergy struct {
 	Toggles int64
 }
 
-// NewDetector builds a detector over net with cfg. A non-positive
-// threshold falls back to the metric's Default. Like noc.New, it is a thin
+// NewDetector builds a detector over net with cfg. A threshold that is not
+// positive falls back to DefaultThreshold. Like noc.New, it is a thin
 // shell over Reset, so a reset detector and a fresh one run identical
 // construction code.
 func NewDetector(net *noc.Network, cfg Config) *Detector {
@@ -234,8 +236,8 @@ func NewDetector(net *noc.Network, cfg Config) *Detector {
 // counts zeroed. net may be the same network after its own Reset, or a
 // different one.
 func (d *Detector) Reset(net *noc.Network, cfg Config) {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = Default(cfg.Metric).Threshold
+	if !(cfg.MetricThreshold > 0) {
+		cfg.MetricThreshold = DefaultThreshold(cfg.Metric)
 	}
 
 	mesh := net.Topo()
@@ -317,10 +319,10 @@ func (d *Detector) RCS(subnet, region int) bool {
 }
 
 // RCSAtNode returns the latched regional status of the region containing
-// node. With UseRCS disabled it falls back to the node's own LCS, which is
+// node. With LocalOnly set it falls back to the node's own LCS, which is
 // exactly the BFM-local / IQOcc-local behaviour of Figure 11.
 func (d *Detector) RCSAtNode(subnet, node int) bool {
-	if !d.cfg.UseRCS {
+	if d.cfg.LocalOnly {
 		return d.LCS(subnet, node)
 	}
 	return d.RCS(subnet, d.nodeRegion[node])
@@ -332,7 +334,7 @@ func (d *Detector) Congested(subnet, node int) bool {
 	if d.LCS(subnet, node) {
 		return true
 	}
-	if d.cfg.UseRCS {
+	if !d.cfg.LocalOnly {
 		return d.rcs[subnet*d.regions+d.nodeRegion[node]]
 	}
 	return false
@@ -384,7 +386,7 @@ func (d *Detector) AfterCycle(now int64) {
 		}
 	}
 
-	if d.cfg.UseRCS && now%RCSPeriod == 0 {
+	if !d.cfg.LocalOnly && now%RCSPeriod == 0 {
 		d.latchRCS(now)
 	}
 }
@@ -465,7 +467,7 @@ func (d *Detector) SkipIdle(from, to int64) {
 			}
 		}
 	}
-	if d.cfg.UseRCS {
+	if !d.cfg.LocalOnly {
 		// Latches fire at every multiple of RCSPeriod regardless of state;
 		// count the multiples inside [from, to).
 		const p = RCSPeriod
@@ -478,7 +480,7 @@ func (d *Detector) SkipIdle(from, to int64) {
 func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 	idx := s*d.nodes + n
 	on := d.LCS(s, n)
-	if raw > d.cfg.Threshold {
+	if raw > d.cfg.MetricThreshold {
 		if !on {
 			if d.tracer != nil {
 				d.tracer.LCSChanged(now, s, n, true)
@@ -487,7 +489,7 @@ func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 			d.epoch++
 		}
 		d.lastHot[idx] = now
-	} else if on && raw < d.cfg.Threshold && now-d.lastHot[idx] >= holdCycles {
+	} else if on && raw < d.cfg.MetricThreshold && now-d.lastHot[idx] >= holdCycles {
 		d.lcsBits[s][n>>6] &^= 1 << (uint(n) & 63)
 		d.epoch++
 		if d.tracer != nil {
@@ -558,7 +560,7 @@ func (d *Detector) closeWindow(now int64) {
 				} else if db > 0 {
 					// Flits blocked all window with none granted: fully
 					// congested.
-					d.rate[idx] = d.cfg.Threshold + 1
+					d.rate[idx] = d.cfg.MetricThreshold + 1
 				} else {
 					d.rate[idx] = 0
 				}
@@ -575,7 +577,7 @@ func (d *Detector) closeWindow(now int64) {
 			hb[i] = 0
 		}
 		for n := 0; n < d.nodes; n++ {
-			if d.rate[s*d.nodes+n] > d.cfg.Threshold {
+			if d.rate[s*d.nodes+n] > d.cfg.MetricThreshold {
 				hb[n>>6] |= 1 << (uint(n) & 63)
 			}
 		}

@@ -40,7 +40,7 @@ func TestBFAAveragesOverRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFA))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFA})
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
@@ -72,16 +72,15 @@ func TestBFAAveragesOverRadix(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	for _, k := range []congestion.MetricKind{congestion.BFM, congestion.BFA, congestion.IR, congestion.IQOcc, congestion.Delay} {
-		c := congestion.Default(k)
-		if c.Threshold <= 0 {
+		if congestion.DefaultThreshold(k) <= 0 {
 			t.Errorf("%v: non-positive default threshold", k)
 		}
-		if !c.UseRCS {
-			t.Errorf("%v: RCS should default on", k)
-		}
 	}
-	if congestion.Default(congestion.BFM).Threshold != congestion.DefaultBFMThreshold {
+	if congestion.DefaultThreshold(congestion.BFM) != congestion.DefaultBFMThreshold {
 		t.Error("BFM default threshold mismatch")
+	}
+	if congestion.DefaultThreshold(congestion.Delay) != congestion.DefaultDelayThreshold {
+		t.Error("Delay default threshold mismatch")
 	}
 	if congestion.RCSPeriod != 6 {
 		t.Errorf("RCS period %d, want 6 (SPICE H-tree delay)", congestion.RCSPeriod)
@@ -103,7 +102,7 @@ func TestMetricNames(t *testing.T) {
 // TestIdleNetworkNeverCongested: with no traffic, no LCS or RCS may set.
 func TestIdleNetworkNeverCongested(t *testing.T) {
 	net := newNet(t, 4)
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	net.Run(500)
 	for s := 0; s < 4; s++ {
@@ -119,7 +118,7 @@ func TestIdleNetworkNeverCongested(t *testing.T) {
 // set LCS and propagate to the region's RCS within the latch period.
 func TestSaturationTripsBFM(t *testing.T) {
 	net := newNet(t, 1)
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.8), 3)
 	for i := 0; i < 2000; i++ {
@@ -153,7 +152,7 @@ func TestSaturationTripsBFM(t *testing.T) {
 // cycles), modelling the H-tree propagation delay.
 func TestRCSLatchPeriod(t *testing.T) {
 	net := newNet(t, 1)
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.8), 7)
 
@@ -176,8 +175,7 @@ func TestRCSLatchPeriod(t *testing.T) {
 // the node's own LCS (the BFM-local ablation).
 func TestLocalOnlyMode(t *testing.T) {
 	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.BFM)
-	cfg.UseRCS = false
+	cfg := congestion.Config{Metric: congestion.BFM, LocalOnly: true}
 	det := congestion.NewDetector(net, cfg)
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.Transpose{}, traffic.Constant(0.6), 9)
@@ -199,7 +197,7 @@ func TestLocalOnlyMode(t *testing.T) {
 // metric drops ("remains in that status for a few cycles").
 func TestHysteresis(t *testing.T) {
 	net := newNet(t, 1)
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 
 	// Saturate briefly, then stop offering traffic entirely.
@@ -251,7 +249,7 @@ func TestValidKind(t *testing.T) {
 // trips when injection backs up.
 func TestIQOccMetric(t *testing.T) {
 	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.IQOcc)
+	cfg := congestion.Config{Metric: congestion.IQOcc}
 	det := congestion.NewDetector(net, cfg)
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.9), 13)
@@ -274,8 +272,7 @@ func TestIQOccMetric(t *testing.T) {
 // a window closes, and a high threshold must not trip at low load.
 func TestIRWindow(t *testing.T) {
 	net := newNet(t, 1)
-	cfg := congestion.Default(congestion.IR)
-	cfg.Threshold = 0.24
+	cfg := congestion.Config{Metric: congestion.IR, MetricThreshold: 0.24}
 	det := congestion.NewDetector(net, cfg)
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.05), 17)
@@ -294,7 +291,7 @@ func TestIRWindow(t *testing.T) {
 // LCS when the network saturates.
 func TestDelayMetricTripsUnderContention(t *testing.T) {
 	net := newNet(t, 1)
-	det := congestion.NewDetector(net, congestion.Default(congestion.Delay))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.Delay})
 	net.AddObserver(det)
 	gen := traffic.NewGenerator(net, traffic.Transpose{}, traffic.Constant(0.8), 19)
 	for i := 0; i < 2500; i++ {

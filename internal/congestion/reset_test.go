@@ -21,7 +21,7 @@ func runDetectorReused(t *testing.T, kind congestion.MetricKind, cycles int, loa
 	if kind == congestion.Delay {
 		dirtyKind = congestion.BFM
 	}
-	det := congestion.NewDetector(net, congestion.Default(dirtyKind))
+	det := congestion.NewDetector(net, congestion.Config{Metric: dirtyKind})
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, net.Config().Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
@@ -35,7 +35,7 @@ func runDetectorReused(t *testing.T, kind congestion.MetricKind, cycles int, loa
 	if err := net.Reset(cfg, core.NewRRSelector(cfg.Nodes())); err != nil {
 		t.Fatal(err)
 	}
-	det.Reset(net, congestion.Default(kind))
+	det.Reset(net, congestion.Config{Metric: kind})
 	tr := &recordingTracer{}
 	det.SetTracer(tr)
 	net.AddObserver(det)

@@ -72,7 +72,7 @@ func catnapFixture(t *testing.T) (*noc.Network, *congestion.Detector, *core.Catn
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	sel := core.NewCatnapSelector(det, cfg.Nodes())
 	net.SetSelector(sel)

@@ -15,7 +15,7 @@ import (
 // newDetector attaches a default BFM detector to net.
 func newDetector(t *testing.T, net *noc.Network) *congestion.Detector {
 	t.Helper()
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	return det
 }

@@ -95,7 +95,7 @@ func TestFBflyCatnap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))

@@ -230,7 +230,7 @@ func TestGatedPacketStillDelivered(t *testing.T) {
 func TestCatnapConcentratesLowLoadInSubnetZero(t *testing.T) {
 	cfg := testConfig(8, 8, 4, 128)
 	net := newNet(t, cfg)
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))

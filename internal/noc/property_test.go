@@ -73,7 +73,7 @@ func TestPropertyGatedConservation(t *testing.T) {
 			return false
 		}
 		if catnapGate {
-			det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+			det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 			net.AddObserver(det)
 			net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 			net.SetGatingPolicy(core.NewCatnapGating(det))

@@ -49,7 +49,7 @@ func buildInstrumented(t *testing.T, collectorFirst bool, opts telemetry.Options
 	if err != nil {
 		t.Fatalf("noc.New: %v", err)
 	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	det := congestion.NewDetector(net, congestion.Config{Metric: congestion.BFM})
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
 	rec := telemetry.NewRecorder(opts)

@@ -99,15 +99,10 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.start = measureSnapshot{flitsPerSubnet: append(per, make([]int64, s.Net.Subnets())...)}
 
 	if needsDet {
-		dcfg := congestion.Default(cfg.Metric)
-		if cfg.MetricThreshold > 0 {
-			dcfg.Threshold = cfg.MetricThreshold
-		}
-		dcfg.UseRCS = !cfg.LocalOnly
 		if s.Det == nil {
-			s.Det = congestion.NewDetector(s.Net, dcfg)
+			s.Det = congestion.NewDetector(s.Net, cfg.DetectorConfig)
 		} else {
-			s.Det.Reset(s.Net, dcfg)
+			s.Det.Reset(s.Net, cfg.DetectorConfig)
 		}
 		s.Net.AddObserver(s.Det)
 	} else {
