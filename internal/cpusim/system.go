@@ -370,18 +370,11 @@ func (s *System) l2MissRatio(p *workload.Profile) float64 {
 	return p.L2MPKI / p.L1MPKI
 }
 
-// NextIdleEvent implements noc.IdleSkipper by vetoing idle fast-forward
-// outright: cores accrue fractional issue credit and advance phase
-// machines every cycle, so a closed-loop system never has a summarizable
-// idle span — the network must step cycle by cycle while one is attached.
-func (s *System) NextIdleEvent(now int64) (int64, bool) { return 0, false }
-
-// SkipIdle implements noc.IdleSkipper; unreachable because NextIdleEvent
-// always vetoes.
-func (s *System) SkipIdle(from, to int64) {}
-
 // AfterCycle implements noc.CycleObserver: fire due events, then step the
-// cores so their new packets enter NIs next cycle.
+// cores so their new packets enter NIs next cycle. System does not
+// implement noc.IdleSkipper, so it vetoes idle fast-forward: cores accrue
+// fractional issue credit and advance phase machines every cycle, so a
+// closed-loop system never has an idle span to summarize.
 func (s *System) AfterCycle(now int64) {
 	for len(s.events) > 0 && s.events[0].at <= now {
 		e := s.events.pop()
