@@ -64,9 +64,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 # bench-telemetry times a fixed run with telemetry absent / built-but-
-# detached / fully attached (min-of-5, interleaved), writes
-# BENCH_telemetry.json, and fails if the detached arm costs >2% over
-# base — the "free when off" guard.
+# detached / fully attached (min-of-9, interleaved), writes
+# BENCH_telemetry.json, and fails if the detached arm costs >3% over
+# base — the "free when off" guard. The attached arm's overhead is
+# reported, not bounded.
 bench-telemetry:
 	TELEMETRY_GUARD=1 $(GO) test -run TestTelemetryOverheadGuard -count=1 .
 
